@@ -48,6 +48,21 @@ class CliError(Exception):
         self.kind = kind
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
+
+
+def _positive_ints(raw: str) -> tuple[int, ...]:
+    """Comma-separated positive integers; empty items are skipped."""
+    return tuple(_positive_int(item) for item in raw.split(",") if item)
+
+
 def _out_path(raw: str) -> Path:
     path = Path(raw)
     root = os.environ.get(OUT_DIR_ENV)
@@ -160,7 +175,12 @@ def _cmd_collect(args) -> int:
 def _cmd_build_sim(args) -> int:
     if not Path(args.data).exists():
         raise CliError(EXIT_IO, "missing-file", f"log file not found: {args.data}")
-    report = collect.validate_log(args.data)
+    records = collect.read_log(args.data)
+    try:
+        manifest = collect.read_manifest(args.data)
+    except (OSError, json.JSONDecodeError):
+        manifest = None  # as in validate_log: a failed audit outranks a bad manifest
+    report = collect.audit_records(records, manifest)
     if not report.clean:
         raise CliError(
             EXIT_DATA,
@@ -168,7 +188,8 @@ def _cmd_build_sim(args) -> int:
             f"log failed validation: {len(report.chain_violations)} chain violations, "
             f"{len(report.step_gaps)} step gaps, manifest_consistent={report.manifest_consistent}",
         )
-    model = empirical.build_model_from_log(args.data)
+    # Without a manifest, reading it again raises its error.
+    model = empirical.build_model_from_records(records, manifest or collect.read_manifest(args.data))
     out = _out_path(args.out)
     empirical.save_model(model, out)
     _write_snapshot(out, "build-sim", vars(args))
@@ -193,7 +214,7 @@ def _train_config(args) -> agents.TrainConfig:
         replay_capacity=args.replay_capacity,
         batch_size=args.batch_size,
         target_sync_interval=args.target_sync,
-        hidden_sizes=tuple(int(h) for h in args.hidden.split(",") if h),
+        hidden_sizes=args.hidden,
         seed=args.seed,
     )
 
@@ -334,7 +355,7 @@ def _cmd_study_max_steps(args) -> int:
             "fingerprint-mismatch",
             "model was generated from a different scenario than --scenario",
         )
-    values = [int(v) for v in args.values.split(",") if v]
+    values = list(args.values)
     if not values:
         raise CliError(EXIT_USAGE, "bad-values", "--values needs a comma-separated list")
     config = agents.TrainConfig(episodes=args.episodes, seed=args.seed)
@@ -446,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("random", "epsilon-greedy"), default="random")
     p.add_argument("--policy-file", default=None)
     p.add_argument("--epsilon", type=float, default=0.3)
-    p.add_argument("--episodes", type=int, required=True)
+    p.add_argument("--episodes", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=_positive_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_collect)
 
@@ -460,17 +481,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train an agent in a world or generated sim")
     p.add_argument("--env", required=True, help="world:<scenario.json> or sim:<model>")
     p.add_argument("--algo", choices=("q_learning", "dqn"), default="q_learning")
-    p.add_argument("--episodes", type=int, default=2000)
+    p.add_argument("--episodes", type=_positive_int, default=2000)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--epsilon-start", type=float, default=1.0)
     p.add_argument("--epsilon-end", type=float, default=0.05)
-    p.add_argument("--epsilon-decay-steps", type=int, default=10_000)
-    p.add_argument("--replay-capacity", type=int, default=20_000)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--target-sync", type=int, default=500)
-    p.add_argument("--hidden", default="100,100")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--epsilon-decay-steps", type=_positive_int, default=10_000)
+    p.add_argument("--replay-capacity", type=_positive_int, default=20_000)
+    p.add_argument("--batch-size", type=_positive_int, default=32)
+    p.add_argument("--target-sync", type=_positive_int, default=500)
+    p.add_argument("--hidden", type=_positive_ints, default="100,100")
+    p.add_argument("--max-steps", type=_positive_int, default=None)
     p.add_argument("--fallback", choices=(empirical.FALLBACK_SELF, empirical.FALLBACK_REJECT),
                    default=empirical.FALLBACK_SELF)
     p.add_argument("--seed", type=int, default=0)
@@ -480,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="greedy evaluation of a saved policy")
     p.add_argument("--env", required=True)
     p.add_argument("--policy", required=True)
-    p.add_argument("--episodes", type=int, default=50)
+    p.add_argument("--episodes", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=_positive_int, default=None)
     p.add_argument("--fallback", choices=(empirical.FALLBACK_SELF, empirical.FALLBACK_REJECT),
                    default=empirical.FALLBACK_SELF)
     p.add_argument("--out", required=True)
@@ -492,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--model", default=None, help="source sim model for the paired report")
-    p.add_argument("--episodes", type=int, default=50)
+    p.add_argument("--episodes", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="transfer_report.json")
     p.set_defaults(func=_cmd_transfer)
@@ -507,9 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study-max-steps", help="game-horizon design study on the sim")
     p.add_argument("--model", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--values", required=True, help="comma-separated max_steps values")
-    p.add_argument("--episodes", type=int, default=3000)
-    p.add_argument("--eval-episodes", type=int, default=300)
+    p.add_argument("--values", type=_positive_ints, required=True, help="comma-separated max_steps values")
+    p.add_argument("--episodes", type=_positive_int, default=3000)
+    p.add_argument("--eval-episodes", type=_positive_int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="max_steps_study.json")
     p.set_defaults(func=_cmd_study_max_steps)

@@ -11,7 +11,8 @@ renumbers episodes and adds totals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 from .envapi import Env, Observation, derive_seed
@@ -30,6 +31,14 @@ RECORD_FIELDS = (
     "done",
     "action_success",
 )
+
+_INF = float("inf")
+
+
+@lru_cache(maxsize=4096)
+def _json_ints(values: tuple) -> str:
+    """Comma-joined JSON text of a tuple of ints; a log repeats few observations."""
+    return ",".join(map(str, values))
 
 
 class LogValidationError(Exception):
@@ -59,35 +68,36 @@ class TransitionRecord:
     action_success: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "episode": self.episode,
-                "step": self.step,
-                "obs": list(self.obs),
-                "action": self.action,
-                "next_obs": list(self.next_obs),
-                "reward": self.reward,
-                "done": self.done,
-                "action_success": self.action_success,
-            },
-            separators=(",", ":"),
+        """One log line, byte-identical to ``json.dumps`` of the record's fields."""
+        reward = self.reward
+        if reward.__class__ is float and -_INF < reward < _INF:
+            reward = float.__repr__(reward)
+        else:
+            reward = json.dumps(reward)
+        return (
+            f'{{"episode":{self.episode},"step":{self.step},'
+            f'"obs":[{_json_ints(self.obs)}],"action":{self.action},'
+            f'"next_obs":[{_json_ints(self.next_obs)}],"reward":{reward},'
+            f'"done":{"true" if self.done else "false"},'
+            f'"action_success":{"true" if self.action_success else "false"}}}'
         )
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TransitionRecord":
-        missing = [f for f in RECORD_FIELDS if f not in obj]
-        if missing:
-            raise ValueError(f"missing fields: {', '.join(missing)}")
-        return cls(
-            episode=int(obj["episode"]),
-            step=int(obj["step"]),
-            obs=tuple(int(v) for v in obj["obs"]),
-            action=int(obj["action"]),
-            next_obs=tuple(int(v) for v in obj["next_obs"]),
-            reward=float(obj["reward"]),
-            done=bool(obj["done"]),
-            action_success=bool(obj["action_success"]),
-        )
+        try:
+            return cls(
+                int(obj["episode"]),
+                int(obj["step"]),
+                tuple(map(int, obj["obs"])),
+                int(obj["action"]),
+                tuple(map(int, obj["next_obs"])),
+                float(obj["reward"]),
+                bool(obj["done"]),
+                bool(obj["action_success"]),
+            )
+        except KeyError:
+            missing = [f for f in RECORD_FIELDS if f not in obj]
+            raise ValueError(f"missing fields: {', '.join(missing)}") from None
 
 
 def manifest_path(log_path) -> Path:
@@ -114,9 +124,7 @@ def read_manifest(log_path) -> dict:
 
 def write_log(records, log_path) -> None:
     with open(log_path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json())
-            fh.write("\n")
+        fh.writelines(f"{rec.to_json()}\n" for rec in records)
 
 
 def read_log(log_path):
@@ -277,18 +285,7 @@ def merge_logs(log_paths, out_path) -> CollectionResult:
             if rec.episode not in remap:
                 remap[rec.episode] = next_episode
                 next_episode += 1
-            merged.append(
-                TransitionRecord(
-                    episode=remap[rec.episode],
-                    step=rec.step,
-                    obs=rec.obs,
-                    action=rec.action,
-                    next_obs=rec.next_obs,
-                    reward=rec.reward,
-                    done=rec.done,
-                    action_success=rec.action_success,
-                )
-            )
+            merged.append(replace(rec, episode=remap[rec.episode]))
 
     first = manifests[0]
     manifest = {
@@ -329,19 +326,6 @@ class CoverageReport:
             self.manifest_consistent is not False
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "total_steps": self.total_steps,
-            "episodes": self.episodes,
-            "unique_observations": self.unique_observations,
-            "visited_pairs": self.visited_pairs,
-            "per_action_counts": {str(k): v for k, v in sorted(self.per_action_counts.items())},
-            "start_observations": [list(o) for o in self.start_observations],
-            "chain_violations": [list(v) for v in self.chain_violations],
-            "step_gaps": [list(v) for v in self.step_gaps],
-            "manifest_consistent": self.manifest_consistent,
-        }
-
 
 def validate_log(log_path, manifest: dict | None = None) -> CoverageReport:
     """Structural and statistical audit of a transition log.
@@ -356,7 +340,18 @@ def validate_log(log_path, manifest: dict | None = None) -> CoverageReport:
             manifest = read_manifest(log_path)
         except (OSError, json.JSONDecodeError):
             manifest = None
+    return audit_records(records, manifest)
 
+
+def audit_records(records: list, manifest: dict | None) -> CoverageReport:
+    """The audit behind ``validate_log``, on records already parsed.
+
+    With a manifest, records whose action lies outside
+    ``0..action_count-1``, or whose observations differ from ``obs_dim``
+    in length or hold values outside ``0..255``, raise LogValidationError
+    naming their 1-based positions (the line numbers of a log without
+    blank lines, which ``write_log`` never writes).
+    """
     observations: set[Observation] = set()
     pairs: set[tuple[Observation, int]] = set()
     per_action: dict[int, int] = {}
@@ -386,6 +381,7 @@ def validate_log(log_path, manifest: dict | None = None) -> CoverageReport:
 
     manifest_ok = None
     if manifest is not None:
+        _check_ranges(records, manifest, per_action, observations)
         manifest_ok = (
             manifest.get("total_steps") == len(records)
             and manifest.get("episodes") == len(episodes)
@@ -402,4 +398,30 @@ def validate_log(log_path, manifest: dict | None = None) -> CoverageReport:
         chain_violations=chain_violations,
         step_gaps=step_gaps,
         manifest_consistent=manifest_ok,
+    )
+
+
+def _check_ranges(records: list, manifest: dict, actions, observations) -> None:
+    """Raise LogValidationError for records the manifest's dimensions cannot hold.
+
+    Checks the distinct actions and observations, and walks the records
+    again only to number the bad ones.
+    """
+    obs_dim = manifest.get("obs_dim")
+    valid_actions = range(manifest.get("action_count") or 0)
+    bad_actions = {a for a in actions if a not in valid_actions}
+    bad_obs = {
+        o for o in observations if len(o) != obs_dim or not all(0 <= v <= 255 for v in o)
+    }
+    if not bad_actions and not bad_obs:
+        return
+    lines = [
+        n
+        for n, rec in enumerate(records, start=1)
+        if rec.action in bad_actions or rec.obs in bad_obs or rec.next_obs in bad_obs
+    ]
+    raise LogValidationError(
+        f"{len(lines)} record(s) out of range for obs_dim={obs_dim}, "
+        f"action_count={manifest.get('action_count')} (first at line {lines[0]})",
+        lines=lines,
     )

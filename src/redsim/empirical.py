@@ -191,7 +191,11 @@ def build_model_from_log(log_path) -> EmpiricalModel:
     from . import collect
 
     manifest = collect.read_manifest(log_path)
-    records = collect.read_log(log_path)
+    return build_model_from_records(collect.read_log(log_path), manifest)
+
+
+def build_model_from_records(records, manifest: dict) -> EmpiricalModel:
+    """Build from parsed log records, taking dimensions and defaults from the log's manifest."""
     metadata = {
         "reward": manifest.get("reward"),
         "game": manifest.get("game"),

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from redsim import cli, presets
+from redsim import cli, collect, presets
 from redsim.cli import (
     EXIT_ARTIFACT,
     EXIT_DATA,
@@ -12,6 +12,7 @@ from redsim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_SCENARIO,
+    EXIT_USAGE,
     main,
 )
 
@@ -301,3 +302,98 @@ def test_rerun_with_identical_config_is_byte_identical(scenario_file, tmp_path):
     ma = _build(a, tmp_path, name="a.model")
     mb = _build(b, tmp_path, name="b.model")
     assert ma.read_bytes() == mb.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["collect", "--scenario", "s.json", "--episodes", "0", "--out", "d.jsonl"],
+        ["collect", "--scenario", "s.json", "--episodes", "5", "--max-steps", "-1", "--out", "d.jsonl"],
+        ["train", "--env", "sim:m.model", "--max-steps", "0", "--out", "p.policy"],
+        ["train", "--env", "sim:m.model", "--hidden", "abc", "--out", "p.policy"],
+        ["train", "--env", "sim:m.model", "--hidden", "100,0", "--out", "p.policy"],
+        ["train", "--env", "sim:m.model", "--episodes", "0", "--out", "p.policy"],
+        ["train", "--env", "sim:m.model", "--target-sync", "0", "--out", "p.policy"],
+        ["eval", "--env", "sim:m.model", "--policy", "p.policy", "--episodes", "0", "--out", "e.json"],
+        ["transfer", "--policy", "p.policy", "--scenario", "s.json", "--episodes", "0"],
+        ["study-max-steps", "--model", "m.model", "--scenario", "s.json", "--values", "5,x"],
+    ],
+)
+def test_bad_numeric_argument_is_usage_error(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+
+
+def test_build_sim_parses_the_log_once(scenario_file, tmp_path, monkeypatch):
+    data = _collect(scenario_file, tmp_path, episodes=20)
+    calls = []
+    read_log = collect.read_log
+
+    def counting_read_log(path):
+        calls.append(path)
+        return read_log(path)
+
+    monkeypatch.setattr(collect, "read_log", counting_read_log)
+    _build(data, tmp_path)
+    assert len(calls) == 1
+
+
+def _drop_line(index):
+    return lambda lines: lines[:index] + lines[index + 1:]
+
+
+def _replace_line(index, text):
+    return lambda lines: lines[:index] + [text] + lines[index + 1:]
+
+
+def _break_chain(lines):
+    obj = json.loads(lines[3])
+    obj["obs"] = [1] * len(obj["obs"])
+    return lines[:3] + [json.dumps(obj)] + lines[4:]
+
+
+def _episode0_action_99(lines):
+    objs = [json.loads(line) for line in lines]
+    return [json.dumps({**o, "action": 99} if o["episode"] == 0 else o) for o in objs]
+
+
+def _add_step(manifest):
+    manifest["total_steps"] += 1
+
+
+@pytest.mark.parametrize(
+    "edit_log, edit_manifest, code",
+    [
+        (None, None, EXIT_OK),
+        (None, "delete", EXIT_IO),
+        (_replace_line(2, "garbage"), None, EXIT_DATA),
+        (_replace_line(2, "garbage"), "delete", EXIT_DATA),
+        (_drop_line(2), None, EXIT_DATA),
+        (_break_chain, None, EXIT_DATA),
+        (_break_chain, "delete", EXIT_DATA),
+        (None, _add_step, EXIT_DATA),
+        (lambda lines: [], None, EXIT_DATA),
+        (lambda lines: [], "delete", EXIT_IO),
+        (None, "{not json", EXIT_DATA),
+        (None, '{"format": "other"}', EXIT_INCOMPATIBLE),
+        (_episode0_action_99, None, EXIT_DATA),
+    ],
+)
+def test_build_sim_exit_codes(scenario_file, tmp_path, edit_log, edit_manifest, code):
+    """A log that fails its audit exits 5 even when its manifest is also missing."""
+    data = _collect(scenario_file, tmp_path, episodes=5)
+    if edit_log is not None:
+        lines = edit_log(data.read_text().splitlines())
+        data.write_text("".join(line + "\n" for line in lines))
+    manifest = collect.manifest_path(data)
+    if edit_manifest == "delete":
+        manifest.unlink()
+    elif isinstance(edit_manifest, str):
+        manifest.write_text(edit_manifest)
+    elif edit_manifest is not None:
+        doc = json.loads(manifest.read_text())
+        edit_manifest(doc)
+        manifest.write_text(json.dumps(doc))
+    assert main(["build-sim", "--data", str(data), "--out", str(tmp_path / "m")]) == code
+

@@ -147,3 +147,32 @@ def test_all_reachable_pairs_visited_at_scale(desk5, desk5_dataset):
     }
     visited = {(rec.obs, rec.action) for rec in desk5_dataset.records}
     assert required <= visited
+
+
+def _rewrite(log_path, edit):
+    """Apply ``edit(obj)`` to every record of a log, in place."""
+    lines = []
+    for line in log_path.read_text().splitlines():
+        obj = json.loads(line)
+        edit(obj)
+        lines.append(json.dumps(obj, separators=(",", ":")))
+    log_path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("action", 99), ("action", -1), ("obs", [0] * 15), ("next_obs", [0] * 17), ("obs", [300] * 16)],
+)
+def test_out_of_range_records_raise_with_line_numbers(desk5, tmp_path, field, value):
+    result = _collect(desk5, 5, 6, out=tmp_path / "d.jsonl")
+    first_episode = [i + 1 for i, rec in enumerate(result.records) if rec.episode == 0]
+
+    def edit(obj):
+        if obj["episode"] == 0:
+            obj[field] = value
+
+    _rewrite(result.log_path, edit)
+    with pytest.raises(LogValidationError) as err:
+        collect.validate_log(result.log_path)
+    assert err.value.lines == first_episode
+
