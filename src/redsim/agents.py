@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .envapi import Env, Observation, compute_reward, derive_seed, encode_obs
+from .envapi import Env, Observation, compute_reward, derive_seed, encode_obs, rollout
 from .world import Scenario, exact_transition, reachable_observations
 
 POLICY_FORMAT = "redsim-policy-v1"
@@ -127,14 +127,8 @@ class TrainResult:
 
 def _greedy_rollouts(env: Env, policy, episodes: int, seed: int) -> float:
     total = 0.0
-    for ep in range(episodes):
-        obs = env.reset(seed=seed) if ep == 0 else env.reset()
-        done = False
-        while not done:
-            res = env.step(greedy_action(policy, obs))
-            total += res.reward
-            obs = res.observation
-            done = res.done
+    for *_, res in rollout(env, lambda obs: greedy_action(policy, obs), episodes, seed):
+        total += res.reward
     return total / episodes
 
 
@@ -151,33 +145,28 @@ def train_q_learning(env: Env, config: TrainConfig, eval_env: Env | None = None)
     alpha = config.learning_rate
     result = TrainResult(policy=q)
     global_step = 0
-    for ep in range(config.episodes):
-        obs = env.reset(seed=config.seed) if ep == 0 else env.reset()
-        ep_return = 0.0
-        ep_len = 0
-        done = False
-        while not done:
-            eps = config.epsilon_at(global_step)
-            if rng.random() < eps:
-                action = int(rng.integers(env.action_count))
-            else:
-                action = greedy_action(q, obs)
-            res = env.step(action)
-            bootstrap = 0.0 if res.info["goal"] else float(np.max(q.lookup(res.observation)))
-            row = q.row(obs)
-            row[action] += alpha * (res.reward + gamma * bootstrap - row[action])
-            obs = res.observation
-            done = res.done
-            ep_return += res.reward
-            ep_len += 1
-            global_step += 1
-            if config.eval_interval and eval_env is not None and global_step % config.eval_interval == 0:
-                result.evals.append(
-                    (global_step, _greedy_rollouts(eval_env, q, config.eval_episodes, derive_seed(config.seed, "eval")))
-                )
-        result.curve.append(CurvePoint(global_step, ep_return, ep_len, config.epsilon_at(global_step)))
-        if config.max_env_steps is not None and global_step >= config.max_env_steps:
-            break
+    ep_return = 0.0
+
+    def choose(obs) -> int:
+        if rng.random() < config.epsilon_at(global_step):
+            return int(rng.integers(env.action_count))
+        return greedy_action(q, obs)
+
+    for _, step, obs, action, res in rollout(env, choose, config.episodes, config.seed):
+        bootstrap = 0.0 if res.info["goal"] else float(np.max(q.lookup(res.observation)))
+        row = q.row(obs)
+        row[action] += alpha * (res.reward + gamma * bootstrap - row[action])
+        ep_return += res.reward
+        global_step += 1
+        if config.eval_interval and eval_env is not None and global_step % config.eval_interval == 0:
+            result.evals.append(
+                (global_step, _greedy_rollouts(eval_env, q, config.eval_episodes, derive_seed(config.seed, "eval")))
+            )
+        if res.done:
+            result.curve.append(CurvePoint(global_step, ep_return, step + 1, config.epsilon_at(global_step)))
+            ep_return = 0.0
+            if config.max_env_steps is not None and global_step >= config.max_env_steps:
+                break
     return result
 
 

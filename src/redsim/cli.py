@@ -180,7 +180,7 @@ def _cmd_build_sim(args) -> int:
         manifest = collect.read_manifest(args.data)
     except (OSError, json.JSONDecodeError):
         manifest = None  # as in validate_log: a failed audit outranks a bad manifest
-    report = collect.audit_records(records, manifest)
+    report = collect.audit_records(records, manifest, args.data)
     if not report.clean:
         raise CliError(
             EXIT_DATA,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
-from .envapi import Env, Observation, derive_seed
+from .envapi import Env, Observation, derive_seed, rollout
 
 import numpy as np
 
@@ -195,29 +195,22 @@ def run_collection(
     policy_rng = np.random.default_rng(derive_seed(seed, "collection-policy"))
     records: list[TransitionRecord] = []
     starts: set[Observation] = set()
-    for ep in range(episodes):
-        obs = env.reset(seed=seed) if ep == 0 else env.reset()
-        starts.add(obs)
-        step = 0
-        done = False
-        while not done:
-            action = policy(obs, policy_rng)
-            res = env.step(action)
-            records.append(
-                TransitionRecord(
-                    episode=ep,
-                    step=step,
-                    obs=obs,
-                    action=action,
-                    next_obs=res.observation,
-                    reward=res.reward,
-                    done=res.done,
-                    action_success=bool(res.info.get("action_success", False)),
-                )
+    steps = rollout(env, lambda obs: policy(obs, policy_rng), episodes, seed)
+    for ep, step, obs, action, res in steps:
+        if step == 0:
+            starts.add(obs)
+        records.append(
+            TransitionRecord(
+                episode=ep,
+                step=step,
+                obs=obs,
+                action=action,
+                next_obs=res.observation,
+                reward=res.reward,
+                done=res.done,
+                action_success=bool(res.info.get("action_success", False)),
             )
-            obs = res.observation
-            done = res.done
-            step += 1
+        )
 
     meta = env.metadata()
     manifest = {
@@ -239,23 +232,6 @@ def run_collection(
         write_log(records, log_path)
         write_manifest(manifest, log_path)
     return CollectionResult(records=records, manifest=manifest, log_path=log_path)
-
-
-def collect_shards(make_env, policy_factory, episodes_per_shard: int, shards: int, seed: int):
-    """Independent collection shards with seeds derived from one master seed.
-
-    Each shard gets its own environment instance and seed, so shards can run
-    on separate workers; merging their logs in any order yields the same
-    transition counts.
-    """
-    results = []
-    for worker in range(shards):
-        env = make_env()
-        policy = policy_factory(env)
-        results.append(
-            run_collection(env, policy, episodes_per_shard, derive_seed(seed, "shard", worker))
-        )
-    return results
 
 
 # --- merging and validation -------------------------------------------------
@@ -340,17 +316,17 @@ def validate_log(log_path, manifest: dict | None = None) -> CoverageReport:
             manifest = read_manifest(log_path)
         except (OSError, json.JSONDecodeError):
             manifest = None
-    return audit_records(records, manifest)
+    return audit_records(records, manifest, log_path)
 
 
-def audit_records(records: list, manifest: dict | None) -> CoverageReport:
+def audit_records(records: list, manifest: dict | None, log_path) -> CoverageReport:
     """The audit behind ``validate_log``, on records already parsed.
 
     With a manifest, records whose action lies outside
     ``0..action_count-1``, or whose observations differ from ``obs_dim``
     in length or hold values outside ``0..255``, raise LogValidationError
-    naming their 1-based positions (the line numbers of a log without
-    blank lines, which ``write_log`` never writes).
+    naming their 1-based line numbers in ``log_path``, the log the records
+    were read from.
     """
     observations: set[Observation] = set()
     pairs: set[tuple[Observation, int]] = set()
@@ -381,7 +357,7 @@ def audit_records(records: list, manifest: dict | None) -> CoverageReport:
 
     manifest_ok = None
     if manifest is not None:
-        _check_ranges(records, manifest, per_action, observations)
+        _check_ranges(records, manifest, per_action, observations, log_path)
         manifest_ok = (
             manifest.get("total_steps") == len(records)
             and manifest.get("episodes") == len(episodes)
@@ -401,11 +377,11 @@ def audit_records(records: list, manifest: dict | None) -> CoverageReport:
     )
 
 
-def _check_ranges(records: list, manifest: dict, actions, observations) -> None:
+def _check_ranges(records: list, manifest: dict, actions, observations, log_path) -> None:
     """Raise LogValidationError for records the manifest's dimensions cannot hold.
 
     Checks the distinct actions and observations, and walks the records
-    again only to number the bad ones.
+    (and the log, for its blank lines) again only to number the bad ones.
     """
     obs_dim = manifest.get("obs_dim")
     valid_actions = range(manifest.get("action_count") or 0)
@@ -415,13 +391,21 @@ def _check_ranges(records: list, manifest: dict, actions, observations) -> None:
     }
     if not bad_actions and not bad_obs:
         return
-    lines = [
+    positions = [
         n
         for n, rec in enumerate(records, start=1)
         if rec.action in bad_actions or rec.obs in bad_obs or rec.next_obs in bad_obs
     ]
+    lines = _record_line_numbers(log_path, positions)
     raise LogValidationError(
         f"{len(lines)} record(s) out of range for obs_dim={obs_dim}, "
         f"action_count={manifest.get('action_count')} (first at line {lines[0]})",
         lines=lines,
     )
+
+
+def _record_line_numbers(log_path, positions: list) -> list:
+    """File line numbers of the records at 1-based ``positions``; ``read_log`` skips blank lines."""
+    with open(log_path, "r", encoding="utf-8") as fh:
+        record_lines = [n for n, line in enumerate(fh, start=1) if line.strip()]
+    return [record_lines[p - 1] for p in positions]

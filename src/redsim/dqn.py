@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import CurvePoint, TrainConfig, TrainResult, greedy_action
-from .envapi import Env, derive_seed
+from .agents import CurvePoint, TrainConfig, TrainResult, _greedy_rollouts, greedy_action
+from .envapi import Env, derive_seed, rollout
 
 
 class TrainingDivergedError(Exception):
@@ -198,49 +198,40 @@ def train_dqn(env: Env, config: TrainConfig, eval_env: Env | None = None) -> Tra
     result = TrainResult(policy=net)
     global_step = 0
     learn_steps = 0
-    for ep in range(config.episodes):
-        obs = env.reset(seed=config.seed) if ep == 0 else env.reset()
-        ep_return = 0.0
-        ep_len = 0
-        done = False
-        while not done:
-            eps = config.epsilon_at(global_step)
-            if rng.random() < eps:
-                action = int(rng.integers(env.action_count))
-            else:
-                action = greedy_action(net, obs)
-            res = env.step(action)
-            replay.push(obs, action, res.reward, res.observation, res.info["goal"])
-            obs = res.observation
-            done = res.done
-            ep_return += res.reward
-            ep_len += 1
-            global_step += 1
+    ep_return = 0.0
 
-            if replay.size >= config.batch_size:
-                b_obs, b_act, b_rew, b_next, b_goal = replay.sample(config.batch_size, rng)
-                next_q = target.forward(b_next).max(axis=1)
-                targets = b_rew + gamma * next_q * (1.0 - b_goal)
-                loss, grads = net.loss_and_grads(b_obs, b_act, targets)
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(f"non-finite loss {loss!r}", global_step)
-                optimizer.step(net.layers, grads)
-                learn_steps += 1
-                if learn_steps % config.target_sync_interval == 0:
-                    target = net.copy()
+    def choose(obs) -> int:
+        if rng.random() < config.epsilon_at(global_step):
+            return int(rng.integers(env.action_count))
+        return greedy_action(net, obs)
 
-            if config.eval_interval and eval_env is not None and global_step % config.eval_interval == 0:
-                from .agents import _greedy_rollouts
+    for _, step, obs, action, res in rollout(env, choose, config.episodes, config.seed):
+        replay.push(obs, action, res.reward, res.observation, res.info["goal"])
+        ep_return += res.reward
+        global_step += 1
 
-                result.evals.append(
-                    (
-                        global_step,
-                        _greedy_rollouts(
-                            eval_env, net, config.eval_episodes, derive_seed(config.seed, "eval")
-                        ),
-                    )
+        if replay.size >= config.batch_size:
+            b_obs, b_act, b_rew, b_next, b_goal = replay.sample(config.batch_size, rng)
+            next_q = target.forward(b_next).max(axis=1)
+            targets = b_rew + gamma * next_q * (1.0 - b_goal)
+            loss, grads = net.loss_and_grads(b_obs, b_act, targets)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"non-finite loss {loss!r}", global_step)
+            optimizer.step(net.layers, grads)
+            learn_steps += 1
+            if learn_steps % config.target_sync_interval == 0:
+                target = net.copy()
+
+        if config.eval_interval and eval_env is not None and global_step % config.eval_interval == 0:
+            result.evals.append(
+                (
+                    global_step,
+                    _greedy_rollouts(eval_env, net, config.eval_episodes, derive_seed(config.seed, "eval")),
                 )
-        result.curve.append(CurvePoint(global_step, ep_return, ep_len, config.epsilon_at(global_step)))
-        if config.max_env_steps is not None and global_step >= config.max_env_steps:
-            break
+            )
+        if res.done:
+            result.curve.append(CurvePoint(global_step, ep_return, step + 1, config.epsilon_at(global_step)))
+            ep_return = 0.0
+            if config.max_env_steps is not None and global_step >= config.max_env_steps:
+                break
     return result

@@ -181,3 +181,26 @@ class Env(ABC):
         ``reward`` (``flag_worths``, ``action_costs``) and ``game``
         (``max_steps``, ``gamma``, ``goal_index``).
         """
+
+
+def rollout(env: Env, choose, episodes: int, seed: int):
+    """Play ``episodes`` episodes; yield ``(episode, step, obs, action, result)`` per step.
+
+    The first episode starts with ``reset(seed=seed)`` and each later one
+    with a bare ``reset()``, so a run replays from its seed alone.
+    ``choose(obs)`` picks each action right before its step.  The generator
+    resumes only when the consumer asks for the next step, so whatever the
+    consumer does with a step (learning, logging) precedes the next choice
+    and the next reset, and a consumer that stops early triggers no reset.
+    """
+    for episode in range(episodes):
+        obs = env.reset(seed=seed) if episode == 0 else env.reset()
+        step = 0
+        while True:
+            action = choose(obs)
+            result = env.step(action)
+            yield episode, step, obs, action, result
+            if result.done:
+                break
+            obs = result.observation
+            step += 1

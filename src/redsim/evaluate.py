@@ -17,7 +17,7 @@ import numpy as np
 
 from .agents import TrainConfig, greedy_action, train_q_learning, value_iteration
 from .empirical import EmpiricalModel, EmpiricalSim, SimConfig
-from .envapi import Env, Observation, encode_obs
+from .envapi import Env, Observation, rollout
 from .world import (
     Scenario,
     exact_transition,
@@ -83,31 +83,32 @@ def evaluate_policy(
     policy_meta: dict | None = None,
 ) -> EvalReport:
     """Greedy rollouts; deterministic given the seed, side-effect free on the policy."""
+    _check_compat(env, policy, policy_meta)
+    choose = lambda obs: greedy_action(policy, obs)
+    return _greedy_eval(env, choose, episodes, seed, environment_tag)
+
+
+def _greedy_eval(env: Env, choose, episodes: int, seed: int, environment_tag: str) -> EvalReport:
+    """The report of ``evaluate_policy``, choosing each action with ``choose(obs)``."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    _check_compat(env, policy, policy_meta)
     returns = np.zeros(episodes)
     lengths = np.zeros(episodes)
     successes = 0
     traces: list[list[int]] = []
-    for ep in range(episodes):
-        obs = env.reset(seed=seed) if ep == 0 else env.reset()
-        trace: list[int] = []
-        total = 0.0
-        done = False
-        goal = False
-        while not done:
-            action = greedy_action(policy, obs)
-            trace.append(action)
-            res = env.step(action)
-            total += res.reward
-            obs = res.observation
-            done = res.done
-            goal = res.info["goal"]
-        returns[ep] = total
-        lengths[ep] = len(trace)
-        successes += 1 if goal else 0
-        traces.append(trace)
+    total = 0.0
+    steps = rollout(env, choose, episodes, seed)
+    for ep, step, _, action, res in steps:
+        if step == 0:
+            trace: list[int] = []
+            traces.append(trace)
+        trace.append(action)
+        total += res.reward
+        if res.done:
+            returns[ep] = total
+            lengths[ep] = step + 1
+            successes += 1 if res.info["goal"] else 0
+            total = 0.0
     return EvalReport(
         environment=environment_tag,
         episodes=episodes,
@@ -175,24 +176,32 @@ def transfer_eval(
     The normalised gap is |world return - sim return| / max(1, |optimal|),
     and the report also notes what fraction of the (obs, action) pairs the
     policy visited in the world were ever seen by the model -- the coverage
-    diagnostic that explains widening gaps on starved datasets.
+    diagnostic that explains widening gaps on starved datasets.  Each world
+    episode is played once; the coverage comes from the evaluated steps.
     """
     _check_compat(world_env, policy, policy_meta)
-    world_report = evaluate_policy(world_env, policy, episodes, seed, "world")
+    world_pairs: list[tuple[Observation, int]] = []
+
+    def choose(obs):
+        action = greedy_action(policy, obs)
+        world_pairs.append((obs, action))
+        return action
+
+    world_report = _greedy_eval(world_env, choose, episodes, seed, "world")
     sim_report = None
     agreement = None
     gap = None
     norm_gap = None
     coverage = None
     if sim_env is not None:
-        _check_compat(sim_env, policy, policy_meta)
-        sim_report = evaluate_policy(sim_env, policy, episodes, seed, "sim")
+        sim_report = evaluate_policy(sim_env, policy, episodes, seed, "sim", policy_meta)
         agreement = _coa_agreement(sim_report.coa, world_report.coa)
         gap = abs(world_report.mean_return - sim_report.mean_return)
         if optimal_return is not None:
             norm_gap = gap / max(1.0, abs(optimal_return))
         if isinstance(sim_env, EmpiricalSim):
-            coverage = _world_coverage(world_env, policy, sim_env.model, episodes, seed)
+            known = sum(1 for obs, action in world_pairs if sim_env.model.has_pair(obs, action))
+            coverage = known / len(world_pairs)
     world_gap = None
     if optimal_return is not None:
         world_gap = abs(world_report.mean_return - optimal_return) / max(
@@ -208,23 +217,6 @@ def transfer_eval(
         coa_agreement=agreement,
         world_pairs_in_model=coverage,
     )
-
-
-def _world_coverage(world_env, policy, model: EmpiricalModel, episodes, seed) -> float:
-    seen = 0
-    known = 0
-    for ep in range(episodes):
-        obs = world_env.reset(seed=seed) if ep == 0 else world_env.reset()
-        done = False
-        while not done:
-            action = greedy_action(policy, obs)
-            seen += 1
-            if model.has_pair(obs, action):
-                known += 1
-            res = world_env.step(action)
-            obs = res.observation
-            done = res.done
-    return known / seen if seen else 1.0
 
 
 # --- fidelity ----------------------------------------------------------------
@@ -248,7 +240,6 @@ class FidelityReport:
     max_tv_confident: float
     mean_tv_confident: float
     pairs: list[PairFidelity]
-    aliased_observations: list[Observation]
 
     def to_dict(self, include_pairs: bool = True) -> dict:
         doc = {
@@ -260,7 +251,6 @@ class FidelityReport:
             "low_confidence_pairs": self.low_confidence_pairs,
             "max_tv_confident": self.max_tv_confident,
             "mean_tv_confident": self.mean_tv_confident,
-            "aliased_observations": [list(o) for o in self.aliased_observations],
         }
         if include_pairs:
             doc["pairs"] = [
@@ -291,9 +281,6 @@ def fidelity_report(
     Computed per reachable (observation, action) pair.  Pairs with at least
     ``visit_threshold`` visits are held to the fidelity bar; everything
     below it (including never-visited pairs) counts as low-confidence.
-    Observation aliasing -- distinct world states sharing a rendered
-    observation but disagreeing in projected dynamics -- is also flagged;
-    this desk world is observation-Markov, so any entry here is a bug.
     """
     sources = [
         obs
@@ -323,27 +310,6 @@ def fidelity_report(
             else:
                 low_confidence += 1
 
-    # In this world the state is the observation, so the projection groups
-    # are singletons; the check still runs so wider-state worlds get audited.
-    groups: dict[bytes, list[Observation]] = {}
-    for obs in sources:
-        groups.setdefault(encode_obs(obs), []).append(obs)
-    aliased = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        baseline = None
-        for state in members:
-            dists = [
-                {o: p for o, p in exact_transition(scenario, state, a)}
-                for a in scenario.actions
-            ]
-            if baseline is None:
-                baseline = dists
-            elif any(_tv_distance(d, b) > 1e-12 for d, b in zip(dists, baseline)):
-                aliased.append(members[0])
-                break
-
     return FidelityReport(
         visit_threshold=visit_threshold,
         reachable_pairs=reachable,
@@ -354,7 +320,6 @@ def fidelity_report(
         max_tv_confident=max(confident_tv) if confident_tv else 0.0,
         mean_tv_confident=float(np.mean(confident_tv)) if confident_tv else 0.0,
         pairs=pairs,
-        aliased_observations=aliased,
     )
 
 

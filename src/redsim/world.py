@@ -412,10 +412,6 @@ class AttackWorld(Env):
         self._flags = next_flags
         return next_flags, reward, {"action_success": success}
 
-    def get_state(self) -> Observation:
-        """Current truth flags; in this world the state is the observation."""
-        return self._flags
-
     def set_state(self, flags) -> None:
         """Teleport to a state and reopen the episode (tests, checkpointing)."""
         if len(flags) != self.obs_dim:

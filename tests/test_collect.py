@@ -5,8 +5,8 @@ import json
 import pytest
 
 from redsim import collect, empirical, world
+from redsim.cli import EXIT_DATA, main
 from redsim.collect import IncompatibleDatasetError, LogValidationError
-from redsim.envapi import derive_seed
 
 
 def _collect(scenario, episodes, seed, out=None):
@@ -105,25 +105,6 @@ def test_merge_order_does_not_change_model(desk5, tmp_path):
     assert model_ab == model_ba
 
 
-def test_sharded_collection_merges_to_same_model_any_order(desk5, tmp_path):
-    shards = collect.collect_shards(
-        make_env=lambda: world.AttackWorld(desk5, seed=0),
-        policy_factory=lambda env: collect.uniform_random_policy(env.action_count),
-        episodes_per_shard=8,
-        shards=3,
-        seed=99,
-    )
-    # shard seeds derive from the master seed, so shards are reproducible
-    assert shards[0].manifest["seed"] == derive_seed(99, "shard", 0)
-    dims = dict(obs_dim=desk5.obs_dim, action_count=len(desk5.actions))
-    orderings = [(0, 1, 2), (2, 0, 1), (1, 2, 0)]
-    models = []
-    for order in orderings:
-        records = [rec for i in order for rec in shards[i].records]
-        models.append(empirical.build_model(records, **dims))
-    assert models[0] == models[1] == models[2]
-
-
 def test_epsilon_greedy_collection_policy_descriptor(desk5):
     env = world.AttackWorld(desk5, seed=1)
     policy = collect.epsilon_greedy_policy(lambda obs: 0, epsilon=0.25, action_count=env.action_count)
@@ -176,3 +157,27 @@ def test_out_of_range_records_raise_with_line_numbers(desk5, tmp_path, field, va
         collect.validate_log(result.log_path)
     assert err.value.lines == first_episode
 
+
+def _blank_first_line_log(scenario, tmp_path):
+    """A 2-episode log led by a blank line, with ``action`` 99 on its sixth line."""
+    result = _collect(scenario, 2, 6, out=tmp_path / "d.jsonl")
+    lines = result.log_path.read_text().splitlines()
+    obj = json.loads(lines[4])
+    obj["action"] = 99
+    lines[4] = json.dumps(obj, separators=(",", ":"))
+    result.log_path.write_text("\n" + "\n".join(lines) + "\n")
+    return result.log_path
+
+
+def test_out_of_range_lines_count_blank_lines(desk5, tmp_path):
+    log = _blank_first_line_log(desk5, tmp_path)
+    with pytest.raises(LogValidationError) as err:
+        collect.validate_log(log)
+    assert err.value.lines == [6]
+    assert "first at line 6" in str(err.value)
+
+
+def test_build_sim_out_of_range_lines_count_blank_lines(desk5, tmp_path, capsys):
+    log = _blank_first_line_log(desk5, tmp_path)
+    assert main(["build-sim", "--data", str(log), "--out", str(tmp_path / "m.model")]) == EXIT_DATA
+    assert "first at line 6" in capsys.readouterr().err

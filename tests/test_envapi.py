@@ -11,6 +11,7 @@ from redsim.envapi import (
     decode_obs,
     derive_seed,
     encode_obs,
+    rollout,
 )
 
 
@@ -181,3 +182,51 @@ def test_compute_reward_matches_independent_delta_worth_sum():
 def test_compute_reward_dimension_mismatch():
     with pytest.raises(ValueError):
         compute_reward((1.0, 1.0), (0, 0, 0), (0, 0, 1), 1.0)
+
+
+def _random_choice(seed, action_count):
+    rng = np.random.default_rng(seed)
+    return lambda obs: int(rng.integers(action_count))
+
+
+def test_rollout_numbers_episodes_and_steps(desk5):
+    env = world.AttackWorld(desk5, seed=0)
+    steps = list(rollout(env, _random_choice(1, env.action_count), 6, 3))
+    assert [ep for ep, step, *_ in steps if step == 0] == list(range(6))
+    for (ep, step, obs, _, res), nxt in zip(steps, steps[1:] + [None]):
+        if res.done:
+            assert nxt is None or (nxt[0], nxt[1]) == (ep + 1, 0)
+        else:
+            assert (nxt[0], nxt[1]) == (ep, step + 1)
+            assert nxt[2] == res.observation  # the next step starts where this one ended
+        assert step < desk5.game.max_steps
+    assert steps[-1][4].done
+
+
+def test_rollout_first_reset_pins_the_seed(desk5):
+    def trajectory(env_seed):
+        env = world.AttackWorld(desk5, seed=env_seed)
+        return [
+            (ep, step, obs, action, res.observation, res.reward, res.done)
+            for ep, step, obs, action, res in rollout(env, _random_choice(2, env.action_count), 8, 5)
+        ]
+
+    assert trajectory(0) == trajectory(123)
+
+
+def test_rollout_resets_only_when_resumed(desk5):
+    resets = 0
+
+    class CountingWorld(world.AttackWorld):
+        def reset(self, seed=None):
+            nonlocal resets
+            resets += 1
+            return super().reset(seed)
+
+    env = CountingWorld(desk5, seed=0)
+    for *_, res in rollout(env, _random_choice(3, env.action_count), 5, 1):
+        if res.done:
+            break
+    assert resets == 1
+    list(rollout(env, _random_choice(3, env.action_count), 5, 1))
+    assert resets == 1 + 5
