@@ -346,6 +346,11 @@ class LoadedPolicy:
     action_count: int
     train_config: dict
 
+    @property
+    def meta(self) -> dict:
+        """What ``evaluate.check_compat`` compares against an environment."""
+        return {"obs_dim": self.obs_dim, "action_count": self.action_count, "fingerprint": self.fingerprint}
+
 
 def load_policy(path) -> LoadedPolicy:
     from .dqn import DqnNet

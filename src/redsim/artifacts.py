@@ -44,12 +44,8 @@ def write_artifact(path, format_tag: str, payload) -> None:
 
 def read_artifact(path, format_tag: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ArtifactError(f"cannot read {path}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError:  # not UTF-8, or not JSON
         raise ArtifactChecksumError(f"{path}: truncated or corrupt container") from None
     if not isinstance(doc, dict) or "payload" not in doc:
         raise ArtifactChecksumError(f"{path}: not an artifact container")
@@ -66,7 +62,7 @@ def sniff_format(path) -> str | None:
     """Format tag of an artifact container, or None if it is not one."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # unreadable, not UTF-8, or not JSON
         return None
     if isinstance(doc, dict):
         tag = doc.get("format")

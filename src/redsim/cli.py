@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -48,14 +49,26 @@ class CliError(Exception):
         self.kind = kind
 
 
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
-    return value
+def _checked(kind, ok, expected: str):
+    """An argparse ``type=`` function: ``kind(raw)`` if ``ok`` holds for it, else a usage error."""
+
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_gamma = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
 
 
 def _positive_ints(raw: str) -> tuple[int, ...]:
@@ -84,24 +97,6 @@ def _write_snapshot(out: Path, command: str, resolved: dict) -> None:
     )
 
 
-def _load_scenario(path: str) -> world.Scenario:
-    if not Path(path).exists():
-        raise CliError(EXIT_IO, "missing-file", f"scenario file not found: {path}")
-    return world.load_scenario(path)
-
-
-def _load_model(path: str) -> empirical.EmpiricalModel:
-    if not Path(path).exists():
-        raise CliError(EXIT_IO, "missing-file", f"model file not found: {path}")
-    return empirical.load_model(path)
-
-
-def _load_policy(path: str) -> agents.LoadedPolicy:
-    if not Path(path).exists():
-        raise CliError(EXIT_IO, "missing-file", f"policy file not found: {path}")
-    return agents.load_policy(path)
-
-
 def _make_env(spec: str, seed: int, max_steps: int | None, fallback: str):
     """Environment from a 'world:<scenario.json>' or 'sim:<model>' spec string."""
     kind, _, path = spec.partition(":")
@@ -110,11 +105,11 @@ def _make_env(spec: str, seed: int, max_steps: int | None, fallback: str):
             EXIT_USAGE, "bad-env", f"--env must look like world:<scenario> or sim:<model>, got {spec!r}"
         )
     if kind == "world":
-        scenario = _load_scenario(path)
+        scenario = world.load_scenario(path)
         if max_steps is not None:
             scenario = _with_max_steps(scenario, max_steps)
         return world.AttackWorld(scenario, seed=seed), "world"
-    model = _load_model(path)
+    model = empirical.load_model(path)
     config = empirical.SimConfig.from_model(model, max_steps=max_steps, fallback=fallback)
     return empirical.EmpiricalSim(model, config, seed=seed), "sim"
 
@@ -122,7 +117,7 @@ def _make_env(spec: str, seed: int, max_steps: int | None, fallback: str):
 # --- subcommands ------------------------------------------------------------
 
 def _cmd_scenario_validate(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = world.load_scenario(args.scenario)
     print(
         f"ok name={scenario.name!r} hosts={len(scenario.hosts)} "
         f"actions={len(scenario.actions)} obs_dim={scenario.obs_dim} "
@@ -142,7 +137,7 @@ def _with_max_steps(scenario: world.Scenario, max_steps: int) -> world.Scenario:
 
 
 def _cmd_collect(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = world.load_scenario(args.scenario)
     if args.max_steps is not None:
         scenario = _with_max_steps(scenario, args.max_steps)
     env = world.AttackWorld(scenario, seed=args.seed)
@@ -153,13 +148,8 @@ def _cmd_collect(args) -> int:
             raise CliError(
                 EXIT_USAGE, "bad-policy", "--policy epsilon-greedy needs --policy-file"
             )
-        loaded = _load_policy(args.policy_file)
-        if loaded.fingerprint and loaded.fingerprint != scenario.fingerprint:
-            raise CliError(
-                EXIT_INCOMPATIBLE,
-                "fingerprint-mismatch",
-                "policy was trained against a different scenario",
-            )
+        loaded = agents.load_policy(args.policy_file)
+        evaluate.check_compat(env, loaded.meta)
         policy = collect.epsilon_greedy_policy(
             lambda obs: agents.greedy_action(loaded.policy, obs),
             args.epsilon,
@@ -173,8 +163,6 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_build_sim(args) -> int:
-    if not Path(args.data).exists():
-        raise CliError(EXIT_IO, "missing-file", f"log file not found: {args.data}")
     records = collect.read_log(args.data)
     try:
         manifest = collect.read_manifest(args.data)
@@ -241,18 +229,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     env, tag = _make_env(args.env, args.seed, args.max_steps, args.fallback)
-    loaded = _load_policy(args.policy)
+    loaded = agents.load_policy(args.policy)
     report = evaluate.evaluate_policy(
-        env,
-        loaded.policy,
-        args.episodes,
-        args.seed,
-        environment_tag=tag,
-        policy_meta={
-            "obs_dim": loaded.obs_dim,
-            "action_count": loaded.action_count,
-            "fingerprint": loaded.fingerprint,
-        },
+        env, loaded.policy, args.episodes, args.seed, environment_tag=tag, policy_meta=loaded.meta
     )
     out = _out_path(args.out)
     evaluate.write_report_json(report.to_dict(), out)
@@ -266,25 +245,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    loaded = _load_policy(args.policy)
-    if loaded.fingerprint and loaded.fingerprint != scenario.fingerprint:
-        raise CliError(
-            EXIT_INCOMPATIBLE,
-            "fingerprint-mismatch",
-            "policy was trained against a different scenario than --scenario",
-        )
+    scenario = world.load_scenario(args.scenario)
+    loaded = agents.load_policy(args.policy)
     world_env = world.AttackWorld(scenario, seed=args.seed)
     sim_env = None
     if args.model:
-        model = _load_model(args.model)
-        if model.fingerprint != scenario.fingerprint:
-            raise CliError(
-                EXIT_INCOMPATIBLE,
-                "fingerprint-mismatch",
-                "model was generated from a different scenario than --scenario",
-            )
-        sim_env = empirical.EmpiricalSim(model, seed=args.seed)
+        sim_env = empirical.EmpiricalSim(empirical.load_model(args.model), seed=args.seed)
     solution = agents.value_iteration(scenario)
     report = evaluate.transfer_eval(
         loaded.policy,
@@ -293,11 +259,7 @@ def _cmd_transfer(args) -> int:
         episodes=args.episodes,
         seed=args.seed,
         optimal_return=solution.optimal_return,
-        policy_meta={
-            "obs_dim": loaded.obs_dim,
-            "action_count": loaded.action_count,
-            "fingerprint": loaded.fingerprint,
-        },
+        policy_meta=loaded.meta,
     )
     out = _out_path(args.out)
     evaluate.write_report_json(report.to_dict(), out)
@@ -321,14 +283,8 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_fidelity(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    model = _load_model(args.model)
-    if model.fingerprint != scenario.fingerprint:
-        raise CliError(
-            EXIT_INCOMPATIBLE,
-            "fingerprint-mismatch",
-            "model was generated from a different scenario than --scenario",
-        )
+    scenario = world.load_scenario(args.scenario)
+    model = empirical.load_model(args.model)
     report = evaluate.fidelity_report(model, scenario, visit_threshold=args.visit_threshold)
     out = _out_path(args.out)
     evaluate.write_report_json(report.to_dict(), out)
@@ -347,14 +303,8 @@ def _cmd_fidelity(args) -> int:
 
 
 def _cmd_study_max_steps(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    model = _load_model(args.model)
-    if model.fingerprint != scenario.fingerprint:
-        raise CliError(
-            EXIT_INCOMPATIBLE,
-            "fingerprint-mismatch",
-            "model was generated from a different scenario than --scenario",
-        )
+    scenario = world.load_scenario(args.scenario)
+    model = empirical.load_model(args.model)
     values = list(args.values)
     if not values:
         raise CliError(EXIT_USAGE, "bad-values", "--values needs a comma-separated list")
@@ -380,8 +330,6 @@ def _cmd_study_max_steps(args) -> int:
 
 
 def _describe_artifact(path: str) -> dict:
-    if not Path(path).exists():
-        raise CliError(EXIT_IO, "missing-file", f"artifact not found: {path}")
     tag = sniff_format(path)
     if tag == empirical.MODEL_FORMAT:
         model = empirical.load_model(path)
@@ -394,7 +342,7 @@ def _describe_artifact(path: str) -> dict:
             "stats": stats,
         }
     if tag == agents.POLICY_FORMAT:
-        loaded = _load_policy(path)
+        loaded = agents.load_policy(path)
         return {
             "path": path,
             "type": "policy",
@@ -466,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--policy", choices=("random", "epsilon-greedy"), default="random")
     p.add_argument("--policy-file", default=None)
-    p.add_argument("--epsilon", type=float, default=0.3)
+    p.add_argument("--epsilon", type=_probability, default=0.3)
     p.add_argument("--episodes", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=_positive_int, default=None)
@@ -482,10 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", required=True, help="world:<scenario.json> or sim:<model>")
     p.add_argument("--algo", choices=("q_learning", "dqn"), default="q_learning")
     p.add_argument("--episodes", type=_positive_int, default=2000)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--epsilon-start", type=float, default=1.0)
-    p.add_argument("--epsilon-end", type=float, default=0.05)
+    p.add_argument("--gamma", type=_gamma, default=None)
+    p.add_argument("--learning-rate", type=_positive_float, default=None)
+    p.add_argument("--epsilon-start", type=_probability, default=1.0)
+    p.add_argument("--epsilon-end", type=_probability, default=0.05)
     p.add_argument("--epsilon-decay-steps", type=_positive_int, default=10_000)
     p.add_argument("--replay-capacity", type=_positive_int, default=20_000)
     p.add_argument("--batch-size", type=_positive_int, default=32)
@@ -521,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fidelity", help="total-variation audit of a model vs the world")
     p.add_argument("--model", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--visit-threshold", type=int, default=200)
+    p.add_argument("--visit-threshold", type=_non_negative_int, default=200)
     p.add_argument("--out", default="fidelity_report.json")
     p.set_defaults(func=_cmd_fidelity)
 

@@ -114,7 +114,11 @@ def write_manifest(manifest: dict, log_path) -> Path:
 
 def read_manifest(log_path) -> dict:
     path = manifest_path(log_path)
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    raw = path.read_bytes()
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:  # reported like a manifest that is not JSON
+        raise json.JSONDecodeError(f"{path} is not UTF-8", raw.decode("latin-1"), exc.start) from None
     if manifest.get("format") != LOG_FORMAT:
         raise IncompatibleDatasetError(
             f"{path}: unexpected manifest format {manifest.get('format')!r}"
@@ -128,17 +132,17 @@ def write_log(records, log_path) -> None:
 
 
 def read_log(log_path):
-    """Parse a JSONL log strictly; corrupt lines raise LogValidationError."""
+    """Parse a JSONL log strictly; corrupt lines, also lines that are not UTF-8, raise LogValidationError."""
     records = []
     bad: list[tuple[int, str]] = []
-    with open(log_path, "r", encoding="utf-8") as fh:
+    with open(log_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(TransitionRecord.from_obj(json.loads(line)))
-            except (ValueError, TypeError, json.JSONDecodeError) as exc:
+                records.append(TransitionRecord.from_obj(json.loads(line.decode("utf-8"))))
+            except (ValueError, TypeError) as exc:  # UnicodeDecodeError and JSONDecodeError too
                 bad.append((lineno, str(exc)))
     if bad:
         lines = [ln for ln, _ in bad]
@@ -406,6 +410,6 @@ def _check_ranges(records: list, manifest: dict, actions, observations, log_path
 
 def _record_line_numbers(log_path, positions: list) -> list:
     """File line numbers of the records at 1-based ``positions``; ``read_log`` skips blank lines."""
-    with open(log_path, "r", encoding="utf-8") as fh:
+    with open(log_path, "rb") as fh:
         record_lines = [n for n, line in enumerate(fh, start=1) if line.strip()]
     return [record_lines[p - 1] for p in positions]

@@ -35,7 +35,7 @@ class AmbiguousStartError(ModelError):
 
 
 class IncompatibleModelError(ModelError):
-    """Models from different environments cannot be merged."""
+    """A model meets a model or environment from another network."""
 
 
 class EmpiricalModel:
@@ -134,22 +134,45 @@ class EmpiricalModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "EmpiricalModel":
-        model = cls(
-            obs_dim=payload["obs_dim"],
-            action_count=payload["action_count"],
-            fingerprint=payload.get("fingerprint", ""),
-            x0=tuple(payload["x0"]) if payload.get("x0") is not None else None,
-            metadata=payload.get("metadata"),
-        )
-        for obs_hex, row in payload.get("counts", {}).items():
-            obs_key = bytes.fromhex(obs_hex)
-            model.obs_index.setdefault(obs_key, decode_obs(obs_key))
-            for action_str, outcomes in row.items():
-                bucket = model.counts.setdefault((obs_key, int(action_str)), {})
-                for next_hex, count in outcomes.items():
-                    next_key = bytes.fromhex(next_hex)
-                    model.obs_index.setdefault(next_key, decode_obs(next_key))
-                    bucket[next_key] = bucket.get(next_key, 0) + int(count)
+        """The model a payload holds; malformed or out-of-range contents raise ModelError.
+
+        Actions must lie in ``0..action_count-1``, observations (``x0``
+        included) must be ``obs_dim`` bytes long, and every count must be a
+        positive int.  Ranges are checked once per distinct action and
+        observation.
+        """
+        try:
+            model = cls(
+                obs_dim=payload["obs_dim"],
+                action_count=payload["action_count"],
+                fingerprint=payload.get("fingerprint", ""),
+                x0=tuple(payload["x0"]) if payload.get("x0") is not None else None,
+                metadata=payload.get("metadata"),
+            )
+            index = model.obs_index
+            for obs_hex, row in payload.get("counts", {}).items():
+                obs_key = bytes.fromhex(obs_hex)
+                index.setdefault(obs_key, None)
+                for action_str, outcomes in row.items():
+                    if not outcomes:
+                        raise ModelError(f"no outcomes for observation {obs_hex} action {action_str}")
+                    bucket = model.counts.setdefault((obs_key, int(action_str)), {})
+                    for next_hex, count in outcomes.items():
+                        if count.__class__ is not int or count < 1:
+                            raise ModelError(f"count {count!r} is not a positive integer")
+                        next_key = bytes.fromhex(next_hex)
+                        index.setdefault(next_key, None)
+                        bucket[next_key] = bucket.get(next_key, 0) + count
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ModelError(f"malformed model payload: {exc!r}") from None
+        bad_actions = sorted({a for _, a in model.counts if not 0 <= a < model.action_count})
+        bad_obs = sorted(key.hex() for key in index if len(key) != model.obs_dim)
+        if model.obs_dim < 1 or model.action_count < 1 or bad_actions or bad_obs:
+            raise ModelError(
+                f"model out of range for obs_dim={model.obs_dim}, action_count={model.action_count}: "
+                f"actions {bad_actions[:5]}, observations {bad_obs[:5]}"
+            )
+        model.obs_index = {key: decode_obs(key) for key in index}
         return model
 
 

@@ -129,10 +129,6 @@ class Env(ABC):
         self._steps = 0
         self._done = True
 
-    @property
-    def episode_steps(self) -> int:
-        return self._steps
-
     def reset(self, seed: int | None = None) -> Observation:
         if seed is not None:
             self._master_seed = int(seed)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import TrainConfig, greedy_action, train_q_learning, value_iteration
-from .empirical import EmpiricalModel, EmpiricalSim, SimConfig
+from .empirical import EmpiricalModel, EmpiricalSim, IncompatibleModelError, SimConfig
 from .envapi import Env, Observation, rollout
 from .world import (
     Scenario,
@@ -42,21 +42,14 @@ class EvalReport:
     coa: list[list[int]] = field(default_factory=list)
 
     def to_dict(self, include_traces: bool = True) -> dict:
-        doc = {
-            "environment": self.environment,
-            "episodes": self.episodes,
-            "mean_return": self.mean_return,
-            "std_return": self.std_return,
-            "mean_length": self.mean_length,
-            "std_length": self.std_length,
-            "success_rate": self.success_rate,
-        }
-        if include_traces:
-            doc["coa"] = self.coa
+        doc = vars(self).copy()
+        if not include_traces:
+            del doc["coa"]
         return doc
 
 
-def _check_compat(env: Env, policy, meta: dict | None) -> None:
+def check_compat(env: Env, meta: dict | None) -> None:
+    """Raise IncompatiblePolicyError unless a policy with ``meta`` (``LoadedPolicy.meta``) fits ``env``."""
     if meta is None:
         return
     if meta.get("obs_dim") not in (None, env.obs_dim) or meta.get(
@@ -74,6 +67,14 @@ def _check_compat(env: Env, policy, meta: dict | None) -> None:
         )
 
 
+def _check_source(model_fingerprint: str, env_fingerprint: str) -> None:
+    if model_fingerprint != env_fingerprint:
+        raise IncompatibleModelError(
+            f"model was generated from another environment "
+            f"(fingerprint {model_fingerprint[:12]} vs {env_fingerprint[:12]})"
+        )
+
+
 def evaluate_policy(
     env: Env,
     policy,
@@ -83,7 +84,7 @@ def evaluate_policy(
     policy_meta: dict | None = None,
 ) -> EvalReport:
     """Greedy rollouts; deterministic given the seed, side-effect free on the policy."""
-    _check_compat(env, policy, policy_meta)
+    check_compat(env, policy_meta)
     choose = lambda obs: greedy_action(policy, obs)
     return _greedy_eval(env, choose, episodes, seed, environment_tag)
 
@@ -150,16 +151,10 @@ class TransferReport:
     world_pairs_in_model: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "world": self.world.to_dict(include_traces=False),
-            "sim": self.sim.to_dict(include_traces=False) if self.sim else None,
-            "optimal_return": self.optimal_return,
-            "return_gap": self.return_gap,
-            "normalized_gap": self.normalized_gap,
-            "world_gap_to_optimal": self.world_gap_to_optimal,
-            "coa_agreement": self.coa_agreement,
-            "world_pairs_in_model": self.world_pairs_in_model,
-        }
+        doc = vars(self).copy()
+        doc["world"] = self.world.to_dict(include_traces=False)
+        doc["sim"] = self.sim.to_dict(include_traces=False) if self.sim else None
+        return doc
 
 
 def transfer_eval(
@@ -178,8 +173,11 @@ def transfer_eval(
     policy visited in the world were ever seen by the model -- the coverage
     diagnostic that explains widening gaps on starved datasets.  Each world
     episode is played once; the coverage comes from the evaluated steps.
+    A sim from another environment than the world raises IncompatibleModelError.
     """
-    _check_compat(world_env, policy, policy_meta)
+    check_compat(world_env, policy_meta)
+    if sim_env is not None:
+        _check_source(sim_env.fingerprint, world_env.fingerprint)
     world_pairs: list[tuple[Observation, int]] = []
 
     def choose(obs):
@@ -241,27 +239,9 @@ class FidelityReport:
     mean_tv_confident: float
     pairs: list[PairFidelity]
 
-    def to_dict(self, include_pairs: bool = True) -> dict:
-        doc = {
-            "visit_threshold": self.visit_threshold,
-            "reachable_pairs": self.reachable_pairs,
-            "visited_pairs": self.visited_pairs,
-            "coverage": self.coverage,
-            "confident_pairs": self.confident_pairs,
-            "low_confidence_pairs": self.low_confidence_pairs,
-            "max_tv_confident": self.max_tv_confident,
-            "mean_tv_confident": self.mean_tv_confident,
-        }
-        if include_pairs:
-            doc["pairs"] = [
-                {
-                    "obs": list(p.obs),
-                    "action": p.action,
-                    "visits": p.visits,
-                    "tv_distance": p.tv_distance,
-                }
-                for p in self.pairs
-            ]
+    def to_dict(self) -> dict:
+        doc = vars(self).copy()
+        doc["pairs"] = [vars(p).copy() for p in self.pairs]
         return doc
 
 
@@ -282,6 +262,7 @@ def fidelity_report(
     ``visit_threshold`` visits are held to the fidelity bar; everything
     below it (including never-visited pairs) counts as low-confidence.
     """
+    _check_source(model.fingerprint, scenario.fingerprint)
     sources = [
         obs
         for obs in reachable_observations(scenario, max_obs=max_obs)
@@ -342,21 +323,9 @@ class MaxStepsStudy:
     rows: list[HorizonOutcome]
 
     def to_dict(self) -> dict:
-        return {
-            "shortest_path": self.shortest_path,
-            "tolerance": self.tolerance,
-            "rows": [
-                {
-                    "max_steps": r.max_steps,
-                    "optimal_return": r.optimal_return,
-                    "trained_return": r.trained_return,
-                    "success_rate": r.success_rate,
-                    "within_tolerance": r.within_tolerance,
-                    "converged": r.converged,
-                }
-                for r in self.rows
-            ],
-        }
+        doc = vars(self).copy()
+        doc["rows"] = [vars(r).copy() for r in self.rows]
+        return doc
 
 
 def max_steps_study(
@@ -376,6 +345,7 @@ def max_steps_study(
     non-converged even though its (purely negative) optimum is trivially
     matched.
     """
+    _check_source(model.fingerprint, scenario.fingerprint)
     rows = []
     for max_steps in max_steps_values:
         config = SimConfig.from_model(model, max_steps=max_steps)

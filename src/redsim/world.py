@@ -295,8 +295,8 @@ def parse_scenario(data: dict) -> Scenario:
 def load_scenario(path) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ScenarioParseError(f"cannot read scenario file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"scenario file is not UTF-8: {exc}") from None
     return scenario_from_json(text)
 
 

@@ -317,12 +317,33 @@ def test_rerun_with_identical_config_is_byte_identical(scenario_file, tmp_path):
         ["eval", "--env", "sim:m.model", "--policy", "p.policy", "--episodes", "0", "--out", "e.json"],
         ["transfer", "--policy", "p.policy", "--scenario", "s.json", "--episodes", "0"],
         ["study-max-steps", "--model", "m.model", "--scenario", "s.json", "--values", "5,x"],
+        ["train", "--env", "sim:m.model", "--gamma", "0", "--out", "p.policy"],
+        ["train", "--env", "sim:m.model", "--gamma", "1.5", "--out", "p.policy"],
+        ["train", "--env", "sim:m.model", "--gamma", "nan", "--out", "p.policy"],
+        ["train", "--env", "sim:m.model", "--learning-rate", "-1", "--out", "p.policy"],
+        ["train", "--env", "sim:m.model", "--learning-rate", "inf", "--out", "p.policy"],
+        ["train", "--env", "sim:m.model", "--epsilon-start", "2", "--out", "p.policy"],
+        ["train", "--env", "sim:m.model", "--epsilon-end", "-0.1", "--out", "p.policy"],
+        ["collect", "--scenario", "s.json", "--episodes", "5", "--epsilon", "3", "--out", "d.jsonl"],
+        ["fidelity", "--model", "m.model", "--scenario", "s.json", "--visit-threshold", "-3"],
+        ["fidelity", "--model", "m.model", "--scenario", "s.json", "--visit-threshold", "0.5"],
     ],
 )
 def test_bad_numeric_argument_is_usage_error(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == EXIT_USAGE
+
+
+def test_float_arguments_accept_their_bounds():
+    parser = cli.build_parser()
+    args = parser.parse_args(
+        ["train", "--env", "sim:m.model", "--gamma", "1", "--learning-rate", "1e-4",
+         "--epsilon-start", "0", "--epsilon-end", "1", "--out", "p.policy"]
+    )
+    assert (args.gamma, args.learning_rate, args.epsilon_start, args.epsilon_end) == (1.0, 1e-4, 0.0, 1.0)
+    args = parser.parse_args(["fidelity", "--model", "m", "--scenario", "s", "--visit-threshold", "0"])
+    assert args.visit_threshold == 0
 
 
 def test_build_sim_parses_the_log_once(scenario_file, tmp_path, monkeypatch):
@@ -397,3 +418,88 @@ def test_build_sim_exit_codes(scenario_file, tmp_path, edit_log, edit_manifest, 
         manifest.write_text(json.dumps(doc))
     assert main(["build-sim", "--data", str(data), "--out", str(tmp_path / "m")]) == code
 
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """Scenario, log, model and policy files for desk5 and the mesh, built once."""
+    root = tmp_path_factory.mktemp("pipeline")
+    paths = {}
+    for name, doc in (("desk5", presets.chain_scenario()), ("mesh", presets.mesh_scenario())):
+        scenario = root / f"{name}.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        log = _collect(scenario, root, name=f"{name}.jsonl", episodes=20)
+        model = _build(log, root, name=f"{name}.model")
+        policy = _train(model, root, name=f"{name}.policy", episodes=50)
+        paths[name] = {"scenario": scenario, "log": log, "model": model, "policy": policy}
+    return paths
+
+
+def _file_argument_command(target, bad, files, out):
+    """A command whose ``target`` file argument is ``bad`` and whose other inputs are valid."""
+    if target == "scenario":
+        return ["scenario-validate", "--scenario", str(bad)]
+    if target == "model":
+        return ["fidelity", "--model", str(bad), "--scenario", str(files["scenario"]), "--out", str(out)]
+    if target == "policy":
+        return ["eval", "--env", f"world:{files['scenario']}", "--policy", str(bad),
+                "--episodes", "1", "--out", str(out)]
+    if target == "stats":
+        return ["stats", str(bad)]
+    return ["build-sim", "--data", str(bad), "--out", str(out)]
+
+
+@pytest.mark.parametrize("state", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize(
+    "target, not_utf8_code",
+    [
+        ("scenario", EXIT_SCENARIO),
+        ("model", EXIT_ARTIFACT),
+        ("policy", EXIT_ARTIFACT),
+        ("log", EXIT_DATA),
+        ("manifest", EXIT_DATA),
+        ("stats", EXIT_DATA),
+    ],
+)
+def test_file_argument_exit_codes(pipeline, tmp_path, capsys, target, not_utf8_code, state):
+    """Missing and unreadable paths exit 3; a file that is not UTF-8 exits with its format's code."""
+    files = pipeline["desk5"]
+    source = files["model" if target == "stats" else "log" if target == "manifest" else target]
+    bad = tmp_path / f"bad{source.suffix}"
+    bad.write_bytes(source.read_bytes())
+    if source == files["log"]:  # build-sim also reads the manifest sidecar
+        collect.manifest_path(bad).write_bytes(collect.manifest_path(source).read_bytes())
+    damaged = collect.manifest_path(bad) if target == "manifest" else bad
+    lines = damaged.read_bytes().splitlines(keepends=True)
+    damaged.unlink()
+    if state == "directory":
+        damaged.mkdir()
+    elif state == "not-utf8":
+        n = min(2, len(lines) - 1)
+        damaged.write_bytes(b"".join(lines[:n] + [b"\xff\xfe" + lines[n]] + lines[n + 1:]))
+    code = main(_file_argument_command(target, bad, files, tmp_path / "out.json"))
+    expected = not_utf8_code if state == "not-utf8" else EXIT_IO
+    assert code == expected, capsys.readouterr().err
+    assert "unexpected" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda d, m, out: ["fidelity", "--model", str(m["model"]), "--scenario", str(d["scenario"]),
+                           "--out", str(out)],
+        lambda d, m, out: ["study-max-steps", "--model", str(m["model"]), "--scenario", str(d["scenario"]),
+                           "--values", "5", "--episodes", "1", "--eval-episodes", "1", "--out", str(out)],
+        lambda d, m, out: ["transfer", "--policy", str(d["policy"]), "--scenario", str(d["scenario"]),
+                           "--model", str(m["model"]), "--episodes", "1", "--out", str(out)],
+        lambda d, m, out: ["collect", "--scenario", str(d["scenario"]), "--policy", "epsilon-greedy",
+                           "--policy-file", str(m["policy"]), "--episodes", "1", "--out", str(out)],
+        lambda d, m, out: ["eval", "--env", f"world:{d['scenario']}", "--policy", str(m["policy"]),
+                           "--episodes", "1", "--out", str(out)],
+    ],
+    ids=["fidelity", "study", "transfer-model", "collect-policy", "eval-policy"],
+)
+def test_artifact_from_another_network_is_incompatible(pipeline, tmp_path, command):
+    argv = command(pipeline["desk5"], pipeline["mesh"], tmp_path / "out")
+    assert main(argv) == EXIT_INCOMPATIBLE
+    assert not (tmp_path / "out").exists()

@@ -70,10 +70,12 @@ def test_corrupt_record_raises_with_line_numbers(desk5, tmp_path):
     lines = result.log_path.read_text().splitlines()
     lines[1] = '{"episode": 0, "step": 1'  # truncated JSON
     lines[4] = '{"episode": 0}'  # missing fields
-    result.log_path.write_text("\n".join(lines) + "\n")
+    raw = [line.encode() for line in lines]
+    raw[6] = b"\xff" + raw[6]  # not UTF-8
+    result.log_path.write_bytes(b"\n".join(raw) + b"\n")
     with pytest.raises(LogValidationError) as err:
         collect.validate_log(result.log_path)
-    assert err.value.lines == [2, 5]
+    assert err.value.lines == [2, 5, 7]
 
 
 def test_merge_concatenates_and_renumbers(desk5, tmp_path):

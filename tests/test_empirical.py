@@ -1,13 +1,15 @@
 """Empirical model: exact counting, normalisation, merging, sampling, persistence."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from redsim import collect, empirical, world
+from redsim import artifacts, collect, empirical, presets, world
 from redsim.artifacts import ArtifactChecksumError, ArtifactVersionError
+from redsim.cli import EXIT_DATA, main
 from redsim.collect import TransitionRecord
 from redsim.empirical import (
     AmbiguousStartError,
@@ -305,3 +307,91 @@ def test_generator_is_scenario_agnostic(desk5, mesh):
         model = models[scenario.name]
         assert model.x0 == scenario.initial_observation()
         assert model.pair_support > 0
+
+
+def _edit_payload(payload, edit):
+    doc = json.loads(json.dumps(payload))
+    edit(doc)
+    return doc
+
+
+def _first_outcomes(doc):
+    row = next(iter(doc["counts"].values()))
+    return next(iter(row.values()))
+
+
+def _set_first_count(value):
+    def edit(doc):
+        outcomes = _first_outcomes(doc)
+        outcomes[next(iter(outcomes))] = value
+    return edit
+
+
+def _add_action(action_str):
+    def edit(doc):
+        row = next(iter(doc["counts"].values()))
+        row[action_str] = dict(next(iter(row.values())))
+    return edit
+
+
+def _action_99(doc):
+    _rename_first_key(next(iter(doc["counts"].values())), lambda key: "99")
+
+
+def _rename_first_key(table, rename):
+    key = next(iter(table))
+    table[rename(key)] = table.pop(key)
+
+
+def _long_next_obs(doc):
+    _rename_first_key(_first_outcomes(doc), lambda key: key + "00")
+
+
+def _short_obs(doc):
+    _rename_first_key(doc["counts"], lambda key: key[:-2])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _action_99,
+        _add_action("-1"),
+        _long_next_obs,
+        _short_obs,
+        lambda doc: doc.update(x0=doc["x0"] + [0]),
+        _set_first_count(-4),
+        _set_first_count(0),
+        _set_first_count(2.5),
+        _set_first_count("3"),
+        _set_first_count(True),
+        lambda doc: doc.update(obs_dim=0),
+        lambda doc: doc.update(action_count=0),
+        lambda doc: next(iter(doc["counts"].values())).update({"0": {}}),
+        _add_action("x"),
+        lambda doc: doc["counts"].update({"zz": {"0": {}}}),
+        lambda doc: doc.pop("obs_dim"),
+    ],
+    ids=["action-99", "action--1", "next-obs-17-bytes", "obs-15-bytes", "x0-17", "count--4", "count-0",
+         "count-2.5", "count-str", "count-bool", "obs-dim-0", "action-count-0", "no-outcomes", "action-not-int",
+         "obs-not-hex", "no-obs-dim"],
+)
+def test_out_of_range_model_payload_rejected(desk5_model, edit):
+    payload = desk5_model.to_payload()
+    assert EmpiricalModel.from_payload(payload) == desk5_model
+    with pytest.raises(ModelError):
+        EmpiricalModel.from_payload(_edit_payload(payload, edit))
+
+
+def test_out_of_range_model_file_exits_data(tmp_path, desk5_model):
+    scenario = tmp_path / "desk5.json"
+    scenario.write_text(json.dumps(presets.chain_scenario()), encoding="utf-8")
+    path = tmp_path / "m.model"
+    artifacts.write_artifact(
+        path, empirical.MODEL_FORMAT, _edit_payload(desk5_model.to_payload(), _set_first_count(-4))
+    )
+    for argv in (
+        ["train", "--env", f"sim:{path}", "--episodes", "1", "--out", str(tmp_path / "p")],
+        ["fidelity", "--model", str(path), "--scenario", str(scenario), "--out", str(tmp_path / "f")],
+        ["stats", str(path)],
+    ):
+        assert main(argv) == EXIT_DATA, argv

@@ -285,3 +285,31 @@ def test_report_exports(tmp_path, det3, desk5_solution):
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 2
     assert "mean_return" in lines[0]
+
+
+def _small_model(scenario, episodes=3, seed=1):
+    env = world.AttackWorld(scenario, seed=seed)
+    data = collect.run_collection(env, collect.uniform_random_policy(env.action_count), episodes, seed)
+    return build_model(
+        data.records,
+        obs_dim=scenario.obs_dim,
+        action_count=len(scenario.actions),
+        fingerprint=scenario.fingerprint,
+        metadata={"reward": data.manifest["reward"], "game": data.manifest["game"]},
+    )
+
+
+def test_fidelity_rejects_model_from_another_scenario(desk5, mesh):
+    with pytest.raises(empirical.IncompatibleModelError):
+        fidelity_report(_small_model(desk5), mesh)
+
+
+def test_max_steps_study_rejects_model_from_another_scenario(desk5, mesh):
+    with pytest.raises(empirical.IncompatibleModelError):
+        evaluate.max_steps_study(_small_model(desk5), mesh, [20], TrainConfig(episodes=5))
+
+
+def test_transfer_rejects_sim_from_another_scenario(desk5, mesh):
+    q = QTable(len(desk5.actions))
+    with pytest.raises(empirical.IncompatibleModelError):
+        transfer_eval(q, world.AttackWorld(desk5, seed=1), EmpiricalSim(_small_model(mesh), seed=1), episodes=2)

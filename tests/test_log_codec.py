@@ -125,3 +125,36 @@ def test_golden_training_and_report_digests(tmp_path):
         for path in (out, out.with_name(out.name + (".curve.csv" if out in (q, dqn) else ".csv")))
     }
     assert digests == GOLDEN_OUTPUTS
+
+
+# sha256 of the fidelity audit and the horizon study built on that desk5
+# model; they pin the report serialisers byte for byte.
+GOLDEN_AUDITS = {
+    "fidelity.json": "07b93cf59904751aa80c2eeb656a805d572f94a24e92c53cad944e2e139ac798",
+    "fidelity.json.csv": "d831f714c383d238596c1d717caf196e3224177207294f3f6678b84a68bf2408",
+    "study.json": "3fc0a9007e8db97544d5abb907ac450c0ba584991a7e6a605f12e65aa582c066",
+    "study.json.csv": "a2c73af5822bf735320e301062bf7468df3b2dd2dccc8a6779e999548a842b87",
+}
+
+
+def test_golden_fidelity_and_study_digests(tmp_path):
+    scenario = tmp_path / "desk5.json"
+    scenario.write_text(json.dumps(presets.chain_scenario()), encoding="utf-8")
+    log, model = tmp_path / "d.jsonl", tmp_path / "m.model"
+    fid, study = tmp_path / "fidelity.json", tmp_path / "study.json"
+    commands = [
+        ["collect", "--scenario", str(scenario), "--episodes", "120", "--seed", "7", "--out", str(log)],
+        ["build-sim", "--data", str(log), "--out", str(model)],
+        ["fidelity", "--model", str(model), "--scenario", str(scenario), "--visit-threshold", "20",
+         "--out", str(fid)],
+        ["study-max-steps", "--model", str(model), "--scenario", str(scenario), "--values", "5,20",
+         "--episodes", "300", "--eval-episodes", "20", "--seed", "4", "--out", str(study)],
+    ]
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for out in (fid, study)
+        for path in (out, out.with_name(out.name + ".csv"))
+    }
+    assert digests == GOLDEN_AUDITS
