@@ -45,9 +45,7 @@ from .envapi import (
     GameConfig,
     StepResult,
     compute_reward,
-    decode_obs,
     derive_seed,
-    encode_obs,
 )
 from .evaluate import (
     EvalReport,

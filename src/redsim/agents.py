@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .envapi import Env, Observation, compute_reward, derive_seed, encode_obs, rollout
+from .envapi import Env, Observation, compute_reward, derive_seed, rollout
 from .world import Scenario, exact_transition, reachable_observations
 
 POLICY_FORMAT = "redsim-policy-v1"
@@ -66,24 +66,22 @@ class TrainConfig:
 
 
 class QTable:
-    """Action values keyed by observation bytes; unseen observations read as zeros."""
+    """Action values keyed by observation; unseen observations read as zeros."""
 
     def __init__(self, action_count: int):
         self.action_count = int(action_count)
-        self.values: dict[bytes, np.ndarray] = {}
+        self.values: dict[Observation, np.ndarray] = {}
 
-    def lookup(self, obs) -> np.ndarray:
-        row = self.values.get(encode_obs(obs))
+    def lookup(self, obs: Observation) -> np.ndarray:
+        row = self.values.get(obs)
         if row is None:
             return np.zeros(self.action_count)
         return row
 
-    def row(self, obs) -> np.ndarray:
-        key = encode_obs(obs)
-        row = self.values.get(key)
+    def row(self, obs: Observation) -> np.ndarray:
+        row = self.values.get(obs)
         if row is None:
-            row = np.zeros(self.action_count)
-            self.values[key] = row
+            row = self.values[obs] = np.zeros(self.action_count)
         return row
 
     def __len__(self) -> int:
@@ -306,7 +304,7 @@ def save_policy(result_policy, path, *, fingerprint: str, obs_dim: int, train_co
     if isinstance(result_policy, QTable):
         data = {
             "kind": "q_table",
-            "q": {k.hex(): row.tolist() for k, row in sorted(result_policy.values.items())},
+            "q": {bytes(k).hex(): row.tolist() for k, row in sorted(result_policy.values.items())},
             "action_count": result_policy.action_count,
         }
         action_count = result_policy.action_count
@@ -353,28 +351,50 @@ class LoadedPolicy:
 
 
 def load_policy(path) -> LoadedPolicy:
+    """The policy a file holds; a malformed or out-of-range payload raises PolicyError.
+
+    ``obs_dim`` and ``action_count`` must be positive ints.  Q-table keys
+    must decode to ``obs_dim`` values and rows must hold ``action_count``
+    values; DQN layer shapes must chain from ``obs_dim`` to ``action_count``.
+    """
     from .dqn import DqnNet
 
     payload = artifacts.read_artifact(path, POLICY_FORMAT)
-    data = payload["data"]
-    if data["kind"] == "q_table":
-        q = QTable(int(data["action_count"]))
-        for obs_hex, row in data["q"].items():
-            q.values[bytes.fromhex(obs_hex)] = np.array(row, dtype=float)
-        policy = q
-    elif data["kind"] == "dqn":
-        layers = [
-            (np.array(layer["w"], dtype=float), np.array(layer["b"], dtype=float))
-            for layer in data["layers"]
-        ]
-        policy = DqnNet.from_layers(layers)
-    else:
-        raise PolicyError(f"unknown policy kind {data['kind']!r}")
+    try:
+        data = payload["data"]
+        obs_dim, action_count = payload["obs_dim"], payload["action_count"]
+        if not all(n.__class__ is int and n >= 1 for n in (obs_dim, action_count)):
+            raise PolicyError(f"obs_dim {obs_dim!r} and action_count {action_count!r} must be positive ints")
+        if data["kind"] == "q_table":
+            if data["action_count"] != action_count:
+                raise PolicyError(f"q-table action_count {data['action_count']!r}, policy {action_count}")
+            policy = QTable(action_count)
+            for obs_hex, row in data["q"].items():
+                obs, values = tuple(bytes.fromhex(obs_hex)), np.array(row, dtype=float)
+                if len(obs) != obs_dim or values.shape != (action_count,):
+                    raise PolicyError(
+                        f"q-table row {obs_hex!r} of shape {values.shape} out of range for "
+                        f"obs_dim={obs_dim}, action_count={action_count}"
+                    )
+                policy.values[obs] = values
+        elif data["kind"] == "dqn":
+            layers = [
+                (np.array(layer["w"], dtype=float), np.array(layer["b"], dtype=float))
+                for layer in data["layers"]
+            ]
+            sizes = [obs_dim, *(len(b) for _, b in layers[:-1]), action_count]
+            if [(w.shape, b.shape) for w, b in layers] != [((m, n), (n,)) for m, n in zip(sizes, sizes[1:])]:
+                raise PolicyError(f"dqn layers do not chain from obs_dim={obs_dim} to action_count={action_count}")
+            policy = DqnNet.from_layers(layers)
+        else:
+            raise PolicyError(f"unknown policy kind {data['kind']!r}")
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise PolicyError(f"malformed policy payload: {exc!r}") from None
     return LoadedPolicy(
         policy=policy,
         algorithm=data["kind"],
         fingerprint=payload.get("fingerprint", ""),
-        obs_dim=int(payload["obs_dim"]),
-        action_count=int(payload["action_count"]),
+        obs_dim=obs_dim,
+        action_count=action_count,
         train_config=payload.get("train_config", {}),
     )

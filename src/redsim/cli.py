@@ -163,21 +163,7 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_build_sim(args) -> int:
-    records = collect.read_log(args.data)
-    try:
-        manifest = collect.read_manifest(args.data)
-    except (OSError, json.JSONDecodeError):
-        manifest = None  # as in validate_log: a failed audit outranks a bad manifest
-    report = collect.audit_records(records, manifest, args.data)
-    if not report.clean:
-        raise CliError(
-            EXIT_DATA,
-            "invalid-log",
-            f"log failed validation: {len(report.chain_violations)} chain violations, "
-            f"{len(report.step_gaps)} step gaps, manifest_consistent={report.manifest_consistent}",
-        )
-    # Without a manifest, reading it again raises its error.
-    model = empirical.build_model_from_records(records, manifest or collect.read_manifest(args.data))
+    model = empirical.build_model_from_log(args.data)
     out = _out_path(args.out)
     empirical.save_model(model, out)
     _write_snapshot(out, "build-sim", vars(args))

@@ -307,31 +307,30 @@ class CoverageReport:
         )
 
 
-def validate_log(log_path, manifest: dict | None = None) -> CoverageReport:
+def validate_log(log_path) -> CoverageReport:
     """Structural and statistical audit of a transition log.
 
     Parsing problems raise LogValidationError; semantic inconsistencies
     (broken observation chains, step numbering gaps) are reported, not
     raised, so a tampered line is pinpointed rather than fatal.
     """
-    records = read_log(log_path)
-    if manifest is None:
-        try:
-            manifest = read_manifest(log_path)
-        except (OSError, json.JSONDecodeError):
-            manifest = None
-    return audit_records(records, manifest, log_path)
+    return audit_records(read_log(log_path), log_path)
 
 
-def audit_records(records: list, manifest: dict | None, log_path) -> CoverageReport:
-    """The audit behind ``validate_log``, on records already parsed.
+def audit_records(records: list, log_path) -> CoverageReport:
+    """The audit behind ``validate_log``, on records already parsed from ``log_path``.
 
-    With a manifest, records whose action lies outside
-    ``0..action_count-1``, or whose observations differ from ``obs_dim``
-    in length or hold values outside ``0..255``, raise LogValidationError
-    naming their 1-based line numbers in ``log_path``, the log the records
-    were read from.
+    A manifest of another format raises; a missing, unreadable or non-JSON
+    one leaves only the manifest checks out, so chain and step errors
+    outrank a bad manifest.  With a manifest, records whose action lies
+    outside ``0..action_count-1``, or whose observations differ from
+    ``obs_dim`` in length or hold values outside ``0..255``, raise
+    LogValidationError naming their 1-based line numbers in ``log_path``.
     """
+    try:
+        manifest = read_manifest(log_path)
+    except (OSError, json.JSONDecodeError):
+        manifest = None
     observations: set[Observation] = set()
     pairs: set[tuple[Observation, int]] = set()
     per_action: dict[int, int] = {}

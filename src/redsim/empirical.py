@@ -13,8 +13,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from . import artifacts
-from .envapi import Env, GameConfig, Observation, compute_reward, decode_obs, encode_obs
+from . import artifacts, collect
+from .envapi import Env, GameConfig, Observation, compute_reward
 
 MODEL_FORMAT = "redsim-model-v1"
 
@@ -54,27 +54,21 @@ class EmpiricalModel:
         self.fingerprint = fingerprint
         self.x0 = tuple(x0) if x0 is not None else None
         self.metadata = dict(metadata or {})
-        # (obs bytes, action) -> {next obs bytes: count}
-        self.counts: dict[tuple[bytes, int], dict[bytes, int]] = {}
-        self.obs_index: dict[bytes, Observation] = {}
-        if self.x0 is not None:
-            self.obs_index[encode_obs(self.x0)] = self.x0
+        # (obs, action) -> {next obs: count}
+        self.counts: dict[tuple[Observation, int], dict[Observation, int]] = {}
 
     # -- construction -------------------------------------------------------
 
     def record(self, obs, action: int, next_obs, n: int = 1) -> None:
-        key_obs = encode_obs(obs)
-        key_next = encode_obs(next_obs)
-        self.obs_index.setdefault(key_obs, tuple(obs))
-        self.obs_index.setdefault(key_next, tuple(next_obs))
-        outcomes = self.counts.setdefault((key_obs, int(action)), {})
-        outcomes[key_next] = outcomes.get(key_next, 0) + n
+        outcomes = self.counts.setdefault((tuple(obs), int(action)), {})
+        next_obs = tuple(next_obs)
+        outcomes[next_obs] = outcomes.get(next_obs, 0) + n
 
     # -- queries -------------------------------------------------------------
 
-    def outcome_counts(self, obs, action: int) -> dict[bytes, int]:
+    def outcome_counts(self, obs, action: int) -> dict[Observation, int]:
         try:
-            return self.counts[(encode_obs(obs), int(action))]
+            return self.counts[(tuple(obs), int(action))]
         except KeyError:
             raise NoDataError(
                 f"no data for observation {tuple(obs)} action {action}"
@@ -84,15 +78,15 @@ class EmpiricalModel:
         """Normalised outcome probabilities; they sum to 1 by construction."""
         outcomes = self.outcome_counts(obs, action)
         total = sum(outcomes.values())
-        return {decode_obs(k): c / total for k, c in sorted(outcomes.items())}
+        return {k: c / total for k, c in sorted(outcomes.items())}
 
     def transition_prob(self, obs, action: int, next_obs) -> float:
         outcomes = self.outcome_counts(obs, action)
         total = sum(outcomes.values())
-        return outcomes.get(encode_obs(next_obs), 0) / total
+        return outcomes.get(tuple(next_obs), 0) / total
 
     def has_pair(self, obs, action: int) -> bool:
-        return (encode_obs(obs), int(action)) in self.counts
+        return (tuple(obs), int(action)) in self.counts
 
     @property
     def pair_support(self) -> int:
@@ -102,8 +96,13 @@ class EmpiricalModel:
     def total_transitions(self) -> int:
         return sum(sum(v.values()) for v in self.counts.values())
 
-    def observations(self):
-        return self.obs_index.values()
+    def observations(self) -> set[Observation]:
+        """Every observation in the counts, plus ``x0``."""
+        seen = {self.x0} if self.x0 is not None else set()
+        for (obs, _), outcomes in self.counts.items():
+            seen.add(obs)
+            seen.update(outcomes)
+        return seen
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmpiricalModel):
@@ -120,9 +119,9 @@ class EmpiricalModel:
 
     def to_payload(self) -> dict:
         table: dict[str, dict[str, dict[str, int]]] = {}
-        for (obs_key, action), outcomes in self.counts.items():
-            row = table.setdefault(obs_key.hex(), {})
-            row[str(action)] = {k.hex(): c for k, c in outcomes.items()}
+        for (obs, action), outcomes in self.counts.items():
+            row = table.setdefault(bytes(obs).hex(), {})
+            row[str(action)] = {bytes(k).hex(): c for k, c in outcomes.items()}
         return {
             "obs_dim": self.obs_dim,
             "action_count": self.action_count,
@@ -137,42 +136,42 @@ class EmpiricalModel:
         """The model a payload holds; malformed or out-of-range contents raise ModelError.
 
         Actions must lie in ``0..action_count-1``, observations (``x0``
-        included) must be ``obs_dim`` bytes long, and every count must be a
-        positive int.  Ranges are checked once per distinct action and
-        observation.
+        included) must hold ``obs_dim`` values in ``0..255``, and every
+        count must be a positive int.  Ranges are checked once per distinct
+        action and observation.
         """
         try:
+            x0 = payload.get("x0")
             model = cls(
                 obs_dim=payload["obs_dim"],
                 action_count=payload["action_count"],
                 fingerprint=payload.get("fingerprint", ""),
-                x0=tuple(payload["x0"]) if payload.get("x0") is not None else None,
+                x0=bytes(list(x0)) if x0 is not None else None,  # bytes() rejects values outside 0..255
                 metadata=payload.get("metadata"),
             )
-            index = model.obs_index
+            decoded: dict[str, Observation] = {}  # one tuple per distinct observation
             for obs_hex, row in payload.get("counts", {}).items():
-                obs_key = bytes.fromhex(obs_hex)
-                index.setdefault(obs_key, None)
+                obs = decoded.setdefault(obs_hex, tuple(bytes.fromhex(obs_hex)))
                 for action_str, outcomes in row.items():
                     if not outcomes:
                         raise ModelError(f"no outcomes for observation {obs_hex} action {action_str}")
-                    bucket = model.counts.setdefault((obs_key, int(action_str)), {})
+                    bucket = model.counts.setdefault((obs, int(action_str)), {})
                     for next_hex, count in outcomes.items():
                         if count.__class__ is not int or count < 1:
                             raise ModelError(f"count {count!r} is not a positive integer")
-                        next_key = bytes.fromhex(next_hex)
-                        index.setdefault(next_key, None)
-                        bucket[next_key] = bucket.get(next_key, 0) + count
+                        next_obs = decoded.get(next_hex) or decoded.setdefault(
+                            next_hex, tuple(bytes.fromhex(next_hex))
+                        )
+                        bucket[next_obs] = bucket.get(next_obs, 0) + count
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ModelError(f"malformed model payload: {exc!r}") from None
         bad_actions = sorted({a for _, a in model.counts if not 0 <= a < model.action_count})
-        bad_obs = sorted(key.hex() for key in index if len(key) != model.obs_dim)
+        bad_obs = sorted(bytes(obs).hex() for obs in model.observations() if len(obs) != model.obs_dim)
         if model.obs_dim < 1 or model.action_count < 1 or bad_actions or bad_obs:
             raise ModelError(
                 f"model out of range for obs_dim={model.obs_dim}, action_count={model.action_count}: "
                 f"actions {bad_actions[:5]}, observations {bad_obs[:5]}"
             )
-        model.obs_index = {key: decode_obs(key) for key in index}
         return model
 
 
@@ -205,20 +204,25 @@ def build_model(
         )
     if starts:
         model.x0 = starts.pop()
-        model.obs_index.setdefault(encode_obs(model.x0), model.x0)
     return model
 
 
 def build_model_from_log(log_path) -> EmpiricalModel:
-    """Build from a JSONL log, taking dimensions and defaults from its manifest."""
-    from . import collect
+    """Build from a JSONL log that passes its audit, taking dimensions and defaults from its manifest.
 
+    The log is parsed once and audited as ``validate_log`` audits it: a
+    log that fails raises LogValidationError, even when its manifest is
+    missing or not JSON.  Only a clean log without a readable manifest
+    raises the manifest's own error.
+    """
+    records = collect.read_log(log_path)
+    report = collect.audit_records(records, log_path)
+    if not report.clean:
+        raise collect.LogValidationError(
+            f"log failed validation: {len(report.chain_violations)} chain violations, "
+            f"{len(report.step_gaps)} step gaps, manifest_consistent={report.manifest_consistent}"
+        )
     manifest = collect.read_manifest(log_path)
-    return build_model_from_records(collect.read_log(log_path), manifest)
-
-
-def build_model_from_records(records, manifest: dict) -> EmpiricalModel:
-    """Build from parsed log records, taking dimensions and defaults from the log's manifest."""
     metadata = {
         "reward": manifest.get("reward"),
         "game": manifest.get("game"),
@@ -237,7 +241,7 @@ def build_model_from_records(records, manifest: dict) -> EmpiricalModel:
     model.metadata["build_stats"] = {
         "pair_support": model.pair_support,
         "total_transitions": model.total_transitions,
-        "observations_seen": len(model.obs_index),
+        "observations_seen": len(model.observations()),
     }
     return model
 
@@ -258,8 +262,6 @@ def merge_models(a: EmpiricalModel, b: EmpiricalModel) -> EmpiricalModel:
         x0=a.x0 if a.x0 is not None else b.x0,
         metadata=a.metadata or b.metadata,
     )
-    merged.obs_index.update(a.obs_index)
-    merged.obs_index.update(b.obs_index)
     for source in (a, b):
         for key, outcomes in source.counts.items():
             bucket = merged.counts.setdefault(key, {})
@@ -290,7 +292,7 @@ def model_stats(model: EmpiricalModel, thresholds=(1, 10, 200)) -> dict:
         for k in thresholds
     }
     return {
-        "observations_seen": len(model.obs_index),
+        "observations_seen": len(model.observations()),
         "pair_support": support,
         "total_transitions": sum(visit_counts),
         "min_visits": visit_counts[0] if visit_counts else 0,
@@ -385,12 +387,12 @@ class EmpiricalSim(Env):
         self.obs_dim = model.obs_dim
         self.action_count = model.action_count
         self.fingerprint = model.fingerprint
-        # Frozen sampling tables: outcomes in byte order, cumulative counts.
-        self._samplers: dict[tuple[bytes, int], tuple[list[int], list[bytes], int]] = {}
+        # Frozen sampling tables: outcomes in observation order, cumulative counts.
+        self._samplers: dict[tuple[Observation, int], tuple[list[int], list[Observation], int]] = {}
         for key, outcomes in model.counts.items():
             ordered = sorted(outcomes.items())
             cum: list[int] = []
-            nexts: list[bytes] = []
+            nexts: list[Observation] = []
             running = 0
             for next_key, count in ordered:
                 running += count
@@ -405,7 +407,7 @@ class EmpiricalSim(Env):
 
     def _apply_action(self, action: int):
         obs = self._obs
-        sampler = self._samplers.get((encode_obs(obs), action))
+        sampler = self._samplers.get((obs, action))
         if sampler is None:
             if self.config.fallback == FALLBACK_REJECT:
                 raise NoDataError(
@@ -416,7 +418,7 @@ class EmpiricalSim(Env):
         else:
             cum, nexts, total = sampler
             draw = int(self._rng.integers(total))
-            next_obs = self.model.obs_index[nexts[bisect_right(cum, draw)]]
+            next_obs = nexts[bisect_right(cum, draw)]
         reward = compute_reward(
             self.config.flag_worths, obs, next_obs, self.config.action_costs[action]
         )

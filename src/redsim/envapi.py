@@ -3,8 +3,9 @@
 Both environments expose the same discrete action space and the same
 fixed-length observation layout, so a policy trained against one runs
 unmodified against the other.  Observations are tuples of small
-non-negative integers; their canonical byte encoding is the key material
-for every tabular structure in the pipeline (logs, count tables, Q-tables).
+non-negative integers (0..255), and those tuples are the keys of every
+table in memory (count tables, sampling tables, Q-tables); only the model
+and policy file codecs turn them into hex strings.
 """
 
 from __future__ import annotations
@@ -29,20 +30,6 @@ class EpisodeFinishedError(EnvError):
 
 class InvalidActionError(EnvError):
     """Action index outside the declared action space."""
-
-
-def encode_obs(obs) -> bytes:
-    """Canonical byte encoding of an observation.
-
-    Injective for fixed-length observations with feature values < 256,
-    which the scenario loader enforces, so equal encodings mean equal
-    observations and no probabilistic hashing is ever involved.
-    """
-    return bytes(obs)
-
-
-def decode_obs(raw: bytes) -> Observation:
-    return tuple(raw)
 
 
 def derive_seed(*parts) -> int:

@@ -179,10 +179,21 @@ def parse_scenario(data: dict) -> Scenario:
     """Validate a scenario document and return the immutable Scenario.
 
     Raises ScenarioParseError / DanglingReferenceError /
-    UnreachableObjectiveError as appropriate.
+    UnreachableObjectiveError as appropriate; a value of the wrong type
+    (or an infinite ``max_steps``) anywhere in the document raises
+    ScenarioParseError.
     """
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
+    try:
+        scenario = _parse_document(data)
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:  # overflow: int(Infinity)
+        raise ScenarioParseError(f"malformed scenario document: {exc}") from None
+    _check_objective_reachable(scenario)
+    return scenario
+
+
+def _parse_document(data: dict) -> Scenario:
     try:
         host_docs = list(data["hosts"])
         entry_host = data["entry_host"]
@@ -220,15 +231,12 @@ def parse_scenario(data: dict) -> Scenario:
             raise DanglingReferenceError(f"{key} {value!r} is not a declared host")
 
     reward_doc = data.get("reward", {})
-    try:
-        reward = RewardConfig(
-            user_worth=float(reward_doc.get("user_worth", 0.0)),
-            root_worth=float(reward_doc.get("root_worth", 0.0)),
-            objective_bonus=float(reward_doc.get("objective_bonus", 100.0)),
-            action_cost=float(reward_doc.get("action_cost", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"bad reward block: {exc}") from None
+    reward = RewardConfig(
+        user_worth=float(reward_doc.get("user_worth", 0.0)),
+        root_worth=float(reward_doc.get("root_worth", 0.0)),
+        objective_bonus=float(reward_doc.get("objective_bonus", 100.0)),
+        action_cost=float(reward_doc.get("action_cost", 1.0)),
+    )
 
     if data.get("auto_actions"):
         if "actions" in data:
@@ -264,20 +272,17 @@ def parse_scenario(data: dict) -> Scenario:
         )
 
     game_doc = data.get("game", {})
-    try:
-        game = GameConfig(
-            max_steps=int(game_doc.get("max_steps", 100)),
-            gamma=float(game_doc.get("gamma", 1.0)),
-            goal_index=3 * len(hosts),
-        )
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc)) from None
+    game = GameConfig(
+        max_steps=int(game_doc.get("max_steps", 100)),
+        gamma=float(game_doc.get("gamma", 1.0)),
+        goal_index=3 * len(hosts),
+    )
 
     noise = float(data.get("noise", 0.0))
     if not 0.0 <= noise < 0.5:
         raise ScenarioParseError("noise must be in [0, 0.5)")
 
-    scenario = Scenario(
+    return Scenario(
         name=str(data.get("name", "")),
         hosts=tuple(hosts),
         entry_host=entry_host,
@@ -288,8 +293,6 @@ def parse_scenario(data: dict) -> Scenario:
         noise=noise,
         step_latency_ms=float(data.get("step_latency_ms", 0.0)),
     )
-    _check_objective_reachable(scenario)
-    return scenario
 
 
 def load_scenario(path) -> Scenario:

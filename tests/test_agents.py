@@ -1,11 +1,16 @@
 """Tabular Q-learning, greedy selection, and the value-iteration oracle."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from redsim import agents, presets, world
+from redsim import agents, artifacts, presets, world
+from redsim.cli import EXIT_ARTIFACT, main
 from redsim.agents import QTable, TrainConfig, greedy_action, train_q_learning, value_iteration
 from redsim.collect import TransitionRecord
+from redsim.dqn import DqnNet
 from redsim.empirical import EmpiricalSim, SimConfig, build_model
 from redsim.envapi import GameConfig, compute_reward
 
@@ -48,9 +53,9 @@ def test_training_is_deterministic(desk5_model):
 
 def test_greedy_action_examples():
     q = QTable(3)
-    q.values[bytes((0, 0))] = np.array([1.0, 3.0, 2.0])
+    q.values[(0, 0)] = np.array([1.0, 3.0, 2.0])
     assert greedy_action(q, (0, 0)) == 1
-    q.values[bytes((0, 1))] = np.array([2.0, 2.0, 1.0])
+    q.values[(0, 1)] = np.array([2.0, 2.0, 1.0])
     assert greedy_action(q, (0, 1)) == 0
     # unseen observation: all-zero values, tie-break to action 0
     assert greedy_action(q, (1, 1)) == 0
@@ -62,11 +67,11 @@ def test_greedy_action_invariant_under_positive_scaling():
     for _ in range(200):
         obs = tuple(int(v) for v in rng.integers(0, 2, size=4))
         values = rng.normal(size=5)
-        q.values[bytes(obs)] = values
+        q.values[obs] = values
         scale = float(rng.uniform(0.1, 50.0))
         scaled = QTable(5)
-        scaled.values[bytes(obs)] = values * scale
-        assert greedy_action(q, obs) == greedy_action(scaled, obs)
+        scaled.values[obs] = values * scale
+        assert greedy_action(q, obs) == greedy_action(scaled, obs) == int(np.argmax(values))
 
 
 def test_value_iteration_deterministic_chain_arithmetic(det3):
@@ -194,3 +199,158 @@ def test_curve_csv_columns(desk5_model):
     lines = result.curve_csv().splitlines()
     assert lines[0] == "step,episode_return,episode_length,epsilon"
     assert len(lines) == 6
+
+
+def _saved(tmp_path, policy):
+    """Where ``save_policy`` wrote ``policy``, a policy on 2-value observations."""
+    path = tmp_path / "p.policy"
+    agents.save_policy(policy, path, fingerprint="toy", obs_dim=2, train_config=TrainConfig())
+    return path
+
+
+def _toy_q_table() -> QTable:
+    q = QTable(3)
+    q.values[(0, 0)] = np.array([1.0, 3.0, 2.0])
+    q.values[(0, 1)] = np.array([2.0, 2.0, 1.0])
+    return q
+
+
+def _rename_first_q_key(key):
+    def edit(payload):
+        table = payload["data"]["q"]
+        table[key] = table.pop(next(iter(table)))
+    return edit
+
+
+def _set_first_q_row(row):
+    def edit(payload):
+        table = payload["data"]["q"]
+        table[next(iter(table))] = row
+    return edit
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(payload):
+        for step in path:
+            payload = payload[step]
+        payload[key] = value
+    return edit
+
+
+def _drop(*path_and_key):
+    *path, key = path_and_key
+
+    def edit(payload):
+        for step in path:
+            payload = payload[step]
+        del payload[key]
+    return edit
+
+
+_BAD_Q_PAYLOADS = {
+    "no-data": _drop("data"),
+    "data-list": _set("data", []),
+    "no-kind": _drop("data", "kind"),
+    "kind-list": _set("data", "kind", ["q_table"]),
+    "no-q": _drop("data", "q"),
+    "q-list": _set("data", "q", [[1.0, 3.0, 2.0]]),
+    "no-obs-dim": _drop("obs_dim"),
+    "obs-dim-str": _set("obs_dim", "2"),
+    "obs-dim-float": _set("obs_dim", 2.0),
+    "obs-dim-bool": _set("obs_dim", True),
+    "obs-dim-0": _set("obs_dim", 0),
+    "no-action-count": _drop("action_count"),
+    "action-count-str": _set("action_count", "3"),
+    "action-count-0": _set("action_count", 0),
+    "q-action-count-4": _set("data", "action_count", 4),
+    "key-1-value": _rename_first_q_key("00"),
+    "key-3-values": _rename_first_q_key("000000"),
+    "key-not-hex": _rename_first_q_key("zz"),
+    "row-1-value": _set_first_q_row([1.0]),
+    "row-4-values": _set_first_q_row([1.0, 2.0, 3.0, 4.0]),
+    "row-nested": _set_first_q_row([[1.0, 3.0, 2.0]]),
+    "row-str": _set_first_q_row(["a", "b", "c"]),
+    "row-dict": _set_first_q_row({"0": 1.0}),
+}
+
+
+def _set_layer(index, key, shape):
+    def edit(payload):
+        payload["data"]["layers"][index][key] = np.zeros(shape).tolist()
+    return edit
+
+
+_BAD_DQN_PAYLOADS = {
+    "no-layers": _drop("data", "layers"),
+    "layers-dict": _set("data", "layers", {"w": [[1.0]]}),
+    "layers-empty": _set("data", "layers", []),
+    "layer-str": _set("data", "layers", ["w"]),
+    "no-w": _drop("data", "layers", 0, "w"),
+    "first-w-transposed": _set_layer(0, "w", (4, 2)),
+    "first-b-short": _set_layer(0, "b", (3,)),
+    "last-w-wide": _set_layer(1, "w", (4, 4)),
+    "last-b-scalar": _set_layer(1, "b", ()),
+    "drop-last-layer": lambda payload: payload["data"]["layers"].pop(),
+    "obs-dim-3": _set("obs_dim", 3),
+    "action-count-4": _set("action_count", 4),
+}
+
+
+@pytest.mark.parametrize("edit", list(_BAD_Q_PAYLOADS.values()), ids=list(_BAD_Q_PAYLOADS))
+def test_malformed_q_table_policy_rejected(tmp_path, edit):
+    _check_policy_edit_rejected(tmp_path, _toy_q_table(), edit)
+
+
+@pytest.mark.parametrize("edit", list(_BAD_DQN_PAYLOADS.values()), ids=list(_BAD_DQN_PAYLOADS))
+def test_malformed_dqn_policy_rejected(tmp_path, edit):
+    _check_policy_edit_rejected(tmp_path, DqnNet(2, 3, (4,), seed=0), edit)
+
+
+def _check_policy_edit_rejected(tmp_path, policy, edit):
+    path = _saved(tmp_path, policy)
+    assert agents.load_policy(path).obs_dim == 2  # the unedited payload loads
+    payload = artifacts.read_artifact(path, agents.POLICY_FORMAT)
+    edit(payload)
+    artifacts.write_artifact(path, agents.POLICY_FORMAT, payload)
+    with pytest.raises(agents.PolicyError):
+        agents.load_policy(path)
+
+
+@pytest.mark.parametrize("edit", [_drop("data"), _set_first_q_row([1.0])], ids=["no-data", "row-1-value"])
+def test_malformed_policy_file_exits_artifact(tmp_path, desk5, desk5_sim_policy, edit):
+    """A re-checksummed desk5 policy with a broken payload exits 7, not 1 or 0."""
+    scenario = tmp_path / "desk5.json"
+    scenario.write_text(json.dumps(presets.chain_scenario()), encoding="utf-8")
+    path = tmp_path / "p.policy"
+    agents.save_policy(
+        desk5_sim_policy.policy, path, fingerprint=desk5.fingerprint, obs_dim=desk5.obs_dim,
+        train_config=TrainConfig(),
+    )
+    payload = artifacts.read_artifact(path, agents.POLICY_FORMAT)
+    edit(payload)
+    artifacts.write_artifact(path, agents.POLICY_FORMAT, payload)
+    argv = ["eval", "--env", f"world:{scenario}", "--policy", str(path), "--episodes", "2", "--out", str(tmp_path / "e")]
+    assert main(argv) == EXIT_ARTIFACT
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 255)] * 2),
+        st.lists(st.floats(allow_nan=False), min_size=3, max_size=3),
+        max_size=12,
+    )
+)
+def test_q_table_policy_round_trip_property(tmp_path_factory, rows):
+    q = QTable(3)
+    for obs, row in rows.items():
+        q.values[obs] = np.array(row)
+    path = _saved(tmp_path_factory.mktemp("q"), q)
+    loaded = agents.load_policy(path).policy
+    assert set(loaded.values) == set(q.values)
+    for obs, row in q.values.items():
+        assert np.array_equal(loaded.values[obs], row)
+    again = _saved(tmp_path_factory.mktemp("q"), loaded)
+    assert again.read_bytes() == path.read_bytes()

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from redsim import artifacts, collect, empirical, presets, world
 from redsim.artifacts import ArtifactChecksumError, ArtifactVersionError
@@ -67,10 +68,9 @@ def test_missing_pair_raises_no_data():
 
 
 def test_distributions_sum_to_one_rationally(desk5_model):
-    for (obs_key, action), outcomes in desk5_model.counts.items():
+    for (obs, action), outcomes in desk5_model.counts.items():
         total = sum(outcomes.values())
         assert sum(Fraction(c, total) for c in outcomes.values()) == 1
-        obs = desk5_model.obs_index[obs_key]
         float_sum = sum(desk5_model.distribution(obs, action).values())
         assert abs(float_sum - 1.0) <= 1e-12
 
@@ -105,9 +105,8 @@ def test_merge_identity_and_commutativity(desk5, desk5_model):
     m2 = EmpiricalModel(desk5_model.obs_dim, desk5_model.action_count, desk5_model.fingerprint, desk5_model.x0)
     for i, key in enumerate(keys):
         target = m1 if i < half else m2
-        obs = desk5_model.obs_index[key[0]]
-        for next_key, count in desk5_model.counts[key].items():
-            target.record(obs, key[1], desk5_model.obs_index[next_key], count)
+        for next_obs, count in desk5_model.counts[key].items():
+            target.record(key[0], key[1], next_obs, count)
     assert merge_models(m1, m2) == merge_models(m2, m1) == desk5_model
 
 
@@ -395,3 +394,81 @@ def test_out_of_range_model_file_exits_data(tmp_path, desk5_model):
         ["stats", str(path)],
     ):
         assert main(argv) == EXIT_DATA, argv
+
+
+def _action_99_on_line_1(lines):
+    return [json.dumps({**json.loads(lines[0]), "action": 99})] + lines[1:]
+
+
+def _broken_chain_on_line_2(lines):
+    obj = json.loads(lines[1])
+    assert obj["step"] == 1
+    obj["obs"] = [1] * len(obj["obs"])
+    return lines[:1] + [json.dumps(obj)] + lines[2:]
+
+
+@pytest.mark.parametrize("edit", [_action_99_on_line_1, _broken_chain_on_line_2])
+def test_library_log_path_audits_like_build_sim(tmp_path, capsys, edit):
+    """``build_model_from_log`` rejects what ``build-sim`` rejects, with the same message."""
+    env = world.AttackWorld(world.parse_scenario(presets.chain_scenario()), seed=3)
+    data = tmp_path / "d.jsonl"
+    collect.run_collection(env, collect.uniform_random_policy(env.action_count), 5, 3, out_path=data)
+    lines = edit(data.read_text().splitlines())
+    data.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(collect.LogValidationError) as excinfo:
+        empirical.build_model_from_log(data)
+    capsys.readouterr()
+    assert main(["build-sim", "--data", str(data), "--out", str(tmp_path / "m")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: invalid-log: {excinfo.value}\n"
+
+
+# --- properties of the tuple-keyed count tables -------------------------------
+
+_DIMS = dict(obs_dim=3, action_count=4, fingerprint="toy")
+_observations = st.tuples(*[st.integers(0, 3) | st.integers(0, 255)] * 3)
+
+
+@st.composite
+def _record_lists(draw):
+    """Non-empty records on 3-value observations; a step-0 record, if any, starts from (0, 0, 0)."""
+    steps = draw(st.lists(st.tuples(_observations, st.integers(0, 3), _observations), min_size=1, max_size=30))
+    records = [TransitionRecord(0, 1, obs, a, nxt, 0.0, False, True) for obs, a, nxt in steps]
+    if draw(st.booleans()):
+        records.append(TransitionRecord(0, 0, (0, 0, 0), draw(st.integers(0, 3)), draw(_observations), 0.0, False, True))
+    return records
+
+
+_models = _record_lists().map(lambda records: build_model(records, **_DIMS))
+
+
+@given(_models)
+def test_payload_round_trip_property(model):
+    payload = json.loads(artifacts.canonical_json(model.to_payload()))
+    back = EmpiricalModel.from_payload(payload)
+    assert back == model
+    assert artifacts.canonical_json(back.to_payload()) == artifacts.canonical_json(model.to_payload())
+
+
+@given(_models, _models, _models)
+def test_merge_is_a_commutative_monoid(a, b, c):
+    empty = EmpiricalModel(**_DIMS)
+    assert merge_models(a, empty) == merge_models(empty, a) == a
+    assert merge_models(a, b) == merge_models(b, a)
+    assert merge_models(merge_models(a, b), c) == merge_models(a, merge_models(b, c))
+
+
+@given(_record_lists(), _observations)
+def test_observations_are_the_recorded_ones_plus_x0(records, x0):
+    model = EmpiricalModel(**_DIMS, x0=x0)
+    for rec in records:
+        model.record(rec.obs, rec.action, rec.next_obs)
+    expected = {rec.obs for rec in records} | {rec.next_obs for rec in records} | {x0}
+    assert model.observations() == expected
+    assert len(EmpiricalModel.from_payload(model.to_payload()).observations()) == len(expected)
+    assert model_stats(model)["observations_seen"] == len(expected)
+
+
+@given(st.lists(_observations, max_size=20))
+def test_observation_tuples_sort_as_their_bytes(observations):
+    """Why tuple keys keep the byte order of the outcomes the sim samples from."""
+    assert sorted(observations) == [tuple(raw) for raw in sorted(bytes(o) for o in observations)]

@@ -1,4 +1,4 @@
-"""Environment contract: encoding, seeding, episode mechanics, reward function."""
+"""Environment contract: seeding, episode mechanics, reward function."""
 
 import numpy as np
 import pytest
@@ -8,33 +8,9 @@ from redsim.envapi import (
     EpisodeFinishedError,
     InvalidActionError,
     compute_reward,
-    decode_obs,
     derive_seed,
-    encode_obs,
     rollout,
 )
-
-
-def test_encoding_injective_and_invertible():
-    rng = np.random.default_rng(42)
-    seen = {}
-    for _ in range(2000):
-        obs = tuple(int(v) for v in rng.integers(0, 4, size=16))
-        key = encode_obs(obs)
-        assert decode_obs(key) == obs
-        if key in seen:
-            assert seen[key] == obs
-        seen[key] = obs
-    # distinct observations encode distinctly
-    assert len(seen) == len({v for v in seen.values()})
-
-
-def test_encoding_equality_iff_observation_equality():
-    a = (1, 0, 1, 0)
-    b = (1, 0, 1, 0)
-    c = (1, 0, 1, 1)
-    assert encode_obs(a) == encode_obs(b)
-    assert encode_obs(a) != encode_obs(c)
 
 
 def test_derive_seed_is_stable_and_spread():

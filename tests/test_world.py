@@ -1,13 +1,17 @@
 """Ground-truth world: scenario validation, exact transition oracle, probabilities."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redsim import presets, world
+from redsim.cli import EXIT_SCENARIO, main
 from redsim.world import (
     DanglingReferenceError,
+    ScenarioError,
     ScenarioParseError,
     UnreachableObjectiveError,
     exact_transition,
@@ -61,6 +65,69 @@ def test_parse_error_on_bad_values():
     doc["actions"][0]["cost"] = 0.0
     with pytest.raises(ScenarioParseError):
         world.parse_scenario(doc)
+
+
+def _worth_x(doc):
+    doc["hosts"][1]["worth"] = "x"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: {"hosts": 5},
+        _worth_x,
+        lambda doc: doc.update(reward=[]),
+        lambda doc: doc.update(game={"max_steps": "many"}),
+        lambda doc: doc["hosts"].append(7),
+        lambda doc: doc["actions"][0].update(success_prob=None),
+        lambda doc: doc["game"].update(max_steps=float("inf")),
+    ],
+    ids=["hosts-int", "worth-str", "reward-list", "max-steps-str", "host-int", "prob-null", "max-steps-inf"],
+)
+def test_wrongly_typed_scenario_exits_scenario(tmp_path, edit):
+    doc = presets.chain_scenario()
+    doc = edit(doc) or doc
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ScenarioParseError):
+        world.load_scenario(path)
+    assert main(["scenario-validate", "--scenario", str(path)]) == EXIT_SCENARIO
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["h0", "h1", "vault", "scan", "objective", "q"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["id", "kind", "target", "worth", "neighbors"]) | st.text(max_size=4),
+                      children, max_size=4),
+    max_leaves=12,
+)
+_BASES = [presets.chain_scenario(n_hosts=n) for n in range(2, 7)] + [presets.mesh_scenario()]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A preset scenario of at most 6 hosts with a few values, found by random paths, replaced or removed."""
+    doc = copy.deepcopy(draw(st.sampled_from(_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        if draw(st.booleans()):
+            parent[key] = draw(json_values)
+        else:
+            del parent[key]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(json_values, st.dictionaries(st.sampled_from(sorted(_BASES[0])), json_values), mutated_scenarios()))
+def test_fuzzed_scenario_documents_raise_only_scenario_errors(doc):
+    try:
+        world.parse_scenario(doc)
+    except ScenarioError:
+        pass
 
 
 def test_transition_unmet_preconditions_is_noop(desk5):
