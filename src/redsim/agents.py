@@ -353,7 +353,8 @@ class LoadedPolicy:
 def load_policy(path) -> LoadedPolicy:
     """The policy a file holds; a malformed or out-of-range payload raises PolicyError.
 
-    ``obs_dim`` and ``action_count`` must be positive ints.  Q-table keys
+    ``obs_dim`` and ``action_count`` must be positive ints, ``fingerprint``
+    a string and ``train_config`` an object.  Q-table keys
     must decode to ``obs_dim`` values and rows must hold ``action_count``
     values; DQN layer shapes must chain from ``obs_dim`` to ``action_count``.
     """
@@ -365,6 +366,12 @@ def load_policy(path) -> LoadedPolicy:
         obs_dim, action_count = payload["obs_dim"], payload["action_count"]
         if not all(n.__class__ is int and n >= 1 for n in (obs_dim, action_count)):
             raise PolicyError(f"obs_dim {obs_dim!r} and action_count {action_count!r} must be positive ints")
+        fingerprint, train_config = payload.get("fingerprint", ""), payload.get("train_config", {})
+        if fingerprint.__class__ is not str or train_config.__class__ is not dict:
+            raise PolicyError(
+                f"fingerprint of type {type(fingerprint).__name__} must be a string and "
+                f"train_config of type {type(train_config).__name__} an object"
+            )
         if data["kind"] == "q_table":
             if data["action_count"] != action_count:
                 raise PolicyError(f"q-table action_count {data['action_count']!r}, policy {action_count}")
@@ -393,8 +400,8 @@ def load_policy(path) -> LoadedPolicy:
     return LoadedPolicy(
         policy=policy,
         algorithm=data["kind"],
-        fingerprint=payload.get("fingerprint", ""),
+        fingerprint=fingerprint,
         obs_dim=obs_dim,
         action_count=action_count,
-        train_config=payload.get("train_config", {}),
+        train_config=train_config,
     )

@@ -135,10 +135,10 @@ class EmpiricalModel:
     def from_payload(cls, payload: dict) -> "EmpiricalModel":
         """The model a payload holds; malformed or out-of-range contents raise ModelError.
 
-        Actions must lie in ``0..action_count-1``, observations (``x0``
-        included) must hold ``obs_dim`` values in ``0..255``, and every
-        count must be a positive int.  Ranges are checked once per distinct
-        action and observation.
+        The fingerprint must be a string, actions must lie in
+        ``0..action_count-1``, observations (``x0`` included) must hold
+        ``obs_dim`` values in ``0..255``, and every count must be a positive
+        int.  Ranges are checked once per distinct action and observation.
         """
         try:
             x0 = payload.get("x0")
@@ -165,6 +165,8 @@ class EmpiricalModel:
                         bucket[next_obs] = bucket.get(next_obs, 0) + count
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ModelError(f"malformed model payload: {exc!r}") from None
+        if model.fingerprint.__class__ is not str:
+            raise ModelError(f"fingerprint of type {type(model.fingerprint).__name__} must be a string")
         bad_actions = sorted({a for _, a in model.counts if not 0 <= a < model.action_count})
         bad_obs = sorted(bytes(obs).hex() for obs in model.observations() if len(obs) != model.obs_dim)
         if model.obs_dim < 1 or model.action_count < 1 or bad_actions or bad_obs:

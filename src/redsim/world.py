@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .envapi import (
@@ -78,10 +80,10 @@ class RewardConfig:
 
     def __post_init__(self):
         for name in ("user_worth", "root_worth", "objective_bonus"):
-            if getattr(self, name) < 0:
-                raise ScenarioParseError(f"reward.{name} must be non-negative")
-        if self.action_cost <= 0:
-            raise ScenarioParseError("reward.action_cost must be strictly positive")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails every comparison
+                raise ScenarioParseError(f"reward.{name} must be non-negative and finite")
+        if not 0 < self.action_cost < math.inf:
+            raise ScenarioParseError("reward.action_cost must be strictly positive and finite")
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class Scenario:
     noise: float = 0.0
     step_latency_ms: float = 0.0
 
-    @property
+    @cached_property  # kept in the instance __dict__, which a frozen dataclass still has
     def host_index(self) -> dict[str, int]:
         return {h.id: i for i, h in enumerate(self.hosts)}
 
@@ -180,7 +182,8 @@ def parse_scenario(data: dict) -> Scenario:
 
     Raises ScenarioParseError / DanglingReferenceError /
     UnreachableObjectiveError as appropriate; a value of the wrong type
-    (or an infinite ``max_steps``) anywhere in the document raises
+    (or an infinite ``max_steps``) anywhere in the document, and a worth,
+    reward, cost or ``step_latency_ms`` that is NaN or infinite, raise
     ScenarioParseError.
     """
     if not isinstance(data, dict):
@@ -211,8 +214,8 @@ def _parse_document(data: dict) -> Scenario:
             raise ScenarioParseError(f"duplicate host id {hid!r}")
         seen.add(hid)
         worth = float(doc.get("worth", 0.0))
-        if worth < 0:
-            raise ScenarioParseError(f"host {hid!r} worth must be non-negative")
+        if not 0 <= worth < math.inf:
+            raise ScenarioParseError(f"host {hid!r} worth must be non-negative and finite")
         hosts.append(
             HostSpec(id=hid, worth=worth, neighbors=tuple(doc.get("neighbors", ())))
         )
@@ -265,8 +268,8 @@ def _parse_document(data: dict) -> Scenario:
         if not 0.0 < prob <= 1.0:
             raise ScenarioParseError(f"action {i}: success_prob must be in (0, 1]")
         cost = float(doc.get("cost", reward.action_cost))
-        if cost <= 0:
-            raise ScenarioParseError(f"action {i}: cost must be strictly positive")
+        if not 0 < cost < math.inf:
+            raise ScenarioParseError(f"action {i}: cost must be strictly positive and finite")
         actions.append(
             ActionSpec(id=i, kind=kind, target=target, success_prob=prob, cost=cost)
         )
@@ -281,6 +284,9 @@ def _parse_document(data: dict) -> Scenario:
     noise = float(data.get("noise", 0.0))
     if not 0.0 <= noise < 0.5:
         raise ScenarioParseError("noise must be in [0, 0.5)")
+    step_latency_ms = float(data.get("step_latency_ms", 0.0))
+    if not 0.0 <= step_latency_ms < math.inf:
+        raise ScenarioParseError("step_latency_ms must be non-negative and finite")
 
     return Scenario(
         name=str(data.get("name", "")),
@@ -291,7 +297,7 @@ def _parse_document(data: dict) -> Scenario:
         reward=reward,
         game=game,
         noise=noise,
-        step_latency_ms=float(data.get("step_latency_ms", 0.0)),
+        step_latency_ms=step_latency_ms,
     )
 
 

@@ -273,6 +273,8 @@ _BAD_Q_PAYLOADS = {
     "row-nested": _set_first_q_row([[1.0, 3.0, 2.0]]),
     "row-str": _set_first_q_row(["a", "b", "c"]),
     "row-dict": _set_first_q_row({"0": 1.0}),
+    "fingerprint-int": _set("fingerprint", 5),
+    "train-config-list": _set("train_config", []),
 }
 
 
@@ -333,6 +335,18 @@ def test_malformed_policy_file_exits_artifact(tmp_path, desk5, desk5_sim_policy,
     artifacts.write_artifact(path, agents.POLICY_FORMAT, payload)
     argv = ["eval", "--env", f"world:{scenario}", "--policy", str(path), "--episodes", "2", "--out", str(tmp_path / "e")]
     assert main(argv) == EXIT_ARTIFACT
+
+
+@pytest.mark.parametrize(
+    "edit", [_set("fingerprint", 5), _set("train_config", [])], ids=["fingerprint-int", "train-config-list"]
+)
+def test_mistyped_policy_provenance_stats_exits_artifact(tmp_path, edit):
+    """``stats`` prints a policy's fingerprint and training seed; a mistyped one exits 7, not 1."""
+    path = _saved(tmp_path, _toy_q_table())
+    payload = artifacts.read_artifact(path, agents.POLICY_FORMAT)
+    edit(payload)
+    artifacts.write_artifact(path, agents.POLICY_FORMAT, payload)
+    assert main(["stats", str(path)]) == EXIT_ARTIFACT
 
 
 @settings(deadline=None)

@@ -184,6 +184,48 @@ def test_sim_sampling_matches_counts_with_binomial_oracle():
     assert 0.745 <= freq <= 0.755
 
 
+class _FixedDraw:
+    """Stands in for the sim's per-episode Generator: ``integers(total)`` returns one chosen value."""
+
+    def __init__(self, value: int, total: int):
+        self.value, self.total = value, total
+
+    def integers(self, high):
+        assert high == self.total
+        return self.value
+
+
+def _check_draw_mapping(counts: dict):
+    """Every draw value ``0..total-1`` once: outcome k comes out count_k times, in sorted-observation order."""
+    model = EmpiricalModel(obs_dim=2, action_count=1, x0=O)
+    model.counts[(O, 0)] = dict(counts)
+    config = SimConfig(game=GameConfig(max_steps=1), flag_worths=(0.0, 0.0), action_costs=(1.0,))
+    sim = EmpiricalSim(model, config, seed=0)
+    total = sum(counts.values())
+    outcomes = []
+    for value in range(total):
+        sim.reset()
+        sim._rng = _FixedDraw(value, total)
+        outcomes.append(sim.step(0).observation)
+    assert outcomes == [obs for obs, count in sorted(counts.items()) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "counts", [{A: 1}, {A: 3, B: 1}, {B: 2, O: 1, A: 5}, {(9, 9): 4, (0, 200): 1, (0, 2): 2}]
+)
+def test_sim_draw_mapping_is_exact(counts):
+    _check_draw_mapping(counts)
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 255), st.integers(0, 255)), st.integers(1, 6), min_size=1, max_size=6
+    )
+)
+def test_sim_draw_mapping_is_exact_property(counts):
+    _check_draw_mapping(counts)
+
+
 def test_sim_unseen_pair_self_transition_fallback():
     model = build_model(
         [TransitionRecord(0, 0, O, 0, A, 0.0, True, True)], obs_dim=2, action_count=2
@@ -369,10 +411,11 @@ def _short_obs(doc):
         _add_action("x"),
         lambda doc: doc["counts"].update({"zz": {"0": {}}}),
         lambda doc: doc.pop("obs_dim"),
+        lambda doc: doc.update(fingerprint=5),
     ],
     ids=["action-99", "action--1", "next-obs-17-bytes", "obs-15-bytes", "x0-17", "count--4", "count-0",
          "count-2.5", "count-str", "count-bool", "obs-dim-0", "action-count-0", "no-outcomes", "action-not-int",
-         "obs-not-hex", "no-obs-dim"],
+         "obs-not-hex", "no-obs-dim", "fingerprint-int"],
 )
 def test_out_of_range_model_payload_rejected(desk5_model, edit):
     payload = desk5_model.to_payload()
@@ -394,6 +437,15 @@ def test_out_of_range_model_file_exits_data(tmp_path, desk5_model):
         ["stats", str(path)],
     ):
         assert main(argv) == EXIT_DATA, argv
+
+
+def test_mistyped_model_fingerprint_stats_exits_data(tmp_path, desk5_model):
+    """``stats`` prints a model's fingerprint; one that is not a string exits 5, not 1."""
+    path = tmp_path / "m.model"
+    payload = desk5_model.to_payload()
+    payload["fingerprint"] = 5
+    artifacts.write_artifact(path, empirical.MODEL_FORMAT, payload)
+    assert main(["stats", str(path)]) == EXIT_DATA
 
 
 def _action_99_on_line_1(lines):

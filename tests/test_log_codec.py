@@ -3,12 +3,15 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
+from unittest import mock
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from redsim import presets
+from redsim import collect, presets
 from redsim.cli import EXIT_OK, main
-from redsim.collect import TransitionRecord, manifest_path
+from redsim.collect import LogValidationError, TransitionRecord, manifest_path, read_log
 
 observations = st.lists(st.integers(0, 255), min_size=0, max_size=20).map(tuple)
 rewards = st.one_of(
@@ -59,6 +62,139 @@ def test_from_obj_round_trips_to_json(rec):
         assert math.isnan(back.reward)
         back.reward = rec.reward
     assert back == rec
+
+
+def _read_log_reference(path):
+    """``read_log`` as a plain loop: ``json.loads`` plus ``from_obj`` on every non-blank line."""
+    records, bad = [], []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    records.append(TransitionRecord.from_obj(json.loads(line.strip().decode("utf-8"))))
+                except (ValueError, TypeError) as exc:
+                    bad.append((lineno, str(exc)))
+    return records, bad
+
+
+def _replace_first(old: bytes, new: bytes):
+    return lambda line: line.replace(old, new, 1)
+
+
+def _reorder_keys(line: bytes) -> bytes:
+    obj = json.loads(line)
+    return json.dumps(dict(reversed(obj.items())), separators=(",", ":")).encode()
+
+
+def _rewrite_reward(rewrite):
+    """Write a finite float reward another way that JSON reads as the same number."""
+    def edit(line: bytes) -> bytes:
+        reward = json.loads(line)["reward"]
+        if reward.__class__ is not float or not math.isfinite(reward):
+            return line
+        return line.replace(b'"reward":%r' % reward, b'"reward":' + rewrite(reward), 1)
+    return edit
+
+
+# Edits that keep a line valid JSON but not what ``to_json`` writes, or break it.
+LINE_MUTATIONS = {
+    "episode-leading-zero": _replace_first(b'"episode":', b'"episode":0'),
+    "step-leading-zero": _replace_first(b'"step":', b'"step":0'),
+    "episode-minus": _replace_first(b'"episode":', b'"episode":-'),
+    "step-minus": _replace_first(b'"step":', b'"step":-'),
+    "step-plus": _replace_first(b'"step":', b'"step":+'),
+    "space-after-colon": _replace_first(b'"obs":', b'"obs": '),
+    "space-before-tail": _replace_first(b',"obs"', b' ,"obs"'),
+    "space-inside": _replace_first(b'{"episode"', b'{ "episode"'),
+    "reordered-keys": _reorder_keys,
+    "duplicate-episode": lambda line: line[:-1] + b',"episode":7}',
+    "duplicate-step": lambda line: line[:-1] + b',"step":7}',
+    "duplicate-action": lambda line: line[:-1] + b',"action":3}',
+    "integral-reward": _rewrite_reward(lambda r: b"%d" % r if r.is_integer() and abs(r) < 1e15 else b"%r" % r),
+    "exponent-reward": _rewrite_reward(lambda r: b"%re0" % r if "e" not in repr(r) else b"%r" % r),
+    "duplicate-reward": _replace_first(b'"reward":', b'"reward":1.0e0,"reward":'),
+    "not-utf8": lambda line: line[:-1] + b'\xff}',
+    "not-utf8-in-tail": _replace_first(b'"done"', b'"d\xffone"'),
+    "truncated": lambda line: line[:-1],
+    "blank": lambda line: b"",
+    "spaces-only": lambda line: b"   ",
+}
+
+_tail_records = st.builds(
+    TransitionRecord,
+    episode=st.just(0),
+    step=st.just(0),
+    obs=st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    action=st.integers(-1, 3),
+    next_obs=st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    reward=rewards,
+    done=st.booleans(),
+    action_success=st.booleans(),
+)
+
+
+@st.composite
+def log_lines(draw):
+    """Canonical lines sharing a few tails, some of them mutated by one of a few edits."""
+    tails = draw(st.lists(_tail_records, min_size=1, max_size=4))
+    mutations = draw(st.lists(st.sampled_from(sorted(LINE_MUTATIONS)), min_size=1, max_size=3))
+    lines = []
+    for _ in range(draw(st.integers(1, 25))):
+        rec = draw(st.sampled_from(tails))
+        rec = replace(rec, episode=draw(st.integers(0, 120)), step=draw(st.integers(0, 12)))
+        line = rec.to_json().encode()
+        mutation = draw(st.none() | st.sampled_from(mutations))
+        lines.append(LINE_MUTATIONS[mutation](line) if mutation else line)
+    return lines
+
+
+def _check_read_log_matches_reference(path):
+    expected, bad = _read_log_reference(path)
+    if not bad:
+        assert [repr(rec) for rec in read_log(path)] == [repr(rec) for rec in expected]
+        return
+    with pytest.raises(LogValidationError) as excinfo:
+        read_log(path)
+    assert excinfo.value.lines == [lineno for lineno, _ in bad]
+    for lineno, message in bad[:5]:
+        assert f"line {lineno}: {message}" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("mutation", sorted(LINE_MUTATIONS))
+def test_read_log_parses_mutated_line_in_full(tmp_path, mutation):
+    """A mutated line whose tail is cached, or that comes twice, reads as ``json.loads`` reads it."""
+    rec = TransitionRecord(3, 10, (1, 0, 2), 2, (1, 1, 2), 0.5, False, True)
+    canonical = rec.to_json().encode()
+    mutated = LINE_MUTATIONS[mutation](replace(rec, episode=4, step=11).to_json().encode())
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b"\n".join([canonical, mutated, mutated, canonical, b""]))
+    _check_read_log_matches_reference(path)
+
+
+@settings(deadline=None)
+@given(log_lines(), st.sampled_from([b"\n", b"\r\n", b" \n"]), st.sampled_from([0, 1, collect._MAX_TAILS]))
+def test_read_log_matches_json_loads_per_line(tmp_path_factory, lines, newline, max_tails):
+    path = tmp_path_factory.mktemp("log") / "d.jsonl"
+    path.write_bytes(b"".join(line + newline for line in lines))
+    with mock.patch.object(collect, "_MAX_TAILS", max_tails):
+        _check_read_log_matches_reference(path)
+
+
+def test_read_log_parses_each_distinct_tail_once(tmp_path, monkeypatch):
+    """A desk5 log repeats few texts after ``"step":N``; ``read_log`` runs ``json.loads`` once per text."""
+    scenario = tmp_path / "desk5.json"
+    scenario.write_text(json.dumps(presets.chain_scenario()), encoding="utf-8")
+    log = tmp_path / "d.jsonl"
+    argv = ["collect", "--scenario", str(scenario), "--episodes", "120", "--seed", "7", "--out", str(log)]
+    assert main(argv) == EXIT_OK
+    lines = log.read_bytes().splitlines()
+    tails = {line[line.index(b',"obs":'):] for line in lines}
+    expected = [TransitionRecord.from_obj(json.loads(line)) for line in lines]
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+    assert read_log(log) == expected
+    assert 0 < len(calls) <= len(tails) < len(lines) // 10
 
 
 # sha256 of a 120-episode desk5 log, its manifest and the model built from it.

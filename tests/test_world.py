@@ -94,6 +94,46 @@ def test_wrongly_typed_scenario_exits_scenario(tmp_path, edit):
     assert main(["scenario-validate", "--scenario", str(path)]) == EXIT_SCENARIO
 
 
+def _set_reward(field, value):
+    def edit(doc):
+        doc["reward"][field] = value
+    return edit
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["hosts"][1].update(worth=_NAN),
+        lambda doc: doc["hosts"][1].update(worth=_INF),
+        _set_reward("user_worth", _NAN),
+        _set_reward("root_worth", _INF),
+        _set_reward("objective_bonus", _INF),
+        _set_reward("action_cost", _NAN),
+        _set_reward("action_cost", _INF),
+        lambda doc: doc["actions"][0].update(cost=_NAN),
+        lambda doc: doc["actions"][0].update(cost=_INF),
+        lambda doc: doc.update(step_latency_ms=_NAN),
+        lambda doc: doc.update(step_latency_ms=_INF),
+        lambda doc: doc.update(step_latency_ms=-_INF),
+        lambda doc: doc.update(step_latency_ms=-1.0),
+    ],
+    ids=["worth-nan", "worth-inf", "user-worth-nan", "root-worth-inf", "objective-bonus-inf", "action-cost-nan",
+         "action-cost-inf", "cost-nan", "cost-inf", "latency-nan", "latency-inf", "latency--inf", "latency--1"],
+)
+def test_non_finite_scenario_value_exits_scenario(tmp_path, edit):
+    """NaN and infinities are valid JSON to the parser, but mean nothing as worths, costs or latencies."""
+    doc = presets.chain_scenario()
+    edit(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ScenarioParseError):
+        world.load_scenario(path)
+    assert main(["scenario-validate", "--scenario", str(path)]) == EXIT_SCENARIO
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
     | st.sampled_from(["h0", "h1", "vault", "scan", "objective", "q"]),
