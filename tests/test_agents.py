@@ -1,12 +1,13 @@
 """Tabular Q-learning, greedy selection, and the value-iteration oracle."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redsim import agents, artifacts, presets, world
+from redsim import agents, artifacts, collect, presets, world
 from redsim.cli import EXIT_ARTIFACT, main
 from redsim.agents import QTable, TrainConfig, greedy_action, train_q_learning, value_iteration
 from redsim.collect import TransitionRecord
@@ -368,3 +369,101 @@ def test_q_table_policy_round_trip_property(tmp_path_factory, rows):
         assert np.array_equal(loaded.values[obs], row)
     again = _saved(tmp_path_factory.mktemp("q"), loaded)
     assert again.read_bytes() == path.read_bytes()
+
+
+def _solution_digest(solution) -> str:
+    """sha256 of everything a ValueSolution reports, in a fixed order."""
+    text = repr(
+        (
+            sorted(solution.values.items()),
+            sorted(solution.policy.items()),
+            solution.optimal_return,
+            solution.iterations,
+            solution.residual,
+        )
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+_PLAN_SCENARIOS = {
+    "desk3": presets.deterministic_chain,
+    "desk5": presets.chain_scenario,
+    "desk5-noisy": lambda: presets.chain_scenario(noise=0.1),
+    "mesh": presets.mesh_scenario,
+}
+_PLAN_HORIZONS = (5, 10, 20, 40, 100, None)  # None: the scenario's max_steps
+
+# Digests of world value iteration per scenario and horizon, as the planner
+# computed them when the solve still enumerated transitions one by one.
+GOLDEN_WORLD_PLANS = {
+    "desk3": {
+        5: "cc42bfb8452d827ddfa2f60c2cdd753f7a98581269678b37e483fddc30b3bacd",
+        10: "d7909d77b51948613dd6d52b9810e815211978b2a5b0a9fba4cb6efd707bd468",
+        20: "d7909d77b51948613dd6d52b9810e815211978b2a5b0a9fba4cb6efd707bd468",
+        40: "d7909d77b51948613dd6d52b9810e815211978b2a5b0a9fba4cb6efd707bd468",
+        100: "d7909d77b51948613dd6d52b9810e815211978b2a5b0a9fba4cb6efd707bd468",
+        None: "d7909d77b51948613dd6d52b9810e815211978b2a5b0a9fba4cb6efd707bd468",
+    },
+    "desk5": {
+        5: "50ca4101b8a925dfa22d0417f078770262da7d64e7d992875d7f607de27386b4",
+        10: "756bea044675cc2fdaaa9aa6ba9881fc8850e155b9c9eb42e365a671f1527c4c",
+        20: "33d6fdab46473739628ca60d8826f74f5ff37ed7eea9890bbf78626a5259538d",
+        40: "537cbe67c85a9c32e17a3496e296ebcc15e754a01de2562c842f9fe6afa16345",
+        100: "537cbe67c85a9c32e17a3496e296ebcc15e754a01de2562c842f9fe6afa16345",
+        None: "537cbe67c85a9c32e17a3496e296ebcc15e754a01de2562c842f9fe6afa16345",
+    },
+    "desk5-noisy": {
+        5: "8456476a4e7c12b13f6a89132480c60c864f0a07d375d741bd37ede2431f570c",
+        10: "73a64d06652f398b1f200b6bb0a60a222cf8e12284ecacf973cbb0a1fae91cf3",
+        20: "e00ee42f2018f79023fa50423a18850de2e81f92e61338b9c451c1fd882f00a0",
+        40: "b6bb93f75ad749448d76e0d2bdfed8b5fd3d2e6bde4848ce5defdc2f11cac182",
+        100: "b6bb93f75ad749448d76e0d2bdfed8b5fd3d2e6bde4848ce5defdc2f11cac182",
+        None: "b6bb93f75ad749448d76e0d2bdfed8b5fd3d2e6bde4848ce5defdc2f11cac182",
+    },
+    "mesh": {
+        5: "305db8f5ad99c9790c473084c669ef6e1eb591907cd1044c2b1e88379079bafc",
+        10: "95d9f79799492e3b971d1087bf0a88515ba7dcb21f9cb4cdf86d7f916570432b",
+        20: "ee71924aaf3b8624e26c8d564b5ef03f12913771a9c986c184ef989af58c80a1",
+        40: "409c09dea1043da95f0f942548b731992cdaf760116449cf112a274a0f259592",
+        100: "409c09dea1043da95f0f942548b731992cdaf760116449cf112a274a0f259592",
+        None: "409c09dea1043da95f0f942548b731992cdaf760116449cf112a274a0f259592",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLAN_SCENARIOS))
+def test_golden_world_value_iteration_digests(name):
+    scenario = world.parse_scenario(_PLAN_SCENARIOS[name]())
+    digests = {
+        horizon: _solution_digest(value_iteration(scenario, horizon=horizon)) for horizon in _PLAN_HORIZONS
+    }
+    assert digests == GOLDEN_WORLD_PLANS[name]
+
+
+# Digests of value iteration on a 200-episode random mesh model (seed 5),
+# which leaves pairs unseen, so the self-transition fallback is planned too.
+GOLDEN_MODEL_PLANS = {
+    5: "217c997022bb0f834e844657b59be299d24ad6051e54e9e68465e260552e232b",
+    10: "0306eb651890078ac3ebb3d9361d6258209b01d21022cd5809b278d42b560da1",
+    20: "c53033d92c343dbed3e6a6bb8fcb34ccbbf9964246318f854cff3934627875e2",
+    40: "39391ba41efed1506f6c8e01af0e15ad7870c903750d4f381e23423f0dd41279",
+    100: "dd985bdac8b9f31ab07bda49cb12a1a82816dd2b11bad9f950c4511365399330",
+    None: "dd985bdac8b9f31ab07bda49cb12a1a82816dd2b11bad9f950c4511365399330",
+}
+
+
+def test_golden_model_value_iteration_digests():
+    scenario = world.parse_scenario(presets.mesh_scenario())
+    env = world.AttackWorld(scenario, seed=5)
+    data = collect.run_collection(env, collect.uniform_random_policy(env.action_count), 200, 5)
+    model = build_model(
+        data.records, obs_dim=scenario.obs_dim, action_count=env.action_count,
+        fingerprint=scenario.fingerprint,
+        metadata={"reward": data.manifest["reward"], "game": data.manifest["game"]},
+    )
+    config = SimConfig.from_model(model)
+    digests = {
+        horizon: _solution_digest(agents.value_iteration_model(model, config, horizon=horizon))
+        for horizon in _PLAN_HORIZONS
+    }
+    assert digests == GOLDEN_MODEL_PLANS

@@ -1,11 +1,14 @@
 """Evaluation, transfer, fidelity and the game-horizon study."""
 
+import hashlib
+import json
 from math import comb, fsum
 
 import numpy as np
 import pytest
 
 from redsim import collect, empirical, evaluate, presets, world
+from redsim.cli import EXIT_OK, main
 from redsim.agents import QTable, TrainConfig, train_q_learning, value_iteration
 from redsim.empirical import EmpiricalSim, build_model, merge_models
 from redsim.evaluate import IncompatiblePolicyError, fidelity_report, transfer_eval
@@ -313,3 +316,30 @@ def test_transfer_rejects_sim_from_another_scenario(desk5, mesh):
     q = QTable(len(desk5.actions))
     with pytest.raises(empirical.IncompatibleModelError):
         transfer_eval(q, world.AttackWorld(desk5, seed=1), EmpiricalSim(_small_model(mesh), seed=1), episodes=2)
+
+
+# sha256 of the mesh fidelity audit (JSON and CSV) on a 200-episode random
+# log (seed 5), recorded when the audit still enumerated the world law pair
+# by pair; a 20-visit threshold leaves both confident and low-confidence pairs.
+GOLDEN_MESH_FIDELITY = {
+    "fidelity.json": "b2994465dcc9c1ca0c47dde879a28867cb7c7624b0cd11aa9e4aaa86fabc92ba",
+    "fidelity.json.csv": "88637b2043c4cf51754c28fe77a31cf04e5b296e2c6dc3408899f09b3737541f",
+}
+
+
+def test_golden_mesh_fidelity_digests(tmp_path):
+    scenario = tmp_path / "mesh.json"
+    scenario.write_text(json.dumps(presets.mesh_scenario()), encoding="utf-8")
+    log, model, fid = tmp_path / "d.jsonl", tmp_path / "m.model", tmp_path / "fidelity.json"
+    commands = [
+        ["collect", "--scenario", str(scenario), "--episodes", "200", "--seed", "5", "--out", str(log)],
+        ["build-sim", "--data", str(log), "--out", str(model)],
+        ["fidelity", "--model", str(model), "--scenario", str(scenario), "--visit-threshold", "20",
+         "--out", str(fid)],
+    ]
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (fid, tmp_path / "fidelity.json.csv")
+    }
+    assert digests == GOLDEN_MESH_FIDELITY
