@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, agents, collect, empirical, evaluate, world
-from .artifacts import ArtifactChecksumError, ArtifactError, ArtifactVersionError, sniff_format
+from .artifacts import ArtifactChecksumError, ArtifactVersionError, sniff_format
 from .dqn import train_dqn
 
 EXIT_OK = 0
@@ -486,7 +486,6 @@ _ERROR_MAP = (
     (evaluate.IncompatiblePolicyError, EXIT_INCOMPATIBLE, "incompatible-policy"),
     (ArtifactVersionError, EXIT_ARTIFACT, "artifact-version"),
     (ArtifactChecksumError, EXIT_ARTIFACT, "artifact-checksum"),
-    (ArtifactError, EXIT_ARTIFACT, "artifact"),
     (empirical.ModelError, EXIT_DATA, "invalid-dataset"),
     (agents.PolicyError, EXIT_ARTIFACT, "invalid-policy"),
     (json.JSONDecodeError, EXIT_DATA, "invalid-json"),

@@ -121,15 +121,28 @@ def write_manifest(manifest: dict, log_path) -> Path:
 
 
 def read_manifest(log_path) -> dict:
+    """The manifest of a log; one that is not an object, or of another format, raises.
+
+    Its ``fingerprint`` must be a string and its ``obs_dim`` and
+    ``action_count`` positive ints, or LogValidationError is raised.
+    """
     path = manifest_path(log_path)
     raw = path.read_bytes()
     try:
         manifest = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:  # reported like a manifest that is not JSON
         raise json.JSONDecodeError(f"{path} is not UTF-8", raw.decode("latin-1"), exc.start) from None
+    if manifest.__class__ is not dict:
+        raise LogValidationError(f"{path}: manifest is a JSON {type(manifest).__name__}, not an object")
     if manifest.get("format") != LOG_FORMAT:
         raise IncompatibleDatasetError(
             f"{path}: unexpected manifest format {manifest.get('format')!r}"
+        )
+    fingerprint, obs_dim, action_count = (manifest.get(k) for k in ("fingerprint", "obs_dim", "action_count"))
+    if fingerprint.__class__ is not str or not all(n.__class__ is int and n >= 1 for n in (obs_dim, action_count)):
+        raise LogValidationError(
+            f"{path}: manifest fingerprint {fingerprint!r} must be a string and "
+            f"obs_dim {obs_dim!r} and action_count {action_count!r} positive ints"
         )
     return manifest
 
@@ -349,9 +362,9 @@ def validate_log(log_path) -> CoverageReport:
 def audit_records(records: list, log_path) -> CoverageReport:
     """The audit behind ``validate_log``, on records already parsed from ``log_path``.
 
-    A manifest of another format raises; a missing, unreadable or non-JSON
-    one leaves only the manifest checks out, so chain and step errors
-    outrank a bad manifest.  With a manifest, records whose action lies
+    A manifest of another format, or one ``read_manifest`` rejects, raises;
+    a missing, unreadable or non-JSON one leaves only the manifest checks
+    out, so chain and step errors outrank it.  With a manifest, records whose action lies
     outside ``0..action_count-1``, or whose observations differ from
     ``obs_dim`` in length or hold values outside ``0..255``, raise
     LogValidationError naming their 1-based line numbers in ``log_path``.
@@ -415,8 +428,8 @@ def _check_ranges(records: list, manifest: dict, actions, observations, log_path
     Checks the distinct actions and observations, and walks the records
     (and the log, for its blank lines) again only to number the bad ones.
     """
-    obs_dim = manifest.get("obs_dim")
-    valid_actions = range(manifest.get("action_count") or 0)
+    obs_dim = manifest["obs_dim"]
+    valid_actions = range(manifest["action_count"])
     bad_actions = {a for a in actions if a not in valid_actions}
     bad_obs = {
         o for o in observations if len(o) != obs_dim or not all(0 <= v <= 255 for v in o)
@@ -431,7 +444,7 @@ def _check_ranges(records: list, manifest: dict, actions, observations, log_path
     lines = _record_line_numbers(log_path, positions)
     raise LogValidationError(
         f"{len(lines)} record(s) out of range for obs_dim={obs_dim}, "
-        f"action_count={manifest.get('action_count')} (first at line {lines[0]})",
+        f"action_count={manifest['action_count']} (first at line {lines[0]})",
         lines=lines,
     )
 

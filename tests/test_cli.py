@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from redsim import cli, collect, presets
+from redsim import artifacts, cli, collect, presets
 from redsim.cli import (
     EXIT_ARTIFACT,
     EXIT_DATA,
@@ -503,3 +503,103 @@ def test_artifact_from_another_network_is_incompatible(pipeline, tmp_path, comma
     argv = command(pipeline["desk5"], pipeline["mesh"], tmp_path / "out")
     assert main(argv) == EXIT_INCOMPATIBLE
     assert not (tmp_path / "out").exists()
+
+
+def _copy_log(files, tmp_path, manifest=None):
+    """A copy of the desk5 log and its manifest; ``manifest`` replaces the manifest text."""
+    log = tmp_path / "copy.jsonl"
+    log.write_bytes(files["log"].read_bytes())
+    source = collect.manifest_path(files["log"]).read_text()
+    collect.manifest_path(log).write_text(source if manifest is None else manifest)
+    return log
+
+
+def _two_start_log(tmp_path):
+    """A log that passes its audit but starts its two episodes from different observations."""
+    log = tmp_path / "two-starts.jsonl"
+    records = [collect.TransitionRecord(e, 0, obs, 0, obs, -1.0, True, False) for e, obs in enumerate(((0, 0), (0, 1)))]
+    collect.write_log(records, log)
+    collect.write_manifest(
+        {"format": collect.LOG_FORMAT, "fingerprint": "f", "obs_dim": 2, "action_count": 1,
+         "total_steps": 2, "episodes": 2, "o0": [[0, 0], [0, 1]]},
+        log,
+    )
+    return log
+
+
+def _rewritten(path, tmp_path, edit):
+    """A copy of an artifact whose payload ``edit`` changed, under a valid checksum."""
+    doc = json.loads(path.read_text())
+    edit(doc["payload"])
+    out = tmp_path / f"edited{path.suffix}"
+    artifacts.write_artifact(out, doc["format"], doc["payload"])
+    return out
+
+
+def _bad_scenario(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"hosts": 5}')
+    return path
+
+
+def _tampered(path, tmp_path):
+    doc = json.loads(path.read_text())
+    doc["payload"]["metadata"]["source_seed"] = 12345
+    out = tmp_path / f"tampered{path.suffix}"
+    out.write_text(json.dumps(doc))
+    return out
+
+
+def _eval(scenario, policy, tmp_path):
+    return ["eval", "--env", f"world:{scenario}", "--policy", str(policy), "--episodes", "1",
+            "--out", str(tmp_path / "eval.json")]
+
+
+def _build_sim(log, tmp_path):
+    return ["build-sim", "--data", str(log), "--out", str(tmp_path / "m.model")]
+
+
+def _fidelity(model, scenario, tmp_path):
+    return ["fidelity", "--model", str(model), "--scenario", str(scenario), "--out", str(tmp_path / "f.json")]
+
+
+# One row per ``cli._ERROR_MAP`` kind: a command ``(desk5 files, mesh files,
+# tmp_path) -> argv`` given one real bad input, and the exit code that the
+# README's table gives for that input.
+_EXIT_TABLE = {
+    "invalid-scenario": (EXIT_SCENARIO, lambda d, m, t: ["scenario-validate", "--scenario", str(_bad_scenario(t))]),
+    "invalid-log": (EXIT_DATA, lambda d, m, t: ["stats", str(_copy_log(d, t, manifest="[1, 2]"))]),
+    "incompatible-dataset": (
+        EXIT_INCOMPATIBLE, lambda d, m, t: _build_sim(_copy_log(d, t, manifest='{"format": "other"}'), t)
+    ),
+    "ambiguous-start": (EXIT_DATA, lambda d, m, t: _build_sim(_two_start_log(t), t)),
+    "incompatible-model": (EXIT_INCOMPATIBLE, lambda d, m, t: _fidelity(m["model"], d["scenario"], t)),
+    "incompatible-policy": (EXIT_INCOMPATIBLE, lambda d, m, t: _eval(d["scenario"], m["policy"], t)),
+    "artifact-version": (EXIT_ARTIFACT, lambda d, m, t: _eval(d["scenario"], d["model"], t)),
+    "artifact-checksum": (EXIT_ARTIFACT, lambda d, m, t: _fidelity(_tampered(d["model"], t), d["scenario"], t)),
+    "invalid-dataset": (
+        EXIT_DATA,
+        lambda d, m, t: _fidelity(_rewritten(d["model"], t, lambda p: p.update(obs_dim=0)), d["scenario"], t),
+    ),
+    "invalid-policy": (
+        EXIT_ARTIFACT,
+        lambda d, m, t: _eval(d["scenario"], _rewritten(d["policy"], t, lambda p: p.update(obs_dim=-1)), t),
+    ),
+    "invalid-json": (EXIT_DATA, lambda d, m, t: _build_sim(_copy_log(d, t, manifest="{not json"), t)),
+    "missing-file": (EXIT_IO, lambda d, m, t: ["scenario-validate", "--scenario", str(t / "missing.json")]),
+    "io-error": (EXIT_IO, lambda d, m, t: _fidelity(t, d["scenario"], t)),
+}
+
+
+def test_exit_table_covers_every_error_kind():
+    assert sorted(kind for _, _, kind in cli._ERROR_MAP) == sorted(_EXIT_TABLE)
+
+
+@pytest.mark.parametrize("kind", sorted(_EXIT_TABLE))
+def test_exit_code_table(pipeline, tmp_path, capsys, kind):
+    """Each error kind exits with the README's code, reported under its own kind."""
+    code, command = _EXIT_TABLE[kind]
+    argv = command(pipeline["desk5"], pipeline["mesh"], tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(f"error: {kind}: ")

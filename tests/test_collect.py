@@ -183,3 +183,38 @@ def test_build_sim_out_of_range_lines_count_blank_lines(desk5, tmp_path, capsys)
     log = _blank_first_line_log(desk5, tmp_path)
     assert main(["build-sim", "--data", str(log), "--out", str(tmp_path / "m.model")]) == EXIT_DATA
     assert "first at line 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: [1, 2],
+        lambda m: "manifest",
+        lambda m: {**m, "fingerprint": 5},
+        lambda m: {**m, "fingerprint": None},
+        lambda m: {k: v for k, v in m.items() if k != "fingerprint"},
+        lambda m: {**m, "obs_dim": "16"},
+        lambda m: {**m, "obs_dim": 0},
+        lambda m: {**m, "obs_dim": True},
+        lambda m: {k: v for k, v in m.items() if k != "obs_dim"},
+        lambda m: {**m, "action_count": 14.0},
+        lambda m: {**m, "action_count": -1},
+        lambda m: {**m, "action_count": None},
+    ],
+    ids=[
+        "list", "string", "int-fingerprint", "null-fingerprint", "no-fingerprint", "string-obs_dim",
+        "zero-obs_dim", "bool-obs_dim", "no-obs_dim", "float-action_count", "negative-action_count",
+        "null-action_count",
+    ],
+)
+def test_mistyped_manifest_exits_data(desk5, tmp_path, capsys, edit):
+    log = _collect(desk5, 5, 7, out=tmp_path / "d.jsonl").log_path
+    path = collect.manifest_path(log)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))), encoding="utf-8")
+    with pytest.raises(LogValidationError):
+        collect.read_manifest(log)
+    capsys.readouterr()
+    for argv in (["stats", str(log)], ["build-sim", "--data", str(log), "--out", str(tmp_path / "m.model")]):
+        assert main(argv) == EXIT_DATA, argv
+        assert "unexpected" not in capsys.readouterr().err
+    assert not (tmp_path / "m.model").exists()
