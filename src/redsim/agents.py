@@ -17,8 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .envapi import Env, Observation, compute_reward, derive_seed, rollout
-from .world import Scenario, exact_transition, reachable_observations
+from .empirical import FALLBACK_SELF, compile_model
+from .envapi import Env, Observation, TabularMDP, derive_seed, rollout
+from .world import Scenario, compile_world
+
+# The benchmark's per-layer tracer (perfbench/layers.py) wraps these names here too.
+from .envapi import compute_reward  # noqa: F401, E402
+from .world import exact_transition, reachable_observations  # noqa: F401, E402
 
 POLICY_FORMAT = "redsim-policy-v1"
 
@@ -180,50 +185,37 @@ class ValueSolution:
     residual: float
 
 
-def _solve_tabular(states, transitions, terminal, start, gamma, horizon, tol):
-    """Backward induction over flattened (src, action, dst, prob, reward) arrays.
+def _solve_tabular(mdp: TabularMDP, rows, next_state, prob, reward, gamma, horizon, tol) -> ValueSolution:
+    """Backward induction over entries ``(row, next_state, prob, reward)`` of ``mdp``'s rows.
 
     Runs at most ``horizon`` backups and stops early once the backup residual
     drops below ``tol`` (the values have then reached the fixed point, so a
-    longer horizon cannot change them by more than the residual).
+    longer horizon cannot change them by more than the residual).  Goal
+    states are worth 0 and get no policy entry.
     """
-    n = len(states)
-    if n == 0:
-        raise ValueError("no states to plan over")
-    action_count = 1 + max((a for (_, a, _, _, _) in transitions), default=0)
-    src = np.fromiter((t[0] for t in transitions), dtype=np.int64, count=len(transitions))
-    act = np.fromiter((t[1] for t in transitions), dtype=np.int64, count=len(transitions))
-    dst = np.fromiter((t[2] for t in transitions), dtype=np.int64, count=len(transitions))
-    prob = np.fromiter((t[3] for t in transitions), dtype=np.float64, count=len(transitions))
-    rew = np.fromiter((t[4] for t in transitions), dtype=np.float64, count=len(transitions))
-    terminal_mask = np.zeros(n, dtype=bool)
-    for i in terminal:
-        terminal_mask[i] = True
+    states, n = mdp.states, len(mdp.states)
+    shape = (n, mdp.action_count)
+
+    def backup(values):
+        # bincount adds each row's entries in order, as a sequential sum would
+        return np.bincount(rows, prob * (reward + gamma * values[next_state]), n * mdp.action_count).reshape(shape)
 
     values = np.zeros(n)
     iterations = 0
     residual = np.inf
     for _ in range(horizon):
-        q = np.zeros((n, action_count))
-        np.add.at(q, (src, act), prob * (rew + gamma * values[dst]))
-        new_values = q.max(axis=1)
-        new_values[terminal_mask] = 0.0
+        new_values = backup(values).max(axis=1)
+        new_values[mdp.goal] = 0.0
         iterations += 1
-        residual = float(np.max(np.abs(new_values - values))) if n else 0.0
+        residual = float(np.max(np.abs(new_values - values)))
         values = new_values
         if residual < tol:
             break
-    q = np.zeros((n, action_count))
-    np.add.at(q, (src, act), prob * (rew + gamma * values[dst]))
-    greedy = q.argmax(axis=1)
-    value_map = {states[i]: float(values[i]) for i in range(n)}
-    policy = {
-        states[i]: int(greedy[i]) for i in range(n) if not terminal_mask[i]
-    }
+    greedy = backup(values).argmax(axis=1)
     return ValueSolution(
-        values=value_map,
-        optimal_return=float(values[start]),
-        policy=policy,
+        values={states[i]: float(values[i]) for i in range(n)},
+        optimal_return=float(values[mdp.start]),
+        policy={states[i]: int(greedy[i]) for i in range(n) if not mdp.goal[i]},
         horizon=horizon,
         iterations=iterations,
         residual=residual,
@@ -245,22 +237,8 @@ def value_iteration(
     """
     gamma = scenario.game.gamma if gamma is None else gamma
     horizon = scenario.game.max_steps if horizon is None else horizon
-    states = reachable_observations(scenario, max_obs=max_obs)
-    index = {obs: i for i, obs in enumerate(states)}
-    goal_flag = scenario.objective_flag
-    worths = scenario.flag_worths()
-    transitions = []
-    terminal = []
-    for i, obs in enumerate(states):
-        if obs[goal_flag] == 1:
-            terminal.append(i)
-            continue
-        for action in scenario.actions:
-            for next_obs, p in exact_transition(scenario, obs, action):
-                reward = compute_reward(worths, obs, next_obs, action.cost)
-                transitions.append((i, action.id, index[next_obs], p, reward))
-    start = index[scenario.initial_observation()]
-    return _solve_tabular(states, transitions, terminal, start, gamma, horizon, tol)
+    mdp = compile_world(scenario, max_obs=max_obs)
+    return _solve_tabular(mdp, mdp.entry_rows(), mdp.next_state, mdp.weight, mdp.reward, gamma, horizon, tol)
 
 
 def value_iteration_model(model, config, tol: float = 1e-9, horizon: int | None = None) -> ValueSolution:
@@ -269,31 +247,23 @@ def value_iteration_model(model, config, tol: float = 1e-9, horizon: int | None 
     Unseen (obs, action) pairs follow the sim's self-transition fallback, so
     the planned MDP is exactly the MDP the sim executes.
     """
-    from .empirical import FALLBACK_SELF
-
     if config.fallback != FALLBACK_SELF:
         raise ValueError("model planning requires the self-transition fallback")
-    states = sorted(model.observations())
-    index = {obs: i for i, obs in enumerate(states)}
-    game = config.game
-    horizon = game.max_steps if horizon is None else horizon
-    transitions = []
-    terminal = []
-    for i, obs in enumerate(states):
-        if game.is_goal(obs):
-            terminal.append(i)
-            continue
-        for action in range(model.action_count):
-            if model.has_pair(obs, action):
-                for next_obs, p in model.distribution(obs, action).items():
-                    reward = compute_reward(
-                        config.flag_worths, obs, next_obs, config.action_costs[action]
-                    )
-                    transitions.append((i, action, index[next_obs], p, reward))
-            else:
-                transitions.append((i, action, i, 1.0, -config.action_costs[action]))
-    start = index[model.x0]
-    return _solve_tabular(states, transitions, terminal, start, game.gamma, horizon, tol)
+    horizon = config.game.max_steps if horizon is None else horizon
+    mdp = compile_model(model, config)
+    rows = mdp.entry_rows()
+    totals = np.bincount(rows, mdp.weight, len(mdp.row_start) - 1)
+    unseen = np.flatnonzero(totals == 0)  # each gets one self-transition entry at -cost
+    return _solve_tabular(
+        mdp,
+        np.concatenate((rows, unseen)),
+        np.concatenate((mdp.next_state, unseen // mdp.action_count)),
+        np.concatenate((mdp.weight / totals[rows], np.ones(len(unseen)))),
+        np.concatenate((mdp.reward, -np.asarray(config.action_costs, dtype=np.float64)[unseen % mdp.action_count])),
+        config.game.gamma,
+        horizon,
+        tol,
+    )
 
 
 # --- persistence -------------------------------------------------------------

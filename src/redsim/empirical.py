@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from . import artifacts, collect
-from .envapi import Env, GameConfig, Observation, compute_reward
+from .envapi import Env, GameConfig, Observation, TabularMDP, compute_reward
 
 MODEL_FORMAT = "redsim-model-v1"
 
@@ -357,12 +360,47 @@ class SimConfig:
         )
 
 
+def compile_model(model: EmpiricalModel, config: SimConfig) -> TabularMDP:
+    """The model's law under ``config``'s rewards and goal, over its observations in sorted order.
+
+    Each row holds the outcome counts of one (observation, action) pair in
+    sorted-observation order; a pair the data never saw has an empty row.
+    """
+    states = sorted(model.observations())
+    index = {obs: i for i, obs in enumerate(states)}
+    worths, costs = config.flag_worths, config.action_costs
+    unchanged = (0,) * model.obs_dim
+    stay = [compute_reward(worths, unchanged, unchanged, cost) for cost in costs]
+    lengths = [0] * (len(states) * model.action_count)
+    next_state: list[int] = []
+    weight: list[int] = []
+    reward: list[float] = []
+    for row, obs, action in sorted((index[obs] * model.action_count + a, obs, a) for obs, a in model.counts):
+        outcomes = sorted(model.counts[obs, action].items())
+        lengths[row] = len(outcomes)
+        for next_obs, count in outcomes:
+            next_state.append(index[next_obs])
+            weight.append(count)
+            reward.append(stay[action] if next_obs == obs else compute_reward(worths, obs, next_obs, costs[action]))
+    return TabularMDP(
+        states=states,
+        action_count=model.action_count,
+        row_start=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        next_state=np.array(next_state, dtype=np.int64),
+        weight=np.array(weight, dtype=np.int64),
+        reward=np.array(reward, dtype=np.float64),
+        goal=np.array([config.game.is_goal(obs) for obs in states], dtype=bool),
+        start=index[model.x0],
+    )
+
+
 class EmpiricalSim(Env):
     """Environment that replays the estimated transition law.
 
     Sampling is exact in the rational sense: an outcome with count c out of
     a total of n is drawn with probability c/n via a uniform integer draw,
-    so no floating-point normalisation error ever enters the dynamics.
+    so no floating-point normalisation error ever enters the dynamics.  The
+    sim steps by state id through the model's compiled table.
 
     ``info['action_success']`` reports whether the observation changed,
     which is all the model can know about an action's outcome.
@@ -389,43 +427,37 @@ class EmpiricalSim(Env):
         self.obs_dim = model.obs_dim
         self.action_count = model.action_count
         self.fingerprint = model.fingerprint
-        # Frozen sampling tables: outcomes in observation order, cumulative counts.
-        self._samplers: dict[tuple[Observation, int], tuple[list[int], list[Observation], int]] = {}
-        for key, outcomes in model.counts.items():
-            ordered = sorted(outcomes.items())
-            cum: list[int] = []
-            nexts: list[Observation] = []
-            running = 0
-            for next_key, count in ordered:
-                running += count
-                cum.append(running)
-                nexts.append(next_key)
-            self._samplers[key] = (cum, nexts, running)
-        self._obs: Observation = model.x0
+        mdp = compile_model(model, config)
+        self._states = mdp.states
+        self._start = mdp.start
+        self._row_start = mdp.row_start.tolist()
+        self._next_state = mdp.next_state.tolist()
+        self._reward = mdp.reward.tolist()
+        # Entry e's outcome owns the draws from _cumulative[e] up to _cumulative[e + 1].
+        self._cumulative = [0, *accumulate(mdp.weight.tolist())]
+        self._state = mdp.start
 
     def _reset_state(self) -> Observation:
-        self._obs = self.model.x0
-        return self._obs
+        self._state = self._start
+        return self._states[self._start]
 
     def _apply_action(self, action: int):
-        obs = self._obs
-        sampler = self._samplers.get((obs, action))
-        if sampler is None:
+        state = self._state
+        row = state * self.action_count + action
+        lo, hi = self._row_start[row], self._row_start[row + 1]
+        if lo == hi:
             if self.config.fallback == FALLBACK_REJECT:
                 raise NoDataError(
-                    f"no data for observation {obs} action {action} "
+                    f"no data for observation {self._states[state]} action {action} "
                     "(fallback mode reject-action)"
                 )
-            next_obs = obs
-        else:
-            cum, nexts, total = sampler
-            draw = int(self._rng.integers(total))
-            next_obs = nexts[bisect_right(cum, draw)]
-        reward = compute_reward(
-            self.config.flag_worths, obs, next_obs, self.config.action_costs[action]
-        )
-        self._obs = next_obs
-        return next_obs, reward, {"action_success": next_obs != obs}
+            return self._states[state], -self.config.action_costs[action], {"action_success": False}
+        cumulative = self._cumulative
+        base = cumulative[lo]
+        draw = int(self._rng.integers(cumulative[hi] - base))
+        entry = bisect_right(cumulative, base + draw, lo + 1, hi + 1) - 1
+        self._state = next_state = self._next_state[entry]
+        return self._states[next_state], self._reward[entry], {"action_success": next_state != state}
 
     def metadata(self) -> dict:
         return {

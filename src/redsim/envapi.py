@@ -3,9 +3,11 @@
 Both environments expose the same discrete action space and the same
 fixed-length observation layout, so a policy trained against one runs
 unmodified against the other.  Observations are tuples of small
-non-negative integers (0..255), and those tuples are the keys of every
-table in memory (count tables, sampling tables, Q-tables); only the model
-and policy file codecs turn them into hex strings.
+non-negative integers (0..255), and those tuples key the count tables and
+Q-tables in memory; only the model and policy file codecs turn them into
+hex strings.  The transition law itself, of the world or of a count model,
+compiles to one ``TabularMDP`` over integer state ids, which the planners,
+the fidelity audit and the sim read.
 """
 
 from __future__ import annotations
@@ -90,6 +92,34 @@ def compute_reward(flag_worths, obs, next_obs, cost: float) -> float:
         if after > before:
             gained += worth
     return gained - cost
+
+
+@dataclass(frozen=True, eq=False)
+class TabularMDP:
+    """A finite MDP over integer state ids, compiled from a scenario or a count model.
+
+    ``states[s]`` is the observation of state id ``s``.  Row
+    ``r = s * action_count + a`` holds what action ``a`` does in state ``s``:
+    its entries ``row_start[r]:row_start[r + 1]`` name each next-state id in
+    ``next_state``, its ``weight`` (a probability for the world law, a
+    positive integer count for a model) and the ``reward`` of that
+    transition, which is what ``compute_reward`` returns for it.  An empty
+    model row is a pair the data never saw.  ``goal`` marks the states where
+    an episode ends and ``start`` is the id every episode starts from.
+    """
+
+    states: list[Observation]
+    action_count: int
+    row_start: np.ndarray
+    next_state: np.ndarray
+    weight: np.ndarray
+    reward: np.ndarray
+    goal: np.ndarray
+    start: int
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every entry."""
+        return np.repeat(np.arange(len(self.row_start) - 1), np.diff(self.row_start))
 
 
 class Env(ABC):

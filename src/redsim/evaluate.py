@@ -18,12 +18,10 @@ import numpy as np
 from .agents import TrainConfig, greedy_action, train_q_learning, value_iteration
 from .empirical import EmpiricalModel, EmpiricalSim, IncompatibleModelError, SimConfig
 from .envapi import Env, Observation, rollout
-from .world import (
-    Scenario,
-    exact_transition,
-    reachable_observations,
-    shortest_success_path,
-)
+from .world import Scenario, compile_world, shortest_success_path
+
+# The benchmark's per-layer tracer (perfbench/layers.py) wraps these names here too.
+from .world import exact_transition, reachable_observations  # noqa: F401, E402
 
 
 class IncompatiblePolicyError(Exception):
@@ -263,41 +261,35 @@ def fidelity_report(
     below it (including never-visited pairs) counts as low-confidence.
     """
     _check_source(model.fingerprint, scenario.fingerprint)
-    sources = [
-        obs
-        for obs in reachable_observations(scenario, max_obs=max_obs)
-        if obs[scenario.objective_flag] != 1
-    ]
+    law = compile_world(scenario, max_obs=max_obs)
+    states, actions = law.states, law.action_count
+    row_start, next_state, weight = law.row_start.tolist(), law.next_state.tolist(), law.weight.tolist()
+    sources = np.flatnonzero(~law.goal).tolist()
     pairs: list[PairFidelity] = []
     confident_tv = []
-    reachable = 0
-    visited = 0
-    low_confidence = 0
-    for obs in sources:
-        for action in scenario.actions:
-            reachable += 1
-            exact = {
-                next_obs: p for next_obs, p in exact_transition(scenario, obs, action)
-            }
-            if model.has_pair(obs, action.id):
-                visited += 1
-                visits = sum(model.outcome_counts(obs, action.id).values())
-                tv = _tv_distance(model.distribution(obs, action.id), exact)
-                pairs.append(PairFidelity(obs, action.id, visits, tv))
-                if visits >= visit_threshold:
-                    confident_tv.append(tv)
-                else:
-                    low_confidence += 1
-            else:
-                low_confidence += 1
+    for s in sources:
+        obs = states[s]
+        for action in range(actions):
+            outcomes = model.counts.get((obs, action))
+            if outcomes is None:
+                continue
+            row = s * actions + action
+            lo, hi = row_start[row], row_start[row + 1]
+            exact = {states[j]: p for j, p in zip(next_state[lo:hi], weight[lo:hi])}
+            tv = _tv_distance(model.distribution(obs, action), exact)
+            pair = PairFidelity(obs, action, sum(outcomes.values()), tv)
+            pairs.append(pair)
+            if pair.visits >= visit_threshold:
+                confident_tv.append(pair.tv_distance)
 
+    reachable = len(sources) * actions
     return FidelityReport(
         visit_threshold=visit_threshold,
         reachable_pairs=reachable,
-        visited_pairs=visited,
-        coverage=visited / reachable if reachable else 1.0,
+        visited_pairs=len(pairs),
+        coverage=len(pairs) / reachable if reachable else 1.0,
         confident_pairs=len(confident_tv),
-        low_confidence_pairs=low_confidence,
+        low_confidence_pairs=reachable - len(confident_tv),
         max_tv_confident=max(confident_tv) if confident_tv else 0.0,
         mean_tv_confident=float(np.mean(confident_tv)) if confident_tv else 0.0,
         pairs=pairs,

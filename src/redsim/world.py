@@ -2,8 +2,10 @@
 
 The world is the slow-but-true side of the pipeline: a small network of
 hosts with scan / exploit / escalate / objective actions, stochastic
-action outcomes, and an exact transition-distribution oracle that fidelity
-tests and the value-iteration planner consume directly.
+action outcomes, and an exact transition law.  Each action's rule is
+derived once per scenario; the sampling world, the ``exact_transition``
+oracle and ``compile_world``'s table, which the fidelity audit and the
+value-iteration planner read, all follow it.
 
 Observation layout: three flags per host in declared order
 (discovered, user access, root access) followed by one global
@@ -23,10 +25,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .envapi import (
     Env,
     GameConfig,
     Observation,
+    TabularMDP,
     compute_reward,
 )
 
@@ -70,6 +75,22 @@ class ActionSpec:
 
 
 @dataclass(frozen=True)
+class ActionRule:
+    """An action's law, derived once per scenario from its spec.
+
+    The action is eligible when every group of flag indices in ``needs``
+    has a set flag.  An eligible action sets flag ``effect`` with
+    probability ``success_prob``, the spec's probability with the outcome
+    noise folded in; otherwise, or when the flag is already set, nothing
+    changes.
+    """
+
+    needs: tuple[tuple[int, ...], ...]
+    effect: int
+    success_prob: float
+
+
+@dataclass(frozen=True)
 class RewardConfig:
     """Worth granted the first time each kind of access appears, plus costs."""
 
@@ -101,6 +122,11 @@ class Scenario:
     @cached_property  # kept in the instance __dict__, which a frozen dataclass still has
     def host_index(self) -> dict[str, int]:
         return {h.id: i for i, h in enumerate(self.hosts)}
+
+    @cached_property
+    def rules(self) -> tuple[ActionRule, ...]:
+        """The rule of each action, by action id."""
+        return tuple(_action_rule(self, action) for action in self.actions)
 
     @property
     def obs_dim(self) -> int:
@@ -319,69 +345,61 @@ def scenario_from_json(text: str) -> Scenario:
 
 # --- exact dynamics -------------------------------------------------------
 
-def preconditions_met(scenario: Scenario, flags, action: ActionSpec) -> bool:
+def _action_rule(scenario: Scenario, action: ActionSpec) -> ActionRule:
+    """What ``action`` needs and sets, and how often it works.
+
+    ``scan`` needs a user or root foothold on a neighbor of its target;
+    ``exploit_user`` needs that and the target discovered; ``escalate_root``
+    needs user access on the target; ``objective`` needs root on it.  With
+    probability ``noise`` the sampled outcome of an eligible action is
+    inverted, modelling emulator flakiness (failed resets, dropped sessions).
+    """
     idx = scenario.host_index
     t = idx[action.target]
-    hosts = scenario.hosts
-
-    def foothold_near(target_i: int) -> bool:
-        for nb in hosts[target_i].neighbors:
-            n = idx[nb]
-            if flags[3 * n + 1] or flags[3 * n + 2]:
-                return True
-        return False
-
+    footholds = tuple(
+        flag for nb in scenario.hosts[t].neighbors for flag in (3 * idx[nb] + 1, 3 * idx[nb] + 2)
+    )
     if action.kind == "scan":
-        return foothold_near(t)
-    if action.kind == "exploit_user":
-        return bool(flags[3 * t]) and foothold_near(t)
-    if action.kind == "escalate_root":
-        return bool(flags[3 * t + 1])
-    if action.kind == "objective":
-        return bool(flags[3 * t + 2])
-    raise ValueError(f"unknown action kind {action.kind!r}")
+        needs, effect = (footholds,), 3 * t
+    elif action.kind == "exploit_user":
+        needs, effect = ((3 * t,), footholds), 3 * t + 1
+    elif action.kind == "escalate_root":
+        needs, effect = ((3 * t + 1,),), 3 * t + 2
+    elif action.kind == "objective":
+        needs, effect = ((3 * t + 2,),), scenario.objective_flag
+    else:
+        raise ValueError(f"unknown action kind {action.kind!r}")
+    p, eps = action.success_prob, scenario.noise
+    return ActionRule(needs, effect, p * (1.0 - eps) + (1.0 - p) * eps)
+
+
+def preconditions_met(scenario: Scenario, flags, action: ActionSpec) -> bool:
+    for need in scenario.rules[action.id].needs:
+        if not any(flags[i] for i in need):
+            return False
+    return True
 
 
 def action_effect(scenario: Scenario, flags, action: ActionSpec) -> Observation:
     """Observation after the action succeeds (idempotent on set flags)."""
-    t = scenario.host_index[action.target]
     out = list(flags)
-    if action.kind == "scan":
-        out[3 * t] = 1
-    elif action.kind == "exploit_user":
-        out[3 * t + 1] = 1
-    elif action.kind == "escalate_root":
-        out[3 * t + 2] = 1
-    elif action.kind == "objective":
-        out[scenario.objective_flag] = 1
+    out[scenario.rules[action.id].effect] = 1
     return tuple(out)
-
-
-def effective_success_prob(scenario: Scenario, action: ActionSpec) -> float:
-    """Success probability after folding in the outcome-corruption noise.
-
-    With probability ``noise`` the sampled outcome of an eligible action is
-    inverted, modelling emulator flakiness (failed resets, dropped sessions).
-    Actions whose preconditions are unmet stay no-ops regardless.
-    """
-    p = action.success_prob
-    eps = scenario.noise
-    return p * (1.0 - eps) + (1.0 - p) * eps
 
 
 def exact_transition(scenario: Scenario, flags, action: ActionSpec):
     """Exact outcome distribution as a list of (next_obs, probability).
 
-    This is the oracle the fidelity report and value iteration integrate
-    over; the sampling environment draws from exactly this distribution.
-    Outcomes that coincide (idempotent effects) are merged.
+    The sampling environment draws from exactly this distribution, and
+    ``compile_world`` tabulates it.  Outcomes that coincide (idempotent
+    effects) are merged.
     """
     if not preconditions_met(scenario, flags, action):
         return [(tuple(flags), 1.0)]
     success = action_effect(scenario, flags, action)
     if success == tuple(flags):
         return [(tuple(flags), 1.0)]
-    p = effective_success_prob(scenario, action)
+    p = scenario.rules[action.id].success_prob
     if p >= 1.0:
         return [(success, 1.0)]
     return [(success, p), (tuple(flags), 1.0 - p)]
@@ -410,9 +428,7 @@ class AttackWorld(Env):
         spec = self.scenario.actions[action]
         flags = self._flags
         if preconditions_met(self.scenario, flags, spec):
-            success = bool(
-                self._rng.random() < effective_success_prob(self.scenario, spec)
-            )
+            success = bool(self._rng.random() < self.scenario.rules[action].success_prob)
             next_flags = action_effect(self.scenario, flags, spec) if success else flags
         else:
             success = False
@@ -448,34 +464,89 @@ class AttackWorld(Env):
 
 # --- exhaustive enumeration ----------------------------------------------
 
+def compile_world(scenario: Scenario, max_obs: int = 100_000) -> TabularMDP:
+    """The exact world law over every observation reachable from the initial foothold.
+
+    States are numbered in BFS order, ``reachable_observations``' order,
+    and include terminal (objective-reached) ones, whose rows are empty.
+    Each row holds ``exact_transition``'s outcomes in its order, weighted by
+    their probabilities.  More than ``max_obs`` states raise
+    EnumerationBudgetError.
+    """
+    # A state is packed into an int whose bit i is flag i.  A success flips
+    # exactly the effect flag, so its reward is that of flipping it from none.
+    worths = scenario.flag_worths()
+    none = (0,) * scenario.obs_dim
+    laws = []  # per action: the masks it needs, its effect bit, its outcome probabilities and rewards
+    for action, rule in zip(scenario.actions, scenario.rules):
+        effect = tuple(int(i == rule.effect) for i in range(scenario.obs_dim))
+        laws.append((
+            tuple(sum(1 << i for i in need) for need in rule.needs),
+            1 << rule.effect,
+            rule.success_prob,
+            1.0 - rule.success_prob,
+            compute_reward(worths, none, effect, action.cost),
+            compute_reward(worths, none, none, action.cost),
+        ))
+    goal_bit = 1 << scenario.objective_flag
+    start = sum(v << i for i, v in enumerate(scenario.initial_observation()))
+    ids = {start: 0}
+    order = [start]  # grows while the loop walks it: breadth-first
+    row_start = [0]
+    next_state: list[int] = []
+    weight: list[float] = []
+    reward: list[float] = []
+    for s, state in enumerate(order):
+        if state & goal_bit:  # episode over: no outgoing transitions
+            row_start.extend([len(next_state)] * len(laws))
+            continue
+        for needs, bit, p, fail, gain, stay in laws:
+            succ = state | bit
+            if succ != state:
+                for need in needs:
+                    if not state & need:
+                        succ = state  # not eligible: a no-op
+                        break
+            if succ != state:
+                j = ids.get(succ)
+                if j is None:
+                    j = ids[succ] = len(order)
+                    order.append(succ)
+                    if len(order) > max_obs:
+                        raise EnumerationBudgetError(f"more than {max_obs} reachable observations")
+                if p >= 1.0:
+                    next_state.append(j)
+                    weight.append(1.0)
+                    reward.append(gain)
+                else:
+                    next_state += (j, s)
+                    weight += (p, fail)
+                    reward += (gain, stay)
+            else:
+                next_state.append(s)
+                weight.append(1.0)
+                reward.append(stay)
+            row_start.append(len(next_state))
+    dims = range(scenario.obs_dim)
+    return TabularMDP(
+        states=[tuple((state >> i) & 1 for i in dims) for state in order],
+        action_count=len(laws),
+        row_start=np.array(row_start, dtype=np.int64),
+        next_state=np.array(next_state, dtype=np.int64),
+        weight=np.array(weight, dtype=np.float64),
+        reward=np.array(reward, dtype=np.float64),
+        goal=np.array([bool(state & goal_bit) for state in order]),
+        start=0,
+    )
+
+
 def reachable_observations(scenario: Scenario, max_obs: int = 100_000) -> list[Observation]:
     """All observations reachable from the initial foothold, BFS order.
 
     Includes terminal (objective-reached) observations; sources for
     planning are the non-terminal ones.
     """
-    start = scenario.initial_observation()
-    seen = {start}
-    order = [start]
-    frontier = [start]
-    goal_index = scenario.objective_flag
-    while frontier:
-        nxt = []
-        for obs in frontier:
-            if obs[goal_index] == 1:
-                continue  # episode over: no outgoing transitions
-            for action in scenario.actions:
-                for out, _prob in exact_transition(scenario, obs, action):
-                    if out not in seen:
-                        seen.add(out)
-                        if len(seen) > max_obs:
-                            raise EnumerationBudgetError(
-                                f"more than {max_obs} reachable observations"
-                            )
-                        order.append(out)
-                        nxt.append(out)
-        frontier = nxt
-    return order
+    return compile_world(scenario, max_obs).states
 
 
 def _check_objective_reachable(scenario: Scenario) -> None:
