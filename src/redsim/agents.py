@@ -9,10 +9,7 @@ compare against.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -116,23 +113,50 @@ class TrainResult:
     curve: list[CurvePoint] = field(default_factory=list)
     evals: list[tuple[int, float]] = field(default_factory=list)
 
-    def curve_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CURVE_COLUMNS)
-        for p in self.curve:
-            writer.writerow([p.step, p.episode_return, p.episode_length, p.epsilon])
-        return buf.getvalue()
-
-    def save_curve(self, path) -> None:
-        Path(path).write_text(self.curve_csv(), encoding="utf-8")
-
 
 def _greedy_rollouts(env: Env, policy, episodes: int, seed: int) -> float:
     total = 0.0
     for *_, res in rollout(env, lambda obs: greedy_action(policy, obs), episodes, seed):
         total += res.reward
     return total / episodes
+
+
+def epsilon_greedy_steps(env: Env, config: TrainConfig, rng, result: TrainResult, eval_env: Env | None):
+    """The epsilon-greedy training run of ``result.policy`` in ``env``; yields ``(global_step, obs, action, res)``.
+
+    Both learners train through it.  Each action is random with
+    probability ``config.epsilon_at(global_step)``, drawn from ``rng``,
+    and greedy under the policy otherwise.  ``global_step`` counts the steps
+    taken, this one included.  The consumer learns from a step before the
+    generator resumes; then, every ``config.eval_interval`` steps with an
+    ``eval_env``, the greedy mean return over ``config.eval_episodes`` is
+    appended to ``result.evals``, and each finished episode appends its
+    ``CurvePoint`` to ``result.curve``.  The run ends after
+    ``config.episodes`` episodes, or with the first episode to finish at or
+    past ``config.max_env_steps`` steps.
+    """
+    policy = result.policy
+    global_step = 0
+    ep_return = 0.0
+    evaluating = config.eval_interval and eval_env is not None
+
+    def choose(obs) -> int:
+        if rng.random() < config.epsilon_at(global_step):
+            return int(rng.integers(env.action_count))
+        return greedy_action(policy, obs)
+
+    for _, step, obs, action, res in rollout(env, choose, config.episodes, config.seed):
+        ep_return += res.reward
+        global_step += 1
+        yield global_step, obs, action, res
+        if evaluating and global_step % config.eval_interval == 0:
+            eval_seed = derive_seed(config.seed, "eval")
+            result.evals.append((global_step, _greedy_rollouts(eval_env, policy, config.eval_episodes, eval_seed)))
+        if res.done:
+            result.curve.append(CurvePoint(global_step, ep_return, step + 1, config.epsilon_at(global_step)))
+            ep_return = 0.0
+            if config.max_env_steps is not None and global_step >= config.max_env_steps:
+                return
 
 
 def train_q_learning(env: Env, config: TrainConfig, eval_env: Env | None = None) -> TrainResult:
@@ -147,29 +171,10 @@ def train_q_learning(env: Env, config: TrainConfig, eval_env: Env | None = None)
     gamma = config.gamma if config.gamma is not None else env.game.gamma
     alpha = config.learning_rate
     result = TrainResult(policy=q)
-    global_step = 0
-    ep_return = 0.0
-
-    def choose(obs) -> int:
-        if rng.random() < config.epsilon_at(global_step):
-            return int(rng.integers(env.action_count))
-        return greedy_action(q, obs)
-
-    for _, step, obs, action, res in rollout(env, choose, config.episodes, config.seed):
+    for _, obs, action, res in epsilon_greedy_steps(env, config, rng, result, eval_env):
         bootstrap = 0.0 if res.info["goal"] else float(np.max(q.lookup(res.observation)))
         row = q.row(obs)
         row[action] += alpha * (res.reward + gamma * bootstrap - row[action])
-        ep_return += res.reward
-        global_step += 1
-        if config.eval_interval and eval_env is not None and global_step % config.eval_interval == 0:
-            result.evals.append(
-                (global_step, _greedy_rollouts(eval_env, q, config.eval_episodes, derive_seed(config.seed, "eval")))
-            )
-        if res.done:
-            result.curve.append(CurvePoint(global_step, ep_return, step + 1, config.epsilon_at(global_step)))
-            ep_return = 0.0
-            if config.max_env_steps is not None and global_step >= config.max_env_steps:
-                break
     return result
 
 

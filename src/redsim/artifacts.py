@@ -1,13 +1,15 @@
-"""Versioned, checksummed JSON containers for models and policies.
+"""Every output file's writer: checksummed containers, plain JSON and CSV.
 
-Every on-disk artifact is a single JSON document with a format tag, a
-sha256 checksum over the canonical payload encoding and the payload
-itself.  Canonical encoding (sorted keys, no whitespace) also makes
-re-runs byte-identical.
+Models and policies are artifacts: a single JSON document with a format
+tag, a sha256 checksum over the canonical payload encoding and the
+payload itself.  Canonical encoding (sorted keys, no whitespace) also
+makes re-runs byte-identical.  Reports, log manifests, run snapshots and
+curves are plain JSON (``write_json``) or CSV (``write_csv``).
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -40,6 +42,19 @@ def write_artifact(path, format_tag: str, payload) -> None:
         "payload": payload,
     }
     Path(path).write_text(canonical_json(doc) + "\n", encoding="utf-8")
+
+
+def write_json(path, doc) -> None:
+    """``doc`` as JSON with sorted keys, two-space indent and a trailing newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def write_csv(path, columns, rows) -> None:
+    """A header of ``columns``, then one line per dict in ``rows``; a missing key is an empty cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row.get(c, "") for c in columns] for row in rows)
 
 
 def read_artifact(path, format_tag: str):

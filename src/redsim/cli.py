@@ -26,7 +26,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, agents, collect, empirical, evaluate, world
+from . import __version__, agents, artifacts, collect, empirical, evaluate, world
 from .artifacts import ArtifactChecksumError, ArtifactVersionError, sniff_format
 from .dqn import train_dqn
 
@@ -85,16 +85,30 @@ def _out_path(raw: str) -> Path:
     return path
 
 
-def _write_snapshot(out: Path, command: str, resolved: dict) -> None:
+def _write_snapshot(out: Path, args) -> None:
     doc = {
-        "command": command,
-        "resolved": {k: v for k, v in resolved.items() if k not in ("func", "command")},
+        "command": args.command,
+        "resolved": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
         "version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    Path(str(out) + ".run.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    artifacts.write_json(Path(str(out) + ".run.json"), doc)
+
+
+def _write_report(args, doc: dict, columns, rows) -> None:
+    """``doc`` as JSON at ``--out``, ``rows`` as CSV at ``<out>.csv``, and the run snapshot."""
+    out = _out_path(args.out)
+    artifacts.write_json(out, doc)
+    artifacts.write_csv(Path(str(out) + ".csv"), columns, rows)
+    _write_snapshot(out, args)
+
+
+def _world_env(path: str, seed: int, max_steps: int | None) -> world.AttackWorld:
+    """The world of a scenario file, its game horizon replaced by ``max_steps`` when given."""
+    scenario = world.load_scenario(path)
+    if max_steps is not None:
+        scenario = dataclasses.replace(scenario, game=dataclasses.replace(scenario.game, max_steps=max_steps))
+    return world.AttackWorld(scenario, seed=seed)
 
 
 def _make_env(spec: str, seed: int, max_steps: int | None, fallback: str):
@@ -105,10 +119,7 @@ def _make_env(spec: str, seed: int, max_steps: int | None, fallback: str):
             EXIT_USAGE, "bad-env", f"--env must look like world:<scenario> or sim:<model>, got {spec!r}"
         )
     if kind == "world":
-        scenario = world.load_scenario(path)
-        if max_steps is not None:
-            scenario = _with_max_steps(scenario, max_steps)
-        return world.AttackWorld(scenario, seed=seed), "world"
+        return _world_env(path, seed, max_steps), "world"
     model = empirical.load_model(path)
     config = empirical.SimConfig.from_model(model, max_steps=max_steps, fallback=fallback)
     return empirical.EmpiricalSim(model, config, seed=seed), "sim"
@@ -127,20 +138,8 @@ def _cmd_scenario_validate(args) -> int:
     return EXIT_OK
 
 
-def _with_max_steps(scenario: world.Scenario, max_steps: int) -> world.Scenario:
-    game = world.GameConfig(
-        max_steps=max_steps,
-        gamma=scenario.game.gamma,
-        goal_index=scenario.game.goal_index,
-    )
-    return dataclasses.replace(scenario, game=game)
-
-
 def _cmd_collect(args) -> int:
-    scenario = world.load_scenario(args.scenario)
-    if args.max_steps is not None:
-        scenario = _with_max_steps(scenario, args.max_steps)
-    env = world.AttackWorld(scenario, seed=args.seed)
+    env = _world_env(args.scenario, args.seed, args.max_steps)
     if args.policy == "random":
         policy = collect.uniform_random_policy(env.action_count)
     else:
@@ -157,7 +156,7 @@ def _cmd_collect(args) -> int:
         )
     out = _out_path(args.out)
     result = collect.run_collection(env, policy, args.episodes, args.seed, out_path=out)
-    _write_snapshot(out, "collect", vars(args))
+    _write_snapshot(out, args)
     print(f"wrote {result.manifest['total_steps']} steps to {out}")
     return EXIT_OK
 
@@ -166,7 +165,7 @@ def _cmd_build_sim(args) -> int:
     model = empirical.build_model_from_log(args.data)
     out = _out_path(args.out)
     empirical.save_model(model, out)
-    _write_snapshot(out, "build-sim", vars(args))
+    _write_snapshot(out, args)
     print(
         f"wrote model to {out}: {model.pair_support} (obs, action) pairs, "
         f"{model.total_transitions} transitions"
@@ -206,8 +205,8 @@ def _cmd_train(args) -> int:
         obs_dim=env.obs_dim,
         train_config=config,
     )
-    result.save_curve(Path(str(out) + ".curve.csv"))
-    _write_snapshot(out, "train", vars(args))
+    artifacts.write_csv(Path(str(out) + ".curve.csv"), agents.CURVE_COLUMNS, [vars(p) for p in result.curve])
+    _write_snapshot(out, args)
     final = result.curve[-1].episode_return if result.curve else float("nan")
     print(f"wrote policy to {out} ({len(result.curve)} episodes, last return {final})")
     return EXIT_OK
@@ -219,11 +218,8 @@ def _cmd_eval(args) -> int:
     report = evaluate.evaluate_policy(
         env, loaded.policy, args.episodes, args.seed, environment_tag=tag, policy_meta=loaded.meta
     )
-    out = _out_path(args.out)
-    evaluate.write_report_json(report.to_dict(), out)
-    rows = [report.to_dict(include_traces=False)]
-    evaluate.write_report_csv(rows, sorted(rows[0]), Path(str(out) + ".csv"))
-    _write_snapshot(out, "eval", vars(args))
+    row = report.to_dict(include_traces=False)
+    _write_report(args, report.to_dict(), sorted(row), [row])
     print(
         f"{tag}: mean return {report.mean_return:.3f} success rate {report.success_rate:.3f}"
     )
@@ -247,8 +243,6 @@ def _cmd_transfer(args) -> int:
         optimal_return=solution.optimal_return,
         policy_meta=loaded.meta,
     )
-    out = _out_path(args.out)
-    evaluate.write_report_json(report.to_dict(), out)
     flat = {
         "world_mean_return": report.world.mean_return,
         "world_success_rate": report.world.success_rate,
@@ -258,8 +252,7 @@ def _cmd_transfer(args) -> int:
         "world_gap_to_optimal": report.world_gap_to_optimal,
         "coa_agreement": report.coa_agreement if report.coa_agreement is not None else "",
     }
-    evaluate.write_report_csv([flat], sorted(flat), Path(str(out) + ".csv"))
-    _write_snapshot(out, "transfer", vars(args))
+    _write_report(args, report.to_dict(), sorted(flat), [flat])
     print(
         f"world return {report.world.mean_return:.3f} vs optimal "
         f"{report.optimal_return:.3f} (gap {100 * report.world_gap_to_optimal:.2f}%), "
@@ -272,14 +265,11 @@ def _cmd_fidelity(args) -> int:
     scenario = world.load_scenario(args.scenario)
     model = empirical.load_model(args.model)
     report = evaluate.fidelity_report(model, scenario, visit_threshold=args.visit_threshold)
-    out = _out_path(args.out)
-    evaluate.write_report_json(report.to_dict(), out)
     rows = [
         {"obs": "".join(map(str, p.obs)), "action": p.action, "visits": p.visits, "tv_distance": p.tv_distance}
         for p in report.pairs
     ]
-    evaluate.write_report_csv(rows, ("obs", "action", "visits", "tv_distance"), Path(str(out) + ".csv"))
-    _write_snapshot(out, "fidelity", vars(args))
+    _write_report(args, report.to_dict(), ("obs", "action", "visits", "tv_distance"), rows)
     print(
         f"coverage {report.coverage:.3f}, {report.confident_pairs} confident pairs, "
         f"max TV {report.max_tv_confident:.4f}, "
@@ -298,15 +288,9 @@ def _cmd_study_max_steps(args) -> int:
     study = evaluate.max_steps_study(
         model, scenario, values, config, eval_episodes=args.eval_episodes, seed=args.seed
     )
-    out = _out_path(args.out)
-    evaluate.write_report_json(study.to_dict(), out)
-    rows = study.to_dict()["rows"]
-    evaluate.write_report_csv(
-        rows,
-        ("max_steps", "optimal_return", "trained_return", "success_rate", "within_tolerance", "converged"),
-        Path(str(out) + ".csv"),
-    )
-    _write_snapshot(out, "study-max-steps", vars(args))
+    doc = study.to_dict()
+    columns = ("max_steps", "optimal_return", "trained_return", "success_rate", "within_tolerance", "converged")
+    _write_report(args, doc, columns, doc["rows"])
     for row in study.rows:
         print(
             f"max_steps={row.max_steps}: trained {row.trained_return:.3f} vs optimal "
@@ -337,15 +321,7 @@ def _describe_artifact(path: str) -> dict:
             "algorithm": loaded.algorithm,
         }
     # otherwise treat as a transition log
-    report = collect.validate_log(path)
-    manifest = collect.read_manifest(path)
-    if not report.clean:
-        raise CliError(
-            EXIT_DATA,
-            "invalid-log",
-            f"{path}: {len(report.chain_violations)} chain violations, "
-            f"{len(report.step_gaps)} step gaps",
-        )
+    _, report, manifest = collect.read_clean_log(path)
     return {
         "path": path,
         "type": "log",

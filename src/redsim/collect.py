@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
+from . import artifacts
 from .envapi import Env, Observation, derive_seed, rollout
 
 import numpy as np
@@ -114,9 +115,7 @@ def manifest_path(log_path) -> Path:
 
 def write_manifest(manifest: dict, log_path) -> Path:
     path = manifest_path(log_path)
-    path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    artifacts.write_json(path, manifest)
     return path
 
 
@@ -357,6 +356,24 @@ def validate_log(log_path) -> CoverageReport:
     raised, so a tampered line is pinpointed rather than fatal.
     """
     return audit_records(read_log(log_path), log_path)
+
+
+def read_clean_log(log_path) -> tuple[list, CoverageReport, dict]:
+    """The records, audit and manifest of a log that passes its audit.
+
+    The log is parsed once and audited as ``validate_log`` audits it: a
+    log that fails raises LogValidationError, even when its manifest is
+    missing or not JSON.  Only a clean log without a readable manifest
+    raises the manifest's own error.
+    """
+    records = read_log(log_path)
+    report = audit_records(records, log_path)
+    if not report.clean:
+        raise LogValidationError(
+            f"log failed validation: {len(report.chain_violations)} chain violations, "
+            f"{len(report.step_gaps)} step gaps, manifest_consistent={report.manifest_consistent}"
+        )
+    return records, report, read_manifest(log_path)
 
 
 def audit_records(records: list, log_path) -> CoverageReport:

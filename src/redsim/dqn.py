@@ -12,8 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import CurvePoint, TrainConfig, TrainResult, _greedy_rollouts, greedy_action
-from .envapi import Env, derive_seed, rollout
+from .agents import TrainConfig, TrainResult, epsilon_greedy_steps
+from .envapi import Env, derive_seed
+
+# The benchmark's per-layer tracer (perfbench/layers.py) wraps this name here too.
+from .agents import greedy_action  # noqa: F401, E402
 
 
 class TrainingDivergedError(Exception):
@@ -196,20 +199,9 @@ def train_dqn(env: Env, config: TrainConfig, eval_env: Env | None = None) -> Tra
     replay = _Replay(config.replay_capacity, env.obs_dim)
     gamma = config.gamma if config.gamma is not None else env.game.gamma
     result = TrainResult(policy=net)
-    global_step = 0
     learn_steps = 0
-    ep_return = 0.0
-
-    def choose(obs) -> int:
-        if rng.random() < config.epsilon_at(global_step):
-            return int(rng.integers(env.action_count))
-        return greedy_action(net, obs)
-
-    for _, step, obs, action, res in rollout(env, choose, config.episodes, config.seed):
+    for global_step, obs, action, res in epsilon_greedy_steps(env, config, rng, result, eval_env):
         replay.push(obs, action, res.reward, res.observation, res.info["goal"])
-        ep_return += res.reward
-        global_step += 1
-
         if replay.size >= config.batch_size:
             b_obs, b_act, b_rew, b_next, b_goal = replay.sample(config.batch_size, rng)
             next_q = target.forward(b_next).max(axis=1)
@@ -221,17 +213,4 @@ def train_dqn(env: Env, config: TrainConfig, eval_env: Env | None = None) -> Tra
             learn_steps += 1
             if learn_steps % config.target_sync_interval == 0:
                 target = net.copy()
-
-        if config.eval_interval and eval_env is not None and global_step % config.eval_interval == 0:
-            result.evals.append(
-                (
-                    global_step,
-                    _greedy_rollouts(eval_env, net, config.eval_episodes, derive_seed(config.seed, "eval")),
-                )
-            )
-        if res.done:
-            result.curve.append(CurvePoint(global_step, ep_return, step + 1, config.epsilon_at(global_step)))
-            ep_return = 0.0
-            if config.max_env_steps is not None and global_step >= config.max_env_steps:
-                break
     return result

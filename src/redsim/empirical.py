@@ -213,21 +213,8 @@ def build_model(
 
 
 def build_model_from_log(log_path) -> EmpiricalModel:
-    """Build from a JSONL log that passes its audit, taking dimensions and defaults from its manifest.
-
-    The log is parsed once and audited as ``validate_log`` audits it: a
-    log that fails raises LogValidationError, even when its manifest is
-    missing or not JSON.  Only a clean log without a readable manifest
-    raises the manifest's own error.
-    """
-    records = collect.read_log(log_path)
-    report = collect.audit_records(records, log_path)
-    if not report.clean:
-        raise collect.LogValidationError(
-            f"log failed validation: {len(report.chain_violations)} chain violations, "
-            f"{len(report.step_gaps)} step gaps, manifest_consistent={report.manifest_consistent}"
-        )
-    manifest = collect.read_manifest(log_path)
+    """Build from a log that ``collect.read_clean_log`` accepts, taking dimensions and defaults from its manifest."""
+    records, _, manifest = collect.read_clean_log(log_path)
     metadata = {
         "reward": manifest.get("reward"),
         "game": manifest.get("game"),
@@ -427,6 +414,8 @@ class EmpiricalSim(Env):
         self.obs_dim = model.obs_dim
         self.action_count = model.action_count
         self.fingerprint = model.fingerprint
+        self.flag_worths = config.flag_worths
+        self.action_costs = config.action_costs
         mdp = compile_model(model, config)
         self._states = mdp.states
         self._start = mdp.start
@@ -458,19 +447,3 @@ class EmpiricalSim(Env):
         entry = bisect_right(cumulative, base + draw, lo + 1, hi + 1) - 1
         self._state = next_state = self._next_state[entry]
         return self._states[next_state], self._reward[entry], {"action_success": next_state != state}
-
-    def metadata(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "obs_dim": self.obs_dim,
-            "action_count": self.action_count,
-            "reward": {
-                "flag_worths": list(self.config.flag_worths),
-                "action_costs": list(self.config.action_costs),
-            },
-            "game": {
-                "max_steps": self.game.max_steps,
-                "gamma": self.game.gamma,
-                "goal_index": self.game.goal_index,
-            },
-        }

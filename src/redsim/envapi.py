@@ -137,6 +137,8 @@ class Env(ABC):
     obs_dim: int
     action_count: int
     fingerprint: str
+    flag_worths: tuple[float, ...]
+    action_costs: tuple[float, ...]
 
     def __init__(self, game: GameConfig, seed: int = 0):
         self.game = game
@@ -186,14 +188,22 @@ class Env(ABC):
         ``info`` must contain at least ``action_success``.
         """
 
-    @abstractmethod
     def metadata(self) -> dict:
         """Provenance and default-game metadata recorded into manifests.
 
-        Must contain ``fingerprint``, ``obs_dim``, ``action_count``,
-        ``reward`` (``flag_worths``, ``action_costs``) and ``game``
-        (``max_steps``, ``gamma``, ``goal_index``).
+        Read from the attributes each environment sets in its constructor.
         """
+        return {
+            "fingerprint": self.fingerprint,
+            "obs_dim": self.obs_dim,
+            "action_count": self.action_count,
+            "reward": {"flag_worths": list(self.flag_worths), "action_costs": list(self.action_costs)},
+            "game": {
+                "max_steps": self.game.max_steps,
+                "gamma": self.game.gamma,
+                "goal_index": self.game.goal_index,
+            },
+        }
 
 
 def rollout(env: Env, choose, episodes: int, seed: int):

@@ -2,16 +2,12 @@
 
 Everything here is read-only with respect to policies and models: rollouts
 are greedy (no exploration, no learning) and reports are plain values that
-export to JSON and CSV for external plotting.
+the CLI exports to JSON and CSV for external plotting.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -365,23 +361,3 @@ def max_steps_study(
         rows=rows,
     )
 
-
-# --- report export -------------------------------------------------------------
-
-def write_report_json(doc: dict, path) -> None:
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def rows_to_csv(rows: list[dict], columns) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row.get(c, "") for c in columns])
-    return buf.getvalue()
-
-
-def write_report_csv(rows: list[dict], columns, path) -> None:
-    Path(path).write_text(rows_to_csv(rows, columns), encoding="utf-8")

@@ -414,7 +414,8 @@ class AttackWorld(Env):
         self.obs_dim = scenario.obs_dim
         self.action_count = len(scenario.actions)
         self.fingerprint = scenario.fingerprint
-        self._worths = scenario.flag_worths()
+        self.flag_worths = scenario.flag_worths()
+        self.action_costs = scenario.action_costs()
         self._latency_s = scenario.step_latency_ms / 1000.0
         self._flags = scenario.initial_observation()
 
@@ -433,7 +434,7 @@ class AttackWorld(Env):
         else:
             success = False
             next_flags = flags
-        reward = compute_reward(self._worths, flags, next_flags, spec.cost)
+        reward = compute_reward(self.flag_worths, flags, next_flags, spec.cost)
         self._flags = next_flags
         return next_flags, reward, {"action_success": success}
 
@@ -444,22 +445,6 @@ class AttackWorld(Env):
         self._flags = tuple(int(v) for v in flags)
         self._steps = 0
         self._done = False
-
-    def metadata(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "obs_dim": self.obs_dim,
-            "action_count": self.action_count,
-            "reward": {
-                "flag_worths": list(self._worths),
-                "action_costs": list(self.scenario.action_costs()),
-            },
-            "game": {
-                "max_steps": self.game.max_steps,
-                "gamma": self.game.gamma,
-                "goal_index": self.game.goal_index,
-            },
-        }
 
 
 # --- exhaustive enumeration ----------------------------------------------

@@ -11,7 +11,7 @@ from redsim import agents, artifacts, collect, presets, world
 from redsim.cli import EXIT_ARTIFACT, main
 from redsim.agents import QTable, TrainConfig, greedy_action, train_q_learning, value_iteration
 from redsim.collect import TransitionRecord
-from redsim.dqn import DqnNet
+from redsim.dqn import DqnNet, train_dqn
 from redsim.empirical import EmpiricalSim, SimConfig, build_model
 from redsim.envapi import GameConfig, compute_reward
 
@@ -194,12 +194,35 @@ def test_policy_round_trip_q_table(tmp_path, desk5_model):
         assert np.array_equal(loaded.policy.values[key], row)
 
 
-def test_curve_csv_columns(desk5_model):
+def test_curve_csv_columns(tmp_path, desk5_model):
     sim = EmpiricalSim(desk5_model, seed=4)
     result = train_q_learning(sim, TrainConfig(episodes=5, seed=4))
-    lines = result.curve_csv().splitlines()
+    artifacts.write_csv(tmp_path / "curve.csv", agents.CURVE_COLUMNS, [vars(p) for p in result.curve])
+    lines = (tmp_path / "curve.csv").read_text().splitlines()
     assert lines[0] == "step,episode_return,episode_length,epsilon"
     assert len(lines) == 6
+
+
+_DQN_SMALL = {"hidden_sizes": (8,), "batch_size": 4, "target_sync_interval": 20}
+
+
+@pytest.mark.parametrize("trainer, extra", [(train_q_learning, {}), (train_dqn, _DQN_SMALL)], ids=["q", "dqn"])
+@pytest.mark.parametrize("max_env_steps", [1, 37, 250])
+def test_training_stops_after_the_episode_that_reaches_max_env_steps(desk5_model, trainer, extra, max_env_steps):
+    sim = EmpiricalSim(desk5_model, seed=2)
+    config = TrainConfig(episodes=10_000, seed=3, max_env_steps=max_env_steps, **extra)
+    curve = trainer(sim, config).curve
+    assert curve[-1].step >= max_env_steps
+    assert len(curve) == 1 or curve[-2].step < max_env_steps
+
+
+def test_q_learning_evaluates_once_at_each_multiple_of_eval_interval(desk5_model):
+    config = TrainConfig(episodes=40, seed=6, eval_interval=25, eval_episodes=3)
+    result = train_q_learning(EmpiricalSim(desk5_model, seed=1), config, eval_env=EmpiricalSim(desk5_model, seed=2))
+    total_steps = result.curve[-1].step
+    assert [step for step, _ in result.evals] == list(range(25, total_steps + 1, 25))
+    assert all(np.isfinite(ret) for _, ret in result.evals)
+    assert train_q_learning(EmpiricalSim(desk5_model, seed=1), config).evals == []
 
 
 def _saved(tmp_path, policy):

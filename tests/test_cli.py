@@ -417,6 +417,7 @@ def test_build_sim_exit_codes(scenario_file, tmp_path, edit_log, edit_manifest, 
         edit_manifest(doc)
         manifest.write_text(json.dumps(doc))
     assert main(["build-sim", "--data", str(data), "--out", str(tmp_path / "m")]) == code
+    assert main(["stats", str(data)]) == code
 
 
 

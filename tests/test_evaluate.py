@@ -7,7 +7,7 @@ from math import comb, fsum
 import numpy as np
 import pytest
 
-from redsim import collect, empirical, evaluate, presets, world
+from redsim import artifacts, collect, empirical, evaluate, presets, world
 from redsim.cli import EXIT_OK, main
 from redsim.agents import QTable, TrainConfig, train_q_learning, value_iteration
 from redsim.empirical import EmpiricalSim, build_model, merge_models
@@ -280,11 +280,11 @@ def test_report_exports(tmp_path, det3, desk5_solution):
         env, _PlanPolicy(solution.policy, env.action_count), 5, 1, "world"
     )
     json_path = tmp_path / "r.json"
-    evaluate.write_report_json(report.to_dict(), json_path)
+    artifacts.write_json(json_path, report.to_dict())
     assert json_path.exists()
     rows = [report.to_dict(include_traces=False)]
     csv_path = tmp_path / "r.csv"
-    evaluate.write_report_csv(rows, sorted(rows[0]), csv_path)
+    artifacts.write_csv(csv_path, sorted(rows[0]), rows)
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 2
     assert "mean_return" in lines[0]
