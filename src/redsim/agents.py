@@ -9,6 +9,7 @@ compare against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -50,17 +51,23 @@ class TrainConfig:
     eval_episodes: int = 20
 
     def __post_init__(self):
-        if self.episodes < 1:
-            raise ValueError("episodes must be >= 1")
+        for name in ("episodes", "epsilon_decay_steps", "replay_capacity", "batch_size",
+                     "target_sync_interval", "eval_episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.max_env_steps is not None and self.max_env_steps < 1:
+            raise ValueError("max_env_steps must be >= 1 or None")
+        if self.eval_interval < 0:
+            raise ValueError("eval_interval must be >= 0 (0: no evaluation)")
+        if any(size < 1 for size in self.hidden_sizes):
+            raise ValueError("hidden_sizes must be >= 1 each")
         if self.gamma is not None and not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
         for name in ("epsilon_start", "epsilon_end"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.epsilon_decay_steps < 1:
-            raise ValueError("epsilon_decay_steps must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails every comparison
+            raise ValueError("learning_rate must be positive and finite")
 
     def epsilon_at(self, step: int) -> float:
         frac = min(1.0, step / self.epsilon_decay_steps)
@@ -74,7 +81,7 @@ class QTable:
         self.action_count = int(action_count)
         self.values: dict[Observation, np.ndarray] = {}
 
-    def lookup(self, obs: Observation) -> np.ndarray:
+    def action_values(self, obs: Observation) -> np.ndarray:
         row = self.values.get(obs)
         if row is None:
             return np.zeros(self.action_count)
@@ -91,12 +98,8 @@ class QTable:
 
 
 def greedy_action(policy, obs) -> int:
-    """Argmax over action values; ties break to the lowest action index."""
-    if isinstance(policy, QTable):
-        values = policy.lookup(obs)
-    else:
-        values = policy.action_values(obs)
-    return int(np.argmax(values))
+    """Argmax over ``policy.action_values(obs)``; ties break to the lowest action index."""
+    return int(np.argmax(policy.action_values(obs)))
 
 
 @dataclass
@@ -172,7 +175,7 @@ def train_q_learning(env: Env, config: TrainConfig, eval_env: Env | None = None)
     alpha = config.learning_rate
     result = TrainResult(policy=q)
     for _, obs, action, res in epsilon_greedy_steps(env, config, rng, result, eval_env):
-        bootstrap = 0.0 if res.info["goal"] else float(np.max(q.lookup(res.observation)))
+        bootstrap = 0.0 if res.info["goal"] else float(np.max(q.action_values(res.observation)))
         row = q.row(obs)
         row[action] += alpha * (res.reward + gamma * bootstrap - row[action])
     return result
@@ -190,16 +193,21 @@ class ValueSolution:
     residual: float
 
 
-def _solve_tabular(mdp: TabularMDP, rows, next_state, prob, reward, gamma, horizon, tol) -> ValueSolution:
-    """Backward induction over entries ``(row, next_state, prob, reward)`` of ``mdp``'s rows.
+# The backup residual below which value iteration stops early.
+VALUE_TOL = 1e-9
+
+
+def _solve_tabular(mdp: TabularMDP, prob, gamma, horizon) -> ValueSolution:
+    """Backward induction over ``mdp``'s entries, entry ``e`` taken with probability ``prob[e]``.
 
     Runs at most ``horizon`` backups and stops early once the backup residual
-    drops below ``tol`` (the values have then reached the fixed point, so a
+    drops below ``VALUE_TOL`` (the values have then reached the fixed point, so a
     longer horizon cannot change them by more than the residual).  Goal
     states are worth 0 and get no policy entry.
     """
     states, n = mdp.states, len(mdp.states)
     shape = (n, mdp.action_count)
+    rows, next_state, reward = mdp.entry_rows(), mdp.next_state, mdp.reward
 
     def backup(values):
         # bincount adds each row's entries in order, as a sequential sum would
@@ -214,7 +222,7 @@ def _solve_tabular(mdp: TabularMDP, rows, next_state, prob, reward, gamma, horiz
         iterations += 1
         residual = float(np.max(np.abs(new_values - values)))
         values = new_values
-        if residual < tol:
+        if residual < VALUE_TOL:
             break
     greedy = backup(values).argmax(axis=1)
     return ValueSolution(
@@ -227,48 +235,30 @@ def _solve_tabular(mdp: TabularMDP, rows, next_state, prob, reward, gamma, horiz
     )
 
 
-def value_iteration(
-    scenario: Scenario,
-    gamma: float | None = None,
-    horizon: int | None = None,
-    tol: float = 1e-9,
-    max_obs: int = 100_000,
-) -> ValueSolution:
-    """Optimal expected return over the exact world dynamics.
+def value_iteration(scenario: Scenario, horizon: int | None = None) -> ValueSolution:
+    """Optimal expected return over the exact world dynamics, discounted by the scenario's gamma.
 
     The horizon defaults to the scenario's max_steps; when it is large the
     backups converge first and the early-stop makes this the infinite-
     horizon fixed point.
     """
-    gamma = scenario.game.gamma if gamma is None else gamma
     horizon = scenario.game.max_steps if horizon is None else horizon
-    mdp = compile_world(scenario, max_obs=max_obs)
-    return _solve_tabular(mdp, mdp.entry_rows(), mdp.next_state, mdp.weight, mdp.reward, gamma, horizon, tol)
+    mdp = compile_world(scenario)
+    return _solve_tabular(mdp, mdp.weight, scenario.game.gamma, horizon)
 
 
-def value_iteration_model(model, config, tol: float = 1e-9, horizon: int | None = None) -> ValueSolution:
+def value_iteration_model(model, config, horizon: int | None = None) -> ValueSolution:
     """Value iteration on the empirical model itself (not the world).
 
-    Unseen (obs, action) pairs follow the sim's self-transition fallback, so
-    the planned MDP is exactly the MDP the sim executes.
+    It plans over the table the sim steps through, unseen pairs' fallback
+    entries included, so the planned MDP is exactly the MDP the sim executes.
     """
     if config.fallback != FALLBACK_SELF:
         raise ValueError("model planning requires the self-transition fallback")
     horizon = config.game.max_steps if horizon is None else horizon
     mdp = compile_model(model, config)
     rows = mdp.entry_rows()
-    totals = np.bincount(rows, mdp.weight, len(mdp.row_start) - 1)
-    unseen = np.flatnonzero(totals == 0)  # each gets one self-transition entry at -cost
-    return _solve_tabular(
-        mdp,
-        np.concatenate((rows, unseen)),
-        np.concatenate((mdp.next_state, unseen // mdp.action_count)),
-        np.concatenate((mdp.weight / totals[rows], np.ones(len(unseen)))),
-        np.concatenate((mdp.reward, -np.asarray(config.action_costs, dtype=np.float64)[unseen % mdp.action_count])),
-        config.game.gamma,
-        horizon,
-        tol,
-    )
+    return _solve_tabular(mdp, mdp.weight / np.bincount(rows, mdp.weight)[rows], config.game.gamma, horizon)
 
 
 # --- persistence -------------------------------------------------------------

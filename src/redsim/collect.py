@@ -253,7 +253,7 @@ def run_collection(
                 next_obs=res.observation,
                 reward=res.reward,
                 done=res.done,
-                action_success=bool(res.info.get("action_success", False)),
+                action_success=res.info["action_success"],
             )
         )
 
@@ -355,7 +355,7 @@ def validate_log(log_path) -> CoverageReport:
     (broken observation chains, step numbering gaps) are reported, not
     raised, so a tampered line is pinpointed rather than fatal.
     """
-    return audit_records(read_log(log_path), log_path)
+    return audit_records(read_log(log_path), log_path, _manifest_or_error(log_path)[0])
 
 
 def read_clean_log(log_path) -> tuple[list, CoverageReport, dict]:
@@ -364,32 +364,39 @@ def read_clean_log(log_path) -> tuple[list, CoverageReport, dict]:
     The log is parsed once and audited as ``validate_log`` audits it: a
     log that fails raises LogValidationError, even when its manifest is
     missing or not JSON.  Only a clean log without a readable manifest
-    raises the manifest's own error.
+    raises the manifest's own error.  The manifest is read once.
     """
     records = read_log(log_path)
-    report = audit_records(records, log_path)
+    manifest, error = _manifest_or_error(log_path)
+    report = audit_records(records, log_path, manifest)
     if not report.clean:
         raise LogValidationError(
             f"log failed validation: {len(report.chain_violations)} chain violations, "
             f"{len(report.step_gaps)} step gaps, manifest_consistent={report.manifest_consistent}"
         )
-    return records, report, read_manifest(log_path)
+    if error is not None:
+        raise error
+    return records, report, manifest
 
 
-def audit_records(records: list, log_path) -> CoverageReport:
+def _manifest_or_error(log_path) -> tuple[dict | None, Exception | None]:
+    """``(manifest, None)``, or ``(None, error)`` when the manifest is missing, unreadable or not JSON."""
+    try:
+        return read_manifest(log_path), None
+    except (OSError, json.JSONDecodeError) as exc:
+        return None, exc
+
+
+def audit_records(records: list, log_path, manifest: dict | None) -> CoverageReport:
     """The audit behind ``validate_log``, on records already parsed from ``log_path``.
 
-    A manifest of another format, or one ``read_manifest`` rejects, raises;
-    a missing, unreadable or non-JSON one leaves only the manifest checks
-    out, so chain and step errors outrank it.  With a manifest, records whose action lies
+    ``manifest`` is the log's manifest, or None when it is missing,
+    unreadable or not JSON, which leaves only the manifest checks out, so
+    chain and step errors outrank it.  With a manifest, records whose action lies
     outside ``0..action_count-1``, or whose observations differ from
     ``obs_dim`` in length or hold values outside ``0..255``, raise
     LogValidationError naming their 1-based line numbers in ``log_path``.
     """
-    try:
-        manifest = read_manifest(log_path)
-    except (OSError, json.JSONDecodeError):
-        manifest = None
     observations: set[Observation] = set()
     pairs: set[tuple[Observation, int]] = set()
     per_action: dict[int, int] = {}

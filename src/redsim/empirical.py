@@ -270,8 +270,8 @@ def load_model(path) -> EmpiricalModel:
     return EmpiricalModel.from_payload(artifacts.read_artifact(path, MODEL_FORMAT))
 
 
-def model_stats(model: EmpiricalModel, thresholds=(1, 10, 200)) -> dict:
-    """Support and visit-count statistics; sparse support predicts erratic sims."""
+def model_stats(model: EmpiricalModel) -> dict:
+    """Support and visit-count statistics at thresholds 1, 10 and 200; sparse support predicts erratic sims."""
     visit_counts = sorted(sum(v.values()) for v in model.counts.values())
     histogram: dict[str, int] = {}
     for count in visit_counts:
@@ -281,7 +281,7 @@ def model_stats(model: EmpiricalModel, thresholds=(1, 10, 200)) -> dict:
     support = len(visit_counts)
     fraction_at_least = {
         int(k): (sum(1 for c in visit_counts if c >= k) / support if support else 0.0)
-        for k in thresholds
+        for k in (1, 10, 200)
     }
     return {
         "observations_seen": len(model.observations()),
@@ -317,26 +317,17 @@ class SimConfig:
 
     @classmethod
     def from_model(
-        cls,
-        model: EmpiricalModel,
-        max_steps: int | None = None,
-        gamma: float | None = None,
-        fallback: str = FALLBACK_SELF,
-        flag_worths=None,
-        action_costs=None,
+        cls, model: EmpiricalModel, max_steps: int | None = None, fallback: str = FALLBACK_SELF
     ) -> "SimConfig":
-        """Defaults from the model's recorded manifest, with per-game overrides."""
+        """The game and rewards the model's manifest recorded, with ``max_steps`` replacing its horizon when given."""
         reward_meta = model.metadata.get("reward") or {}
         game_meta = model.metadata.get("game") or {}
-        worths = flag_worths if flag_worths is not None else reward_meta.get("flag_worths")
-        costs = action_costs if action_costs is not None else reward_meta.get("action_costs")
+        worths, costs = reward_meta.get("flag_worths"), reward_meta.get("action_costs")
         if worths is None or costs is None:
-            raise ModelError(
-                "model carries no reward defaults; pass flag_worths and action_costs"
-            )
+            raise ModelError("model carries no reward defaults; build a SimConfig with them")
         game = GameConfig(
             max_steps=int(max_steps if max_steps is not None else game_meta.get("max_steps", 100)),
-            gamma=float(gamma if gamma is not None else game_meta.get("gamma", 1.0)),
+            gamma=float(game_meta.get("gamma", 1.0)),
             goal_index=int(game_meta.get("goal_index", -1)),
         )
         return cls(
@@ -348,31 +339,35 @@ class SimConfig:
 
 
 def compile_model(model: EmpiricalModel, config: SimConfig) -> TabularMDP:
-    """The model's law under ``config``'s rewards and goal, over its observations in sorted order.
+    """The model's law under ``config``'s rewards, goal and fallback, over its observations in sorted order.
 
     Each row holds the outcome counts of one (observation, action) pair in
-    sorted-observation order; a pair the data never saw has an empty row.
+    sorted-observation order.  A pair the data never saw gets, under the
+    self-transition fallback, one entry back to its own state with weight 1
+    at ``-cost``; under reject-action its row stays empty.
     """
     states = sorted(model.observations())
     index = {obs: i for i, obs in enumerate(states)}
     worths, costs = config.flag_worths, config.action_costs
     unchanged = (0,) * model.obs_dim
     stay = [compute_reward(worths, unchanged, unchanged, cost) for cost in costs]
-    lengths = [0] * (len(states) * model.action_count)
+    self_fallback = config.fallback == FALLBACK_SELF
+    row_start = [0]
     next_state: list[int] = []
     weight: list[int] = []
     reward: list[float] = []
-    for row, obs, action in sorted((index[obs] * model.action_count + a, obs, a) for obs, a in model.counts):
-        outcomes = sorted(model.counts[obs, action].items())
-        lengths[row] = len(outcomes)
-        for next_obs, count in outcomes:
-            next_state.append(index[next_obs])
-            weight.append(count)
-            reward.append(stay[action] if next_obs == obs else compute_reward(worths, obs, next_obs, costs[action]))
+    for obs in states:
+        for action in range(model.action_count):
+            outcomes = model.counts.get((obs, action)) or ({obs: 1} if self_fallback else {})
+            for next_obs, count in sorted(outcomes.items()):
+                next_state.append(index[next_obs])
+                weight.append(count)
+                reward.append(stay[action] if next_obs == obs else compute_reward(worths, obs, next_obs, costs[action]))
+            row_start.append(len(next_state))
     return TabularMDP(
         states=states,
         action_count=model.action_count,
-        row_start=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        row_start=np.array(row_start, dtype=np.int64),
         next_state=np.array(next_state, dtype=np.int64),
         weight=np.array(weight, dtype=np.int64),
         reward=np.array(reward, dtype=np.float64),
@@ -389,8 +384,8 @@ class EmpiricalSim(Env):
     so no floating-point normalisation error ever enters the dynamics.  The
     sim steps by state id through the model's compiled table.
 
-    ``info['action_success']`` reports whether the observation changed,
-    which is all the model can know about an action's outcome.
+    A step reports ``action_success`` when the observation changed, which
+    is all the model can know about an action's outcome.
     """
 
     def __init__(self, model: EmpiricalModel, config: SimConfig | None = None, seed: int = 0):
@@ -435,15 +430,12 @@ class EmpiricalSim(Env):
         row = state * self.action_count + action
         lo, hi = self._row_start[row], self._row_start[row + 1]
         if lo == hi:
-            if self.config.fallback == FALLBACK_REJECT:
-                raise NoDataError(
-                    f"no data for observation {self._states[state]} action {action} "
-                    "(fallback mode reject-action)"
-                )
-            return self._states[state], -self.config.action_costs[action], {"action_success": False}
+            raise NoDataError(
+                f"no data for observation {self._states[state]} action {action} (fallback mode reject-action)"
+            )
         cumulative = self._cumulative
         base = cumulative[lo]
         draw = int(self._rng.integers(cumulative[hi] - base))
         entry = bisect_right(cumulative, base + draw, lo + 1, hi + 1) - 1
         self._state = next_state = self._next_state[entry]
-        return self._states[next_state], self._reward[entry], {"action_success": next_state != state}
+        return self._states[next_state], self._reward[entry], next_state != state

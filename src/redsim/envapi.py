@@ -103,9 +103,11 @@ class TabularMDP:
     its entries ``row_start[r]:row_start[r + 1]`` name each next-state id in
     ``next_state``, its ``weight`` (a probability for the world law, a
     positive integer count for a model) and the ``reward`` of that
-    transition, which is what ``compute_reward`` returns for it.  An empty
-    model row is a pair the data never saw.  ``goal`` marks the states where
-    an episode ends and ``start`` is the id every episode starts from.
+    transition, which is what ``compute_reward`` returns for it.  A model row
+    of a pair the data never saw holds, under the self-transition fallback,
+    one entry back to its own state with weight 1 and reward ``-cost``; under
+    reject-action it is empty.  ``goal`` marks the states where an episode
+    ends and ``start`` is the id every episode starts from.
     """
 
     states: list[Observation]
@@ -167,14 +169,12 @@ class Env(ABC):
             raise InvalidActionError(
                 f"action {action} outside [0, {self.action_count})"
             )
-        next_obs, reward, info = self._apply_action(action)
+        next_obs, reward, action_success = self._apply_action(action)
         self._steps += 1
         goal = self.game.is_goal(next_obs)
         truncated = not goal and self._steps >= self.game.max_steps
         self._done = goal or truncated
-        info = dict(info)
-        info["goal"] = goal
-        info["truncated"] = truncated
+        info = {"action_success": action_success, "goal": goal, "truncated": truncated}
         return StepResult(next_obs, float(reward), self._done, info)
 
     @abstractmethod
@@ -182,11 +182,8 @@ class Env(ABC):
         """Return the initial observation for a fresh episode."""
 
     @abstractmethod
-    def _apply_action(self, action: int) -> tuple[Observation, float, dict]:
-        """Advance the internal state; return (next_obs, reward, info).
-
-        ``info`` must contain at least ``action_success``.
-        """
+    def _apply_action(self, action: int) -> tuple[Observation, float, bool]:
+        """Advance the internal state; return (next_obs, reward, action_success)."""
 
     def metadata(self) -> dict:
         """Provenance and default-game metadata recorded into manifests.

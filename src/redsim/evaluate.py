@@ -248,7 +248,6 @@ def fidelity_report(
     model: EmpiricalModel,
     scenario: Scenario,
     visit_threshold: int = 200,
-    max_obs: int = 100_000,
 ) -> FidelityReport:
     """Total-variation distance between the model and the exact world law.
 
@@ -257,7 +256,7 @@ def fidelity_report(
     below it (including never-visited pairs) counts as low-confidence.
     """
     _check_source(model.fingerprint, scenario.fingerprint)
-    law = compile_world(scenario, max_obs=max_obs)
+    law = compile_world(scenario)
     states, actions = law.states, law.action_count
     row_start, next_state, weight = law.row_start.tolist(), law.next_state.tolist(), law.weight.tolist()
     sources = np.flatnonzero(~law.goal).tolist()
@@ -294,6 +293,10 @@ def fidelity_report(
 
 # --- game design study --------------------------------------------------------
 
+# The gap to the optimum, relative to max(1, |optimum|), within which a horizon converges.
+STUDY_TOLERANCE = 0.05
+
+
 @dataclass
 class HorizonOutcome:
     max_steps: int
@@ -323,15 +326,14 @@ def max_steps_study(
     train_config: TrainConfig,
     eval_episodes: int = 300,
     seed: int = 0,
-    tolerance: float = 0.05,
 ) -> MaxStepsStudy:
     """Train one agent per game horizon on the same model, re-gaming the sim.
 
-    Convergence means the trained greedy return lands within ``tolerance``
-    of the horizon-adjusted value-iteration optimum AND the goal is actually
-    reached; a horizon too short for any success path is reported as
-    non-converged even though its (purely negative) optimum is trivially
-    matched.
+    Convergence means the trained greedy return lands within
+    ``STUDY_TOLERANCE`` of the horizon-adjusted value-iteration optimum AND
+    the goal is actually reached; a horizon too short for any success path
+    is reported as non-converged even though its (purely negative) optimum
+    is trivially matched.
     """
     _check_source(model.fingerprint, scenario.fingerprint)
     rows = []
@@ -342,7 +344,7 @@ def max_steps_study(
         eval_sim = EmpiricalSim(model, config, seed=seed)
         report = evaluate_policy(eval_sim, result.policy, eval_episodes, seed, "sim")
         solution = value_iteration(scenario, horizon=max_steps)
-        within = abs(report.mean_return - solution.optimal_return) <= tolerance * max(
+        within = abs(report.mean_return - solution.optimal_return) <= STUDY_TOLERANCE * max(
             1.0, abs(solution.optimal_return)
         )
         rows.append(
@@ -357,7 +359,7 @@ def max_steps_study(
         )
     return MaxStepsStudy(
         shortest_path=shortest_success_path(scenario),
-        tolerance=tolerance,
+        tolerance=STUDY_TOLERANCE,
         rows=rows,
     )
 

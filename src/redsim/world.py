@@ -37,6 +37,9 @@ from .envapi import (
 
 ACTION_KINDS = ("scan", "exploit_user", "escalate_root", "objective")
 
+# The most observations an exhaustive enumeration of a scenario may reach.
+MAX_OBS = 100_000
+
 
 class ScenarioError(Exception):
     """Base class for scenario definition problems."""
@@ -436,7 +439,7 @@ class AttackWorld(Env):
             next_flags = flags
         reward = compute_reward(self.flag_worths, flags, next_flags, spec.cost)
         self._flags = next_flags
-        return next_flags, reward, {"action_success": success}
+        return next_flags, reward, success
 
     def set_state(self, flags) -> None:
         """Teleport to a state and reopen the episode (tests, checkpointing)."""
@@ -449,13 +452,13 @@ class AttackWorld(Env):
 
 # --- exhaustive enumeration ----------------------------------------------
 
-def compile_world(scenario: Scenario, max_obs: int = 100_000) -> TabularMDP:
+def compile_world(scenario: Scenario) -> TabularMDP:
     """The exact world law over every observation reachable from the initial foothold.
 
     States are numbered in BFS order, ``reachable_observations``' order,
     and include terminal (objective-reached) ones, whose rows are empty.
     Each row holds ``exact_transition``'s outcomes in its order, weighted by
-    their probabilities.  More than ``max_obs`` states raise
+    their probabilities.  More than ``MAX_OBS`` states raise
     EnumerationBudgetError.
     """
     # A state is packed into an int whose bit i is flag i.  A success flips
@@ -497,8 +500,8 @@ def compile_world(scenario: Scenario, max_obs: int = 100_000) -> TabularMDP:
                 if j is None:
                     j = ids[succ] = len(order)
                     order.append(succ)
-                    if len(order) > max_obs:
-                        raise EnumerationBudgetError(f"more than {max_obs} reachable observations")
+                    if len(order) > MAX_OBS:
+                        raise EnumerationBudgetError(f"more than {MAX_OBS} reachable observations")
                 if p >= 1.0:
                     next_state.append(j)
                     weight.append(1.0)
@@ -525,13 +528,13 @@ def compile_world(scenario: Scenario, max_obs: int = 100_000) -> TabularMDP:
     )
 
 
-def reachable_observations(scenario: Scenario, max_obs: int = 100_000) -> list[Observation]:
+def reachable_observations(scenario: Scenario) -> list[Observation]:
     """All observations reachable from the initial foothold, BFS order.
 
     Includes terminal (objective-reached) observations; sources for
     planning are the non-terminal ones.
     """
-    return compile_world(scenario, max_obs).states
+    return compile_world(scenario).states
 
 
 def _check_objective_reachable(scenario: Scenario) -> None:
@@ -542,7 +545,7 @@ def _check_objective_reachable(scenario: Scenario) -> None:
         )
 
 
-def shortest_success_path(scenario: Scenario, max_obs: int = 100_000) -> int | None:
+def shortest_success_path(scenario: Scenario) -> int | None:
     """Minimum number of actions to set the objective flag, all outcomes favourable.
 
     Returns None when the objective is unreachable.
@@ -564,10 +567,8 @@ def shortest_success_path(scenario: Scenario, max_obs: int = 100_000) -> int | N
                     return depth
                 if out not in seen:
                     seen.add(out)
-                    if len(seen) > max_obs:
-                        raise EnumerationBudgetError(
-                            f"more than {max_obs} reachable observations"
-                        )
+                    if len(seen) > MAX_OBS:
+                        raise EnumerationBudgetError(f"more than {MAX_OBS} reachable observations")
                     nxt.append(out)
         frontier = nxt
     return None

@@ -135,9 +135,10 @@ def test_value_iteration_horizon_below_path_is_pure_cost(desk5):
     assert shorter.optimal_return == pytest.approx(-3.0, abs=1e-9)
 
 
-def test_value_iteration_respects_enumeration_budget(mesh):
+def test_value_iteration_respects_enumeration_budget(mesh, monkeypatch):
+    monkeypatch.setattr(world, "MAX_OBS", 10)
     with pytest.raises(world.EnumerationBudgetError):
-        value_iteration(mesh, max_obs=10)
+        value_iteration(mesh)
 
 
 def test_q_learning_matches_value_iteration_on_model_mdp():
@@ -223,6 +224,26 @@ def test_q_learning_evaluates_once_at_each_multiple_of_eval_interval(desk5_model
     assert [step for step, _ in result.evals] == list(range(25, total_steps + 1, 25))
     assert all(np.isfinite(ret) for _, ret in result.evals)
     assert train_q_learning(EmpiricalSim(desk5_model, seed=1), config).evals == []
+
+
+_UNUSABLE_CONFIGS = {
+    "no-eval-episodes": {"eval_interval": 5, "eval_episodes": 0},
+    "negative-eval-interval": {"eval_interval": -7},
+    "negative-max-env-steps": {"max_env_steps": -3},
+    "no-target-sync": {"target_sync_interval": 0},
+    "no-replay": {"replay_capacity": 0},
+    "no-batch": {"batch_size": 0},
+    "empty-layer": {"hidden_sizes": (0,)},
+    "nan-learning-rate": {"learning_rate": float("nan")},
+    "inf-learning-rate": {"learning_rate": float("inf")},
+}
+
+
+@pytest.mark.parametrize("fields", list(_UNUSABLE_CONFIGS.values()), ids=list(_UNUSABLE_CONFIGS))
+def test_train_config_rejects_values_training_cannot_use(fields):
+    assert TrainConfig(hidden_sizes=()).hidden_sizes == ()  # a linear net stays valid
+    with pytest.raises(ValueError):
+        TrainConfig(**fields)
 
 
 def _saved(tmp_path, policy):

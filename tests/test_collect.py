@@ -39,6 +39,14 @@ def test_same_seed_byte_identical_logs(desk5, tmp_path):
     assert collect.manifest_path(a).read_bytes() == collect.manifest_path(b).read_bytes()
 
 
+def test_read_clean_log_reads_the_manifest_once(desk5, tmp_path, monkeypatch):
+    result = _collect(desk5, 5, 1, out=tmp_path / "d.jsonl")
+    read_manifest, paths = collect.read_manifest, []
+    monkeypatch.setattr(collect, "read_manifest", lambda path: paths.append(path) or read_manifest(path))
+    assert collect.read_clean_log(result.log_path)[2] == result.manifest
+    assert paths == [result.log_path]
+
+
 def test_log_round_trip_identical_records(desk5, tmp_path):
     result = _collect(desk5, 20, 1, out=tmp_path / "d.jsonl")
     assert collect.read_log(result.log_path) == result.records

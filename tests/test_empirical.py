@@ -244,6 +244,26 @@ def test_sim_unseen_pair_self_transition_fallback():
     assert res.info["action_success"] is False
 
 
+def test_sim_fallback_step_draws_nothing_and_reject_rows_stay_empty():
+    model = build_model(
+        [TransitionRecord(0, 0, O, 0, A, 0.0, True, True)], obs_dim=2, action_count=2
+    )
+    config = SimConfig(
+        game=GameConfig(max_steps=5, goal_index=1),
+        flag_worths=(0.0, 0.0),
+        action_costs=(1.0, 2.5),
+    )
+    sim = EmpiricalSim(model, config, seed=0)
+    sim.reset(seed=0)
+    state = sim._rng.bit_generator.state
+    assert sim.step(1).reward == -2.5  # action 1 never observed
+    assert sim._rng.bit_generator.state == state
+    # rows in (observation, action) order over the sorted observations O, A
+    assert np.diff(empirical.compile_model(model, config).row_start).tolist() == [1, 1, 1, 1]
+    reject = SimConfig(config.game, config.flag_worths, config.action_costs, fallback=empirical.FALLBACK_REJECT)
+    assert np.diff(empirical.compile_model(model, reject).row_start).tolist() == [1, 0, 0, 0]
+
+
 def test_sim_unseen_pair_reject_mode():
     model = build_model(
         [TransitionRecord(0, 0, O, 0, A, 0.0, True, True)], obs_dim=2, action_count=2

@@ -122,7 +122,7 @@ def test_compiled_model_rows_are_the_sorted_counts(doc, episodes, seed):
     for obs in mdp.states:
         for action in range(model.action_count):
             row = next(rows)
-            counts = model.counts.get((obs, action), {})
+            counts = model.counts.get((obs, action), {obs: 1})
             assert [(nxt, c) for nxt, c, _ in row] == sorted(counts.items())
             assert [r for nxt, _, r in row] == [
                 compute_reward(config.flag_worths, obs, nxt, config.action_costs[action]) for nxt, _, _ in row
