@@ -55,6 +55,8 @@ class TrainConfig:
                      "target_sync_interval", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.batch_size > self.replay_capacity:  # the buffer would never hold a batch, so DQN would never learn
+            raise ValueError(f"batch_size {self.batch_size} exceeds replay_capacity {self.replay_capacity}")
         if self.max_env_steps is not None and self.max_env_steps < 1:
             raise ValueError("max_env_steps must be >= 1 or None")
         if self.eval_interval < 0:

@@ -174,27 +174,30 @@ def _cmd_build_sim(args) -> int:
 
 
 def _train_config(args) -> agents.TrainConfig:
-    return agents.TrainConfig(
-        algorithm=args.algo,
-        episodes=args.episodes,
-        gamma=args.gamma,
-        learning_rate=args.learning_rate
-        if args.learning_rate is not None
-        else (0.1 if args.algo == "q_learning" else 1e-3),
-        epsilon_start=args.epsilon_start,
-        epsilon_end=args.epsilon_end,
-        epsilon_decay_steps=args.epsilon_decay_steps,
-        replay_capacity=args.replay_capacity,
-        batch_size=args.batch_size,
-        target_sync_interval=args.target_sync,
-        hidden_sizes=args.hidden,
-        seed=args.seed,
-    )
+    try:
+        return agents.TrainConfig(
+            algorithm=args.algo,
+            episodes=args.episodes,
+            gamma=args.gamma,
+            learning_rate=args.learning_rate
+            if args.learning_rate is not None
+            else (0.1 if args.algo == "q_learning" else 1e-3),
+            epsilon_start=args.epsilon_start,
+            epsilon_end=args.epsilon_end,
+            epsilon_decay_steps=args.epsilon_decay_steps,
+            replay_capacity=args.replay_capacity,
+            batch_size=args.batch_size,
+            target_sync_interval=args.target_sync,
+            hidden_sizes=args.hidden,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, "bad-train-config", str(exc)) from None
 
 
 def _cmd_train(args) -> int:
-    env, _ = _make_env(args.env, args.seed, args.max_steps, args.fallback)
     config = _train_config(args)
+    env, _ = _make_env(args.env, args.seed, args.max_steps, args.fallback)
     trainer = agents.train_q_learning if args.algo == "q_learning" else train_dqn
     result = trainer(env, config)
     out = _out_path(args.out)

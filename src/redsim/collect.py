@@ -331,15 +331,25 @@ def merge_logs(log_paths, out_path) -> CollectionResult:
 
 @dataclass
 class CoverageReport:
+    """A log's audit.  ``counts`` maps each ``(obs, action)`` pair to ``{next_obs: n}``,
+    in order of first appearance: the count table an ``EmpiricalModel`` keeps.
+    """
+
     total_steps: int
     episodes: int
-    unique_observations: int
-    visited_pairs: int
-    per_action_counts: dict[int, int]
+    counts: dict[tuple[Observation, int], dict[Observation, int]]
     start_observations: list[Observation]
     chain_violations: list[tuple[int, int]]
     step_gaps: list[tuple[int, int]]
-    manifest_consistent: bool | None
+    manifest_consistent: bool | None = None  # None: no manifest to check against
+
+    @property
+    def visited_pairs(self) -> int:
+        return len(self.counts)
+
+    @property
+    def unique_observations(self) -> int:
+        return len(observations_in(self.counts))
 
     @property
     def clean(self) -> bool:
@@ -387,31 +397,27 @@ def _manifest_or_error(log_path) -> tuple[dict | None, Exception | None]:
         return None, exc
 
 
-def audit_records(records: list, log_path, manifest: dict | None) -> CoverageReport:
+def audit_records(records, log_path, manifest: dict | None) -> CoverageReport:
     """The audit behind ``validate_log``, on records already parsed from ``log_path``.
 
+    The one pass that checks chains and steps also tallies ``counts``.
     ``manifest`` is the log's manifest, or None when it is missing,
     unreadable or not JSON, which leaves only the manifest checks out, so
-    chain and step errors outrank it.  With a manifest, records whose action lies
+    chain and step errors outrank it, and lets ``records`` be any iterable.
+    With a manifest, ``records`` is a list, and records whose action lies
     outside ``0..action_count-1``, or whose observations differ from
     ``obs_dim`` in length or hold values outside ``0..255``, raise
     LogValidationError naming their 1-based line numbers in ``log_path``.
     """
-    observations: set[Observation] = set()
-    pairs: set[tuple[Observation, int]] = set()
-    per_action: dict[int, int] = {}
+    counts: dict[tuple[Observation, int], dict[Observation, int]] = {}
     starts: set[Observation] = set()
     chain_violations: list[tuple[int, int]] = []
     step_gaps: list[tuple[int, int]] = []
     last: dict[int, TransitionRecord] = {}
-    episodes: set[int] = set()
 
     for rec in records:
-        episodes.add(rec.episode)
-        observations.add(rec.obs)
-        observations.add(rec.next_obs)
-        pairs.add((rec.obs, rec.action))
-        per_action[rec.action] = per_action.get(rec.action, 0) + 1
+        outcomes = counts.setdefault((rec.obs, rec.action), {})
+        outcomes[rec.next_obs] = outcomes.get(rec.next_obs, 0) + 1
         prev = last.get(rec.episode)
         if rec.step == 0:
             starts.add(rec.obs)
@@ -424,39 +430,40 @@ def audit_records(records: list, log_path, manifest: dict | None) -> CoverageRep
                 chain_violations.append((rec.episode, rec.step))
         last[rec.episode] = rec
 
-    manifest_ok = None
-    if manifest is not None:
-        _check_ranges(records, manifest, per_action, observations, log_path)
-        manifest_ok = (
-            manifest.get("total_steps") == len(records)
-            and manifest.get("episodes") == len(episodes)
-            and manifest.get("o0") == [list(o) for o in sorted(starts)]
-        )
-
-    return CoverageReport(
-        total_steps=len(records),
-        episodes=len(episodes),
-        unique_observations=len(observations),
-        visited_pairs=len(pairs),
-        per_action_counts=per_action,
+    report = CoverageReport(
+        total_steps=sum(sum(outcomes.values()) for outcomes in counts.values()),
+        episodes=len(last),
+        counts=counts,
         start_observations=sorted(starts),
         chain_violations=chain_violations,
         step_gaps=step_gaps,
-        manifest_consistent=manifest_ok,
     )
+    if manifest is not None:
+        _check_ranges(records, manifest, counts, log_path)
+        report.manifest_consistent = (
+            manifest.get("total_steps") == report.total_steps
+            and manifest.get("episodes") == report.episodes
+            and manifest.get("o0") == [list(o) for o in report.start_observations]
+        )
+    return report
 
 
-def _check_ranges(records: list, manifest: dict, actions, observations, log_path) -> None:
+def observations_in(counts: dict) -> set[Observation]:
+    """The distinct observations, before and after, in a count table."""
+    return {obs for obs, _ in counts}.union(*counts.values())
+
+
+def _check_ranges(records: list, manifest: dict, counts: dict, log_path) -> None:
     """Raise LogValidationError for records the manifest's dimensions cannot hold.
 
-    Checks the distinct actions and observations, and walks the records
+    Checks the distinct actions and observations of ``counts``, and walks the records
     (and the log, for its blank lines) again only to number the bad ones.
     """
     obs_dim = manifest["obs_dim"]
     valid_actions = range(manifest["action_count"])
-    bad_actions = {a for a in actions if a not in valid_actions}
+    bad_actions = {a for _, a in counts if a not in valid_actions}
     bad_obs = {
-        o for o in observations if len(o) != obs_dim or not all(0 <= v <= 255 for v in o)
+        o for o in observations_in(counts) if len(o) != obs_dim or not all(0 <= v <= 255 for v in o)
     }
     if not bad_actions and not bad_obs:
         return

@@ -101,11 +101,8 @@ class EmpiricalModel:
 
     def observations(self) -> set[Observation]:
         """Every observation in the counts, plus ``x0``."""
-        seen = {self.x0} if self.x0 is not None else set()
-        for (obs, _), outcomes in self.counts.items():
-            seen.add(obs)
-            seen.update(outcomes)
-        return seen
+        seen = collect.observations_in(self.counts)
+        return seen if self.x0 is None else seen | {self.x0}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmpiricalModel):
@@ -187,34 +184,19 @@ def build_model(
     fingerprint: str = "",
     metadata: dict | None = None,
 ) -> EmpiricalModel:
-    """Single pass over the dataset; exact counts, start observation from step 0.
+    """The model of any iterable of records, counted in one pass of ``collect.audit_records``.
 
     The dataset must contain exactly one distinct episode-start observation:
     multiple starts raise AmbiguousStartError rather than silently becoming a
     start distribution.
     """
-    model = EmpiricalModel(obs_dim, action_count, fingerprint, metadata=metadata)
-    starts: set[Observation] = set()
-    empty = True
-    for rec in records:
-        empty = False
-        if rec.step == 0:
-            starts.add(rec.obs)
-        model.record(rec.obs, rec.action, rec.next_obs)
-    if empty:
-        raise ModelError("cannot build a model from an empty dataset")
-    if len(starts) > 1:
-        raise AmbiguousStartError(
-            f"{len(starts)} distinct episode-start observations in dataset"
-        )
-    if starts:
-        model.x0 = starts.pop()
-    return model
+    report = collect.audit_records(records, None, None)
+    return _model_from_audit(report, obs_dim, action_count, fingerprint, metadata)
 
 
 def build_model_from_log(log_path) -> EmpiricalModel:
-    """Build from a log that ``collect.read_clean_log`` accepts, taking dimensions and defaults from its manifest."""
-    records, _, manifest = collect.read_clean_log(log_path)
+    """The model of a log ``collect.read_clean_log`` accepts: its audit's counts, its manifest's dimensions and game."""
+    _, report, manifest = collect.read_clean_log(log_path)
     metadata = {
         "reward": manifest.get("reward"),
         "game": manifest.get("game"),
@@ -223,18 +205,23 @@ def build_model_from_log(log_path) -> EmpiricalModel:
         "source_policy": manifest.get("policy"),
         "source_seed": manifest.get("seed"),
     }
-    model = build_model(
-        records,
-        obs_dim=manifest["obs_dim"],
-        action_count=manifest["action_count"],
-        fingerprint=manifest["fingerprint"],
-        metadata=metadata,
-    )
-    model.metadata["build_stats"] = {
-        "pair_support": model.pair_support,
-        "total_transitions": model.total_transitions,
-        "observations_seen": len(model.observations()),
-    }
+    model = _model_from_audit(report, manifest["obs_dim"], manifest["action_count"], manifest["fingerprint"], metadata)
+    stats = model_stats(model)
+    model.metadata["build_stats"] = {k: stats[k] for k in ("pair_support", "total_transitions", "observations_seen")}
+    return model
+
+
+def _model_from_audit(report: collect.CoverageReport, obs_dim, action_count, fingerprint, metadata) -> EmpiricalModel:
+    """The model holding an audit's counts; an empty dataset raises ModelError, several starts AmbiguousStartError."""
+    if not report.total_steps:
+        raise ModelError("cannot build a model from an empty dataset")
+    starts = report.start_observations
+    if len(starts) > 1:
+        raise AmbiguousStartError(
+            f"{len(starts)} distinct episode-start observations in dataset"
+        )
+    model = EmpiricalModel(obs_dim, action_count, fingerprint, x0=starts[0] if starts else None, metadata=metadata)
+    model.counts = report.counts
     return model
 
 
@@ -255,10 +242,9 @@ def merge_models(a: EmpiricalModel, b: EmpiricalModel) -> EmpiricalModel:
         metadata=a.metadata or b.metadata,
     )
     for source in (a, b):
-        for key, outcomes in source.counts.items():
-            bucket = merged.counts.setdefault(key, {})
-            for next_key, count in outcomes.items():
-                bucket[next_key] = bucket.get(next_key, 0) + count
+        for (obs, action), outcomes in source.counts.items():
+            for next_obs, count in outcomes.items():
+                merged.record(obs, action, next_obs, count)
     return merged
 
 

@@ -246,6 +246,13 @@ def test_train_config_rejects_values_training_cannot_use(fields):
         TrainConfig(**fields)
 
 
+def test_train_config_rejects_a_batch_the_replay_buffer_cannot_hold():
+    """A buffer smaller than a batch never fills one, so DQN would take no Adam step."""
+    assert TrainConfig(replay_capacity=32, batch_size=32).batch_size == 32
+    with pytest.raises(ValueError, match="batch_size 32 exceeds replay_capacity 10"):
+        TrainConfig(episodes=30, replay_capacity=10, batch_size=32)
+
+
 def _saved(tmp_path, policy):
     """Where ``save_policy`` wrote ``policy``, a policy on 2-value observations."""
     path = tmp_path / "p.policy"

@@ -604,3 +604,13 @@ def test_exit_code_table(pipeline, tmp_path, capsys, kind):
     capsys.readouterr()
     assert main(argv) == code
     assert capsys.readouterr().err.startswith(f"error: {kind}: ")
+
+
+def test_batch_larger_than_replay_buffer_is_a_usage_error(pipeline, tmp_path, capsys):
+    out = tmp_path / "p.policy"
+    argv = ["train", "--env", f"sim:{pipeline['desk5']['model']}", "--algo", "dqn", "--replay-capacity", "10",
+            "--batch-size", "32", "--episodes", "5", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: bad-train-config: batch_size 32 exceeds replay_capacity 10\n"
+    assert not out.exists()

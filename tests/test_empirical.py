@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -544,3 +545,37 @@ def test_observations_are_the_recorded_ones_plus_x0(records, x0):
 def test_observation_tuples_sort_as_their_bytes(observations):
     """Why tuple keys keep the byte order of the outcomes the sim samples from."""
     assert sorted(observations) == [tuple(raw) for raw in sorted(bytes(o) for o in observations)]
+
+
+@given(_record_lists())
+def test_audit_counts_are_the_models_counts(records):
+    """The audit's one pass tallies what an independent recount finds, and the model keeps that table."""
+    report = collect.audit_records(records, None, None)
+    tallied = Counter()
+    for (obs, action), outcomes in report.counts.items():
+        for next_obs, n in outcomes.items():
+            tallied[obs, action, next_obs] += n
+    assert tallied == Counter((rec.obs, rec.action, rec.next_obs) for rec in records)
+    assert report.visited_pairs == len({(rec.obs, rec.action) for rec in records})
+    assert report.unique_observations == len({rec.obs for rec in records} | {rec.next_obs for rec in records})
+    model = build_model(iter(records), **_DIMS)
+    assert model.counts == report.counts
+    assert model.x0 == ((0, 0, 0) if any(rec.step == 0 for rec in records) else None)
+
+
+def test_build_model_from_log_counts_in_the_audits_pass(desk5_dataset, monkeypatch):
+    audits = []
+    audit_records = collect.audit_records
+
+    def counting_audit(records, log_path, manifest):
+        audits.append(log_path)
+        return audit_records(records, log_path, manifest)
+
+    def no_record(*args):
+        raise AssertionError("EmpiricalModel.record called")
+
+    monkeypatch.setattr(collect, "audit_records", counting_audit)
+    monkeypatch.setattr(EmpiricalModel, "record", no_record)
+    model = empirical.build_model_from_log(desk5_dataset.log_path)
+    assert audits == [desk5_dataset.log_path]
+    assert model.total_transitions == desk5_dataset.manifest["total_steps"]
