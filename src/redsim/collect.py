@@ -239,11 +239,8 @@ def run_collection(
         raise ValueError("episodes must be >= 1")
     policy_rng = np.random.default_rng(derive_seed(seed, "collection-policy"))
     records: list[TransitionRecord] = []
-    starts: set[Observation] = set()
     steps = rollout(env, lambda obs: policy(obs, policy_rng), episodes, seed)
     for ep, step, obs, action, res in steps:
-        if step == 0:
-            starts.add(obs)
         records.append(
             TransitionRecord(
                 episode=ep,
@@ -265,7 +262,7 @@ def run_collection(
         "action_count": meta["action_count"],
         "total_steps": len(records),
         "episodes": episodes,
-        "o0": [list(o) for o in sorted(starts)],
+        "o0": [list(o) for o in sorted({rec.obs for rec in records if rec.step == 0})],
         "policy": getattr(policy, "descriptor", "custom"),
         "seed": seed,
         "reward": meta["reward"],

@@ -155,14 +155,14 @@ class EmpiricalModel:
                 for action_str, outcomes in row.items():
                     if not outcomes:
                         raise ModelError(f"no outcomes for observation {obs_hex} action {action_str}")
-                    bucket = model.counts.setdefault((obs, int(action_str)), {})
+                    action = int(action_str)
                     for next_hex, count in outcomes.items():
                         if count.__class__ is not int or count < 1:
                             raise ModelError(f"count {count!r} is not a positive integer")
                         next_obs = decoded.get(next_hex) or decoded.setdefault(
                             next_hex, tuple(bytes.fromhex(next_hex))
                         )
-                        bucket[next_obs] = bucket.get(next_obs, 0) + count
+                        model.record(obs, action, next_obs, count)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ModelError(f"malformed model payload: {exc!r}") from None
         if model.fingerprint.__class__ is not str:

@@ -2,10 +2,12 @@
 
 The world is the slow-but-true side of the pipeline: a small network of
 hosts with scan / exploit / escalate / objective actions, stochastic
-action outcomes, and an exact transition law.  Each action's rule is
-derived once per scenario; the sampling world, the ``exact_transition``
-oracle and ``compile_world``'s table, which the fidelity audit and the
-value-iteration planner read, all follow it.
+action outcomes, and an exact transition law.  ``Scenario.rules`` packs
+each action's law once per scenario, over states packed into ints whose bit
+i is flag i.  The sampling world, which steps on such an int, the
+``exact_transition`` oracle, ``shortest_success_path`` and
+``compile_world``'s table, which the fidelity audit and the value-iteration
+planner read, all follow it.
 
 Observation layout: three flags per host in declared order
 (discovered, user access, root access) followed by one global
@@ -24,6 +26,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,20 +80,21 @@ class ActionSpec:
     cost: float
 
 
-@dataclass(frozen=True)
-class ActionRule:
-    """An action's law, derived once per scenario from its spec.
+class ActionRule(NamedTuple):
+    """An action's packed law, derived once per scenario from its spec.
 
-    The action is eligible when every group of flag indices in ``needs``
-    has a set flag.  An eligible action sets flag ``effect`` with
+    The action is eligible in a packed state that shares a set bit with
+    every mask in ``needs``.  An eligible action sets flag ``effect`` with
     probability ``success_prob``, the spec's probability with the outcome
-    noise folded in; otherwise, or when the flag is already set, nothing
-    changes.
+    noise folded in, and pays ``gain``; otherwise, or when the flag is
+    already set, nothing changes and the step pays ``stay``.
     """
 
-    needs: tuple[tuple[int, ...], ...]
+    needs: tuple[int, ...]
     effect: int
     success_prob: float
+    gain: float
+    stay: float
 
 
 @dataclass(frozen=True)
@@ -348,8 +352,16 @@ def scenario_from_json(text: str) -> Scenario:
 
 # --- exact dynamics -------------------------------------------------------
 
+def _pack(flags) -> int:
+    return sum(int(v) << i for i, v in enumerate(flags))
+
+
+def _unpack(state: int, dim: int) -> Observation:
+    return tuple([(state >> i) & 1 for i in range(dim)])
+
+
 def _action_rule(scenario: Scenario, action: ActionSpec) -> ActionRule:
-    """What ``action`` needs and sets, and how often it works.
+    """What ``action`` needs and sets, how often it works and what it pays.
 
     ``scan`` needs a user or root foothold on a neighbor of its target;
     ``exploit_user`` needs that and the target discovered; ``escalate_root``
@@ -359,35 +371,25 @@ def _action_rule(scenario: Scenario, action: ActionSpec) -> ActionRule:
     """
     idx = scenario.host_index
     t = idx[action.target]
-    footholds = tuple(
-        flag for nb in scenario.hosts[t].neighbors for flag in (3 * idx[nb] + 1, 3 * idx[nb] + 2)
-    )
+    footholds = 0  # user or root access on any neighbor
+    for nb in scenario.hosts[t].neighbors:
+        footholds |= 0b11 << 3 * idx[nb] + 1
     if action.kind == "scan":
         needs, effect = (footholds,), 3 * t
     elif action.kind == "exploit_user":
-        needs, effect = ((3 * t,), footholds), 3 * t + 1
+        needs, effect = (1 << 3 * t, footholds), 3 * t + 1
     elif action.kind == "escalate_root":
-        needs, effect = ((3 * t + 1,),), 3 * t + 2
+        needs, effect = (1 << 3 * t + 1,), 3 * t + 2
     elif action.kind == "objective":
-        needs, effect = ((3 * t + 2,),), scenario.objective_flag
+        needs, effect = (1 << 3 * t + 2,), scenario.objective_flag
     else:
         raise ValueError(f"unknown action kind {action.kind!r}")
     p, eps = action.success_prob, scenario.noise
-    return ActionRule(needs, effect, p * (1.0 - eps) + (1.0 - p) * eps)
-
-
-def preconditions_met(scenario: Scenario, flags, action: ActionSpec) -> bool:
-    for need in scenario.rules[action.id].needs:
-        if not any(flags[i] for i in need):
-            return False
-    return True
-
-
-def action_effect(scenario: Scenario, flags, action: ActionSpec) -> Observation:
-    """Observation after the action succeeds (idempotent on set flags)."""
-    out = list(flags)
-    out[scenario.rules[action.id].effect] = 1
-    return tuple(out)
+    worths = scenario.flag_worths()
+    none = (0,) * scenario.obs_dim
+    gain = compute_reward(worths, none, _unpack(1 << effect, scenario.obs_dim), action.cost)
+    stay = compute_reward(worths, none, none, action.cost)
+    return ActionRule(needs, effect, p * (1.0 - eps) + (1.0 - p) * eps, gain, stay)
 
 
 def exact_transition(scenario: Scenario, flags, action: ActionSpec):
@@ -397,15 +399,14 @@ def exact_transition(scenario: Scenario, flags, action: ActionSpec):
     ``compile_world`` tabulates it.  Outcomes that coincide (idempotent
     effects) are merged.
     """
-    if not preconditions_met(scenario, flags, action):
-        return [(tuple(flags), 1.0)]
-    success = action_effect(scenario, flags, action)
-    if success == tuple(flags):
-        return [(tuple(flags), 1.0)]
-    p = scenario.rules[action.id].success_prob
+    needs, effect, p, _, _ = scenario.rules[action.id]
+    flags, state = tuple(flags), _pack(flags)
+    if flags[effect] or not all(state & need for need in needs):
+        return [(flags, 1.0)]
+    success = _unpack(state | 1 << effect, len(flags))
     if p >= 1.0:
         return [(success, 1.0)]
-    return [(success, p), (tuple(flags), 1.0 - p)]
+    return [(success, p), (flags, 1.0 - p)]
 
 
 class AttackWorld(Env):
@@ -420,32 +421,41 @@ class AttackWorld(Env):
         self.flag_worths = scenario.flag_worths()
         self.action_costs = scenario.action_costs()
         self._latency_s = scenario.step_latency_ms / 1000.0
-        self._flags = scenario.initial_observation()
+        self._rules = scenario.rules
+        self._start = self._state = _pack(scenario.initial_observation())
+        self._observations: dict[int, Observation] = {}
+
+    def _observation(self, state: int) -> Observation:
+        obs = self._observations.get(state)
+        if obs is None:
+            obs = self._observations[state] = _unpack(state, self.obs_dim)
+        return obs
 
     def _reset_state(self) -> Observation:
-        self._flags = self.scenario.initial_observation()
-        return self._flags
+        self._state = self._start
+        return self._observation(self._start)
 
     def _apply_action(self, action: int):
         if self._latency_s > 0:
             time.sleep(self._latency_s)
-        spec = self.scenario.actions[action]
-        flags = self._flags
-        if preconditions_met(self.scenario, flags, spec):
-            success = bool(self._rng.random() < self.scenario.rules[action].success_prob)
-            next_flags = action_effect(self.scenario, flags, spec) if success else flags
-        else:
-            success = False
-            next_flags = flags
-        reward = compute_reward(self.flag_worths, flags, next_flags, spec.cost)
-        self._flags = next_flags
-        return next_flags, reward, success
+        needs, effect, p, gain, stay = self._rules[action]
+        state = self._state
+        for need in needs:
+            if not state & need:  # not eligible: no draw, no change
+                return self._observation(state), stay, False
+        success = bool(self._rng.random() < p)
+        if success and not state >> effect & 1:
+            self._state = state = state | 1 << effect
+            return self._observation(state), gain, True
+        return self._observation(state), stay, success
 
     def set_state(self, flags) -> None:
         """Teleport to a state and reopen the episode (tests, checkpointing)."""
         if len(flags) != self.obs_dim:
             raise ValueError("state length does not match observation dimension")
-        self._flags = tuple(int(v) for v in flags)
+        if not set(flags) <= {0, 1}:  # a packed state holds bits only
+            raise ValueError(f"every flag must be 0 or 1, got {tuple(flags)}")
+        self._state = _pack(flags)
         self._steps = 0
         self._done = False
 
@@ -461,23 +471,10 @@ def compile_world(scenario: Scenario) -> TabularMDP:
     their probabilities.  More than ``MAX_OBS`` states raise
     EnumerationBudgetError.
     """
-    # A state is packed into an int whose bit i is flag i.  A success flips
-    # exactly the effect flag, so its reward is that of flipping it from none.
-    worths = scenario.flag_worths()
-    none = (0,) * scenario.obs_dim
-    laws = []  # per action: the masks it needs, its effect bit, its outcome probabilities and rewards
-    for action, rule in zip(scenario.actions, scenario.rules):
-        effect = tuple(int(i == rule.effect) for i in range(scenario.obs_dim))
-        laws.append((
-            tuple(sum(1 << i for i in need) for need in rule.needs),
-            1 << rule.effect,
-            rule.success_prob,
-            1.0 - rule.success_prob,
-            compute_reward(worths, none, effect, action.cost),
-            compute_reward(worths, none, none, action.cost),
-        ))
+    # each effect bit shifted once per rule, not once per (state, action)
+    rules = [(needs, 1 << effect, p, gain, stay) for needs, effect, p, gain, stay in scenario.rules]
     goal_bit = 1 << scenario.objective_flag
-    start = sum(v << i for i, v in enumerate(scenario.initial_observation()))
+    start = _pack(scenario.initial_observation())
     ids = {start: 0}
     order = [start]  # grows while the loop walks it: breadth-first
     row_start = [0]
@@ -486,9 +483,9 @@ def compile_world(scenario: Scenario) -> TabularMDP:
     reward: list[float] = []
     for s, state in enumerate(order):
         if state & goal_bit:  # episode over: no outgoing transitions
-            row_start.extend([len(next_state)] * len(laws))
+            row_start.extend([len(next_state)] * len(rules))
             continue
-        for needs, bit, p, fail, gain, stay in laws:
+        for needs, bit, p, gain, stay in rules:
             succ = state | bit
             if succ != state:
                 for need in needs:
@@ -508,17 +505,16 @@ def compile_world(scenario: Scenario) -> TabularMDP:
                     reward.append(gain)
                 else:
                     next_state += (j, s)
-                    weight += (p, fail)
+                    weight += (p, 1.0 - p)
                     reward += (gain, stay)
             else:
                 next_state.append(s)
                 weight.append(1.0)
                 reward.append(stay)
             row_start.append(len(next_state))
-    dims = range(scenario.obs_dim)
     return TabularMDP(
-        states=[tuple((state >> i) & 1 for i in dims) for state in order],
-        action_count=len(laws),
+        states=[_unpack(state, scenario.obs_dim) for state in order],
+        action_count=len(rules),
         row_start=np.array(row_start, dtype=np.int64),
         next_state=np.array(next_state, dtype=np.int64),
         weight=np.array(weight, dtype=np.float64),
@@ -550,25 +546,24 @@ def shortest_success_path(scenario: Scenario) -> int | None:
 
     Returns None when the objective is unreachable.
     """
-    start = scenario.initial_observation()
-    goal_index = scenario.objective_flag
+    start = _pack(scenario.initial_observation())
+    goal_bit = 1 << scenario.objective_flag
     seen = {start}
     frontier = [start]
     depth = 0
     while frontier:
         depth += 1
         nxt = []
-        for obs in frontier:
-            for action in scenario.actions:
-                if not preconditions_met(scenario, obs, action):
+        for state in frontier:
+            for needs, effect, _, _, _ in scenario.rules:
+                out = state | 1 << effect
+                if out in seen or not all(state & need for need in needs):
                     continue
-                out = action_effect(scenario, obs, action)
-                if out[goal_index] == 1:
+                if out & goal_bit:
                     return depth
-                if out not in seen:
-                    seen.add(out)
-                    if len(seen) > MAX_OBS:
-                        raise EnumerationBudgetError(f"more than {MAX_OBS} reachable observations")
-                    nxt.append(out)
+                seen.add(out)
+                if len(seen) > MAX_OBS:
+                    raise EnumerationBudgetError(f"more than {MAX_OBS} reachable observations")
+                nxt.append(out)
         frontier = nxt
     return None

@@ -586,6 +586,11 @@ _EXIT_TABLE = {
         EXIT_ARTIFACT,
         lambda d, m, t: _eval(d["scenario"], _rewritten(d["policy"], t, lambda p: p.update(obs_dim=-1)), t),
     ),
+    "training-diverged": (
+        EXIT_USAGE,
+        lambda d, m, t: ["train", "--env", f"sim:{d['model']}", "--algo", "dqn", "--learning-rate", "1e200",
+                         "--hidden", "16", "--batch-size", "8", "--episodes", "30", "--out", str(t / "p.policy")],
+    ),
     "invalid-json": (EXIT_DATA, lambda d, m, t: _build_sim(_copy_log(d, t, manifest="{not json"), t)),
     "missing-file": (EXIT_IO, lambda d, m, t: ["scenario-validate", "--scenario", str(t / "missing.json")]),
     "io-error": (EXIT_IO, lambda d, m, t: _fidelity(t, d["scenario"], t)),

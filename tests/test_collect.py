@@ -130,11 +130,12 @@ def test_all_reachable_pairs_visited_at_scale(desk5, desk5_dataset):
         for o in world.reachable_observations(desk5)
         if o[desk5.objective_flag] != 1
     ]
+    # every eligible pair, those whose effect flag is already set included
     required = {
-        (obs, action.id)
+        (obs, action)
         for obs in sources
-        for action in desk5.actions
-        if world.preconditions_met(desk5, obs, action)
+        for action, rule in enumerate(desk5.rules)
+        if all(sum(v << i for i, v in enumerate(obs)) & need for need in rule.needs)
     }
     visited = {(rec.obs, rec.action) for rec in desk5_dataset.records}
     assert required <= visited

@@ -218,13 +218,8 @@ def test_fidelity_tv_bound_at_threshold_visits_with_binomial_oracle():
 
 
 def test_fidelity_unvisited_pairs_counted_as_gap_not_failure(det3):
-    records = [
-        collect.TransitionRecord(
-            0, 0, det3.initial_observation(), 0,
-            world.action_effect(det3, det3.initial_observation(), det3.actions[0]),
-            0.0, True, True,
-        )
-    ]
+    [(after, _)] = world.exact_transition(det3, det3.initial_observation(), det3.actions[0])
+    records = [collect.TransitionRecord(0, 0, det3.initial_observation(), 0, after, 0.0, True, True)]
     model = build_model(
         records, obs_dim=det3.obs_dim, action_count=len(det3.actions),
         fingerprint=det3.fingerprint,

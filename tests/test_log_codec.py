@@ -197,17 +197,37 @@ def test_read_log_parses_each_distinct_tail_once(tmp_path, monkeypatch):
     assert 0 < len(calls) <= len(tails) < len(lines) // 10
 
 
-# sha256 of a 120-episode desk5 log, its manifest and the model built from it.
+# sha256 of a 120-episode log, its manifest and the model built from it, per
+# scenario: the noise-free desk5 chain, the mesh (several footholds per
+# target, worth-bearing flags) and a noisy chain whose exploits often fail.
 GOLDEN = {
-    "d.jsonl": "acf9e54192026b6e60cfd04b03d7c441c9e5b8187be65249547c635964362d30",
-    "d.jsonl.manifest.json": "d6087c2a88b3fc1bec45ed75682c723070ea9f07492128c55040064edb8ca5ff",
-    "m.model": "b013c6eb81a70456afa972f79d63d6367b9dd6e17119e786daa79af80b4756b6",
+    "desk5": {
+        "d.jsonl": "acf9e54192026b6e60cfd04b03d7c441c9e5b8187be65249547c635964362d30",
+        "d.jsonl.manifest.json": "d6087c2a88b3fc1bec45ed75682c723070ea9f07492128c55040064edb8ca5ff",
+        "m.model": "b013c6eb81a70456afa972f79d63d6367b9dd6e17119e786daa79af80b4756b6",
+    },
+    "mesh": {
+        "d.jsonl": "481839fb9697faaf19d39f84941334b3f736b94919d93dc2362ccbb8b7f24159",
+        "d.jsonl.manifest.json": "70e1a8baa92e6740710d04497dee0bf2c8589f8f49fc4d18f9d7e1e0cd8af4a1",
+        "m.model": "ffbfd8aa51b7b691ce3c8e73c897e3ef64f75992b5be36f86e857565c3daea2e",
+    },
+    "desk5-noisy": {
+        "d.jsonl": "599ad72250bd01b974182e80d5660c62b58d41d2f90591812cfbca9bf44297fe",
+        "d.jsonl.manifest.json": "0bbec1a953b2b34a952de5c79dd514c4efd4587280db15f66485b53c9a10be60",
+        "m.model": "20a923695ee25963fab20abb3fc4a6d39537020d94ee1d4c7fa1ea31fd9d5468",
+    },
+}
+_GOLDEN_SCENARIOS = {
+    "desk5": presets.chain_scenario,
+    "mesh": presets.mesh_scenario,
+    "desk5-noisy": lambda: presets.chain_scenario(noise=0.1, exploit_prob=0.6),
 }
 
 
-def test_golden_artifact_digests(tmp_path):
-    scenario = tmp_path / "desk5.json"
-    scenario.write_text(json.dumps(presets.chain_scenario()), encoding="utf-8")
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_artifact_digests(tmp_path, name):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(_GOLDEN_SCENARIOS[name]()), encoding="utf-8")
     log, model = tmp_path / "d.jsonl", tmp_path / "m.model"
     argv = ["collect", "--scenario", str(scenario), "--episodes", "120", "--seed", "7", "--out", str(log)]
     assert main(argv) == EXIT_OK
@@ -216,7 +236,7 @@ def test_golden_artifact_digests(tmp_path):
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in (log, manifest_path(log), model)
     }
-    assert digests == GOLDEN
+    assert digests == GOLDEN[name]
 
 
 # sha256 of the training and report outputs built on that desk5 model: a

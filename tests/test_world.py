@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from redsim import presets, world
 from redsim.cli import EXIT_SCENARIO, main
+from redsim.envapi import compute_reward
 from redsim.world import (
     DanglingReferenceError,
     ScenarioError,
     ScenarioParseError,
     UnreachableObjectiveError,
     exact_transition,
-    preconditions_met,
 )
 
 
@@ -175,8 +175,16 @@ def test_transition_unmet_preconditions_is_noop(desk5):
     exploit_h3 = next(
         a for a in desk5.actions if a.kind == "exploit_user" and a.target == "h3"
     )
-    assert not preconditions_met(desk5, start, exploit_h3)
+    packed = sum(v << i for i, v in enumerate(start))
+    assert not all(packed & need for need in desk5.rules[exploit_h3.id].needs)
     assert exact_transition(desk5, start, exploit_h3) == [(start, 1.0)]
+
+
+def test_a_repeated_neighbor_changes_no_rule(desk5):
+    doc = presets.chain_scenario()
+    for host in doc["hosts"]:
+        host["neighbors"] = host["neighbors"] * 2
+    assert world.parse_scenario(doc).rules == desk5.rules
 
 
 def test_transition_probabilities_read_from_action_spec(desk5):
@@ -251,6 +259,31 @@ def test_scan_step_reveals_host_and_pays_delta_worth(mesh):
     assert res.observation[3 * web] == 1
     assert res.info["action_success"] is True
     assert res.reward == 2.0 - scan_web.cost
+
+
+def test_set_state_then_step_follows_the_exact_law(mesh):
+    """Every action from every reachable non-goal mesh state lands on an
+    outcome the oracle lists and pays what ``compute_reward`` gives for it."""
+    worths = mesh.flag_worths()
+    env = world.AttackWorld(mesh, seed=9)
+    env.reset(seed=9)
+    for obs in world.reachable_observations(mesh):
+        if obs[mesh.objective_flag] == 1:
+            continue
+        for action in mesh.actions:
+            env.set_state(obs)
+            res = env.step(action.id)
+            assert res.observation in dict(exact_transition(mesh, obs, action))
+            assert res.reward == compute_reward(worths, obs, res.observation, action.cost)
+
+
+@pytest.mark.parametrize("value", [2, -1])
+def test_set_state_rejects_a_flag_outside_zero_one(desk5, value):
+    env = world.AttackWorld(desk5)
+    state = list(desk5.initial_observation())
+    state[3] = value
+    with pytest.raises(ValueError, match="0 or 1"):
+        env.set_state(state)
 
 
 def test_monotone_flags_along_any_trajectory(mesh):
