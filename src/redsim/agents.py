@@ -304,6 +304,8 @@ def _config_dict(config: TrainConfig) -> dict:
 
 @dataclass
 class LoadedPolicy:
+    """A policy file's policy with its provenance; ``evaluate.check_compat`` checks it against an environment."""
+
     policy: object
     algorithm: str
     fingerprint: str
@@ -311,10 +313,8 @@ class LoadedPolicy:
     action_count: int
     train_config: dict
 
-    @property
-    def meta(self) -> dict:
-        """What ``evaluate.check_compat`` compares against an environment."""
-        return {"obs_dim": self.obs_dim, "action_count": self.action_count, "fingerprint": self.fingerprint}
+    def action_values(self, obs) -> np.ndarray:
+        return self.policy.action_values(obs)
 
 
 def load_policy(path) -> LoadedPolicy:

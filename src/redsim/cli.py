@@ -148,9 +148,9 @@ def _cmd_collect(args) -> int:
                 EXIT_USAGE, "bad-policy", "--policy epsilon-greedy needs --policy-file"
             )
         loaded = agents.load_policy(args.policy_file)
-        evaluate.check_compat(env, loaded.meta)
+        evaluate.check_compat(env, loaded)
         policy = collect.epsilon_greedy_policy(
-            lambda obs: agents.greedy_action(loaded.policy, obs),
+            lambda obs: agents.greedy_action(loaded, obs),
             args.epsilon,
             env.action_count,
         )
@@ -218,9 +218,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     env, tag = _make_env(args.env, args.seed, args.max_steps, args.fallback)
     loaded = agents.load_policy(args.policy)
-    report = evaluate.evaluate_policy(
-        env, loaded.policy, args.episodes, args.seed, environment_tag=tag, policy_meta=loaded.meta
-    )
+    report = evaluate.evaluate_policy(env, loaded, args.episodes, args.seed, environment_tag=tag)
     row = report.to_dict(include_traces=False)
     _write_report(args, report.to_dict(), sorted(row), [row])
     print(
@@ -238,13 +236,12 @@ def _cmd_transfer(args) -> int:
         sim_env = empirical.EmpiricalSim(empirical.load_model(args.model), seed=args.seed)
     solution = agents.value_iteration(scenario)
     report = evaluate.transfer_eval(
-        loaded.policy,
+        loaded,
         world_env,
         sim_env,
         episodes=args.episodes,
         seed=args.seed,
         optimal_return=solution.optimal_return,
-        policy_meta=loaded.meta,
     )
     flat = {
         "world_mean_return": report.world.mean_return,
@@ -302,63 +299,34 @@ def _cmd_study_max_steps(args) -> int:
     return EXIT_OK
 
 
-def _describe_artifact(path: str) -> dict:
-    tag = sniff_format(path)
-    if tag == empirical.MODEL_FORMAT:
-        model = empirical.load_model(path)
-        stats = empirical.model_stats(model)
-        return {
-            "path": path,
-            "type": "model",
-            "fingerprint": model.fingerprint,
-            "seed": model.metadata.get("source_seed"),
-            "stats": stats,
-        }
-    if tag == agents.POLICY_FORMAT:
-        loaded = agents.load_policy(path)
-        return {
-            "path": path,
-            "type": "policy",
-            "fingerprint": loaded.fingerprint,
-            "seed": loaded.train_config.get("seed"),
-            "algorithm": loaded.algorithm,
-        }
-    # otherwise treat as a transition log
-    _, report, manifest = collect.read_clean_log(path)
-    return {
-        "path": path,
-        "type": "log",
-        "fingerprint": manifest["fingerprint"],
-        "seed": manifest.get("seed"),
-        "total_steps": report.total_steps,
-        "episodes": report.episodes,
-    }
-
-
 def _cmd_stats(args) -> int:
-    descriptions = [_describe_artifact(p) for p in args.artifacts]
-    for desc in descriptions:
-        line = f"{desc['path']}: {desc['type']} fingerprint={desc['fingerprint'][:16]} seed={desc['seed']}"
-        if desc["type"] == "log":
-            line += f" steps={desc['total_steps']} episodes={desc['episodes']}"
-        if desc["type"] == "model":
-            s = desc["stats"]
-            line += (
-                f" pairs={s['pair_support']} transitions={s['total_transitions']}"
-                f" obs={s['observations_seen']}"
-            )
-        if desc["type"] == "policy":
-            line += f" algorithm={desc['algorithm']}"
+    lines, fingerprints = [], set()
+    for path in args.artifacts:
+        tag = sniff_format(path)
+        if tag == empirical.MODEL_FORMAT:
+            model = empirical.load_model(path)
+            kind, fingerprint, seed = "model", model.fingerprint, model.metadata.get("source_seed")
+            extra = f" pairs={model.pair_support} transitions={model.total_transitions} obs={len(model.observations())}"
+        elif tag == agents.POLICY_FORMAT:
+            loaded = agents.load_policy(path)
+            kind, fingerprint, seed = "policy", loaded.fingerprint, loaded.train_config.get("seed")
+            extra = f" algorithm={loaded.algorithm}"
+        else:  # a transition log
+            _, report, manifest = collect.read_clean_log(path)
+            kind, fingerprint, seed = "log", manifest["fingerprint"], manifest.get("seed")
+            extra = f" steps={report.total_steps} episodes={report.episodes}"
+        lines.append(f"{path}: {kind} fingerprint={fingerprint[:16]} seed={seed}{extra}")
+        fingerprints.add(fingerprint)
+    for line in lines:  # only once every artifact has loaded, so a bad one prints nothing
         print(line)
-    fingerprints = {d["fingerprint"] for d in descriptions}
     if len(fingerprints) > 1:
         raise CliError(
             EXIT_INCOMPATIBLE,
             "fingerprint-mismatch",
             f"artifacts span {len(fingerprints)} different environments",
         )
-    if len(descriptions) > 1:
-        print(f"chain ok: {len(descriptions)} artifacts share fingerprint {descriptions[0]['fingerprint'][:16]}")
+    if len(lines) > 1:
+        print(f"chain ok: {len(lines)} artifacts share fingerprint {fingerprint[:16]}")
     return EXIT_OK
 
 

@@ -93,20 +93,31 @@ class TransitionRecord:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TransitionRecord":
+        """The record of a parsed log line; a missing or mistyped field raises ValueError.
+
+        ``obs`` and ``next_obs`` must be lists; their values, ``episode``,
+        ``step`` and ``action`` ints, not bools; ``reward`` an int or a float
+        that a float can hold (NaN and Infinity, which ``to_json`` writes,
+        included); and the two flags bools.
+        """
         try:
-            return cls(
-                int(obj["episode"]),
-                int(obj["step"]),
-                tuple(map(int, obj["obs"])),
-                int(obj["action"]),
-                tuple(map(int, obj["next_obs"])),
-                float(obj["reward"]),
-                bool(obj["done"]),
-                bool(obj["action_success"]),
-            )
+            episode, step, obs, action, next_obs, reward, done, success = (obj[f] for f in RECORD_FIELDS)
         except KeyError:
             missing = [f for f in RECORD_FIELDS if f not in obj]
             raise ValueError(f"missing fields: {', '.join(missing)}") from None
+        if obs.__class__ is not list or next_obs.__class__ is not list:
+            raise ValueError(f"obs {obs!r} and next_obs {next_obs!r} must be lists")
+        if not all(v.__class__ is int for v in (episode, step, action, *obs, *next_obs)):
+            raise ValueError("episode, step, action and observation values must be ints")
+        if reward.__class__ not in (int, float) or done.__class__ is not bool or success.__class__ is not bool:
+            raise ValueError(
+                f"reward {reward!r} must be a number, and done {done!r} and action_success {success!r} bools"
+            )
+        try:
+            reward = float(reward)
+        except OverflowError:
+            raise ValueError(f"reward {reward} is too large for a float") from None
+        return cls(episode, step, tuple(obs), action, tuple(next_obs), reward, done, success)
 
 
 def manifest_path(log_path) -> Path:
@@ -289,17 +300,22 @@ def _require_compatible(manifests) -> None:
 
 
 def merge_logs(log_paths, out_path) -> CollectionResult:
-    """Concatenate logs from the same environment, renumbering episodes."""
+    """Concatenate logs from the same environment, renumbering episodes.
+
+    Each source is read by ``read_clean_log``, so one that fails its audit
+    raises LogValidationError and nothing is written.
+    """
     if not log_paths:
         raise ValueError("need at least one log to merge")
-    manifests = [read_manifest(p) for p in log_paths]
+    sources = [read_clean_log(p) for p in log_paths]
+    manifests = [manifest for _, _, manifest in sources]
     _require_compatible(manifests)
 
     merged: list[TransitionRecord] = []
     next_episode = 0
-    for path in log_paths:
+    for records, _, _ in sources:
         remap: dict[int, int] = {}
-        for rec in read_log(path):
+        for rec in records:
             if rec.episode not in remap:
                 remap[rec.episode] = next_episode
                 next_episode += 1

@@ -126,29 +126,32 @@ def numeric_gradients(net: DqnNet, x, actions, targets, delta: float = 1e-6):
     return grads
 
 
+# Adam's moment decay rates and the term that keeps its step's denominator above zero.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    def __init__(self, layers, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, layers, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
         self.v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
 
     def step(self, layers, grads) -> None:
         self.t += 1
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
+        correct1 = 1.0 - ADAM_BETA1**self.t
+        correct2 = 1.0 - ADAM_BETA2**self.t
         for i, ((w, b), (gw, gb)) in enumerate(zip(layers, grads)):
             mw, mb = self.m[i]
             vw, vb = self.v[i]
             for param, grad, m, v in ((w, gw, mw, vw), (b, gb, mb, vb)):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * grad**2
-                param -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * grad
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * grad**2
+                param -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
 @dataclass
@@ -190,7 +193,8 @@ def train_dqn(env: Env, config: TrainConfig, eval_env: Env | None = None) -> Tra
     """DQN with uniform replay, TD targets from a periodically synced frozen copy.
 
     Raises TrainingDivergedError on a non-finite loss instead of silently
-    returning a broken policy.
+    returning a broken policy.  numpy's overflow and invalid-value warnings
+    are off, so that check alone reports a divergence.
     """
     rng = np.random.default_rng(derive_seed(config.seed, "dqn"))
     net = DqnNet(env.obs_dim, env.action_count, config.hidden_sizes, seed=config.seed)
@@ -200,17 +204,18 @@ def train_dqn(env: Env, config: TrainConfig, eval_env: Env | None = None) -> Tra
     gamma = config.gamma if config.gamma is not None else env.game.gamma
     result = TrainResult(policy=net)
     learn_steps = 0
-    for global_step, obs, action, res in epsilon_greedy_steps(env, config, rng, result, eval_env):
-        replay.push(obs, action, res.reward, res.observation, res.info["goal"])
-        if replay.size >= config.batch_size:
-            b_obs, b_act, b_rew, b_next, b_goal = replay.sample(config.batch_size, rng)
-            next_q = target.forward(b_next).max(axis=1)
-            targets = b_rew + gamma * next_q * (1.0 - b_goal)
-            loss, grads = net.loss_and_grads(b_obs, b_act, targets)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss {loss!r}", global_step)
-            optimizer.step(net.layers, grads)
-            learn_steps += 1
-            if learn_steps % config.target_sync_interval == 0:
-                target = net.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for global_step, obs, action, res in epsilon_greedy_steps(env, config, rng, result, eval_env):
+            replay.push(obs, action, res.reward, res.observation, res.info["goal"])
+            if replay.size >= config.batch_size:
+                b_obs, b_act, b_rew, b_next, b_goal = replay.sample(config.batch_size, rng)
+                next_q = target.forward(b_next).max(axis=1)
+                targets = b_rew + gamma * next_q * (1.0 - b_goal)
+                loss, grads = net.loss_and_grads(b_obs, b_act, targets)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(f"non-finite loss {loss!r}", global_step)
+                optimizer.step(net.layers, grads)
+                learn_steps += 1
+                if learn_steps % config.target_sync_interval == 0:
+                    target = net.copy()
     return result

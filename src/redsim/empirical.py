@@ -135,16 +135,20 @@ class EmpiricalModel:
     def from_payload(cls, payload: dict) -> "EmpiricalModel":
         """The model a payload holds; malformed or out-of-range contents raise ModelError.
 
-        The fingerprint must be a string, actions must lie in
-        ``0..action_count-1``, observations (``x0`` included) must hold
-        ``obs_dim`` values in ``0..255``, and every count must be a positive
-        int.  Ranges are checked once per distinct action and observation.
+        ``obs_dim`` and ``action_count`` must be positive ints and the
+        fingerprint a string.  Action keys must be written as ``str`` writes
+        an int and lie in ``0..action_count-1``, observations (``x0``
+        included) must hold ``obs_dim`` values in ``0..255``, and every count
+        must be a positive int.  Ranges are checked once per distinct action
+        and observation.
         """
         try:
-            x0 = payload.get("x0")
+            x0, obs_dim, action_count = payload.get("x0"), payload["obs_dim"], payload["action_count"]
+            if not all(n.__class__ is int and n >= 1 for n in (obs_dim, action_count)):
+                raise ModelError(f"obs_dim {obs_dim!r} and action_count {action_count!r} must be positive ints")
             model = cls(
-                obs_dim=payload["obs_dim"],
-                action_count=payload["action_count"],
+                obs_dim=obs_dim,
+                action_count=action_count,
                 fingerprint=payload.get("fingerprint", ""),
                 x0=bytes(list(x0)) if x0 is not None else None,  # bytes() rejects values outside 0..255
                 metadata=payload.get("metadata"),
@@ -156,6 +160,8 @@ class EmpiricalModel:
                     if not outcomes:
                         raise ModelError(f"no outcomes for observation {obs_hex} action {action_str}")
                     action = int(action_str)
+                    if str(action) != action_str:
+                        raise ModelError(f"action key {action_str!r} is not an int as str writes it")
                     for next_hex, count in outcomes.items():
                         if count.__class__ is not int or count < 1:
                             raise ModelError(f"count {count!r} is not a positive integer")
@@ -169,7 +175,7 @@ class EmpiricalModel:
             raise ModelError(f"fingerprint of type {type(model.fingerprint).__name__} must be a string")
         bad_actions = sorted({a for _, a in model.counts if not 0 <= a < model.action_count})
         bad_obs = sorted(bytes(obs).hex() for obs in model.observations() if len(obs) != model.obs_dim)
-        if model.obs_dim < 1 or model.action_count < 1 or bad_actions or bad_obs:
+        if bad_actions or bad_obs:
             raise ModelError(
                 f"model out of range for obs_dim={model.obs_dim}, action_count={model.action_count}: "
                 f"actions {bad_actions[:5]}, observations {bad_obs[:5]}"

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import TrainConfig, greedy_action, train_q_learning, value_iteration
+from .agents import LoadedPolicy, TrainConfig, greedy_action, train_q_learning, value_iteration
 from .empirical import EmpiricalModel, EmpiricalSim, IncompatibleModelError, SimConfig
 from .envapi import Env, Observation, rollout
 from .world import Scenario, compile_world, shortest_success_path
@@ -42,18 +42,16 @@ class EvalReport:
         return doc
 
 
-def check_compat(env: Env, meta: dict | None) -> None:
-    """Raise IncompatiblePolicyError unless a policy with ``meta`` (``LoadedPolicy.meta``) fits ``env``."""
-    if meta is None:
+def check_compat(env: Env, policy) -> None:
+    """Raise IncompatiblePolicyError unless a ``LoadedPolicy`` fits ``env``; a bare policy has none to check."""
+    if not isinstance(policy, LoadedPolicy):
         return
-    if meta.get("obs_dim") not in (None, env.obs_dim) or meta.get(
-        "action_count"
-    ) not in (None, env.action_count):
+    if (policy.obs_dim, policy.action_count) != (env.obs_dim, env.action_count):
         raise IncompatiblePolicyError(
-            f"policy dims ({meta.get('obs_dim')}, {meta.get('action_count')}) do not "
+            f"policy dims ({policy.obs_dim}, {policy.action_count}) do not "
             f"match environment ({env.obs_dim}, {env.action_count})"
         )
-    fp = meta.get("fingerprint")
+    fp = policy.fingerprint
     if fp and env.fingerprint and fp != env.fingerprint:
         raise IncompatiblePolicyError(
             "policy was trained against a different environment "
@@ -75,10 +73,12 @@ def evaluate_policy(
     episodes: int,
     seed: int,
     environment_tag: str = "env",
-    policy_meta: dict | None = None,
 ) -> EvalReport:
-    """Greedy rollouts; deterministic given the seed, side-effect free on the policy."""
-    check_compat(env, policy_meta)
+    """Greedy rollouts; deterministic given the seed, side-effect free on the policy.
+
+    A ``LoadedPolicy`` that does not fit ``env`` raises IncompatiblePolicyError.
+    """
+    check_compat(env, policy)
     choose = lambda obs: greedy_action(policy, obs)
     return _greedy_eval(env, choose, episodes, seed, environment_tag)
 
@@ -158,7 +158,6 @@ def transfer_eval(
     episodes: int = 50,
     seed: int = 0,
     optimal_return: float | None = None,
-    policy_meta: dict | None = None,
 ) -> TransferReport:
     """Run the same greedy policy in the world (and optionally its source sim).
 
@@ -167,9 +166,10 @@ def transfer_eval(
     policy visited in the world were ever seen by the model -- the coverage
     diagnostic that explains widening gaps on starved datasets.  Each world
     episode is played once; the coverage comes from the evaluated steps.
-    A sim from another environment than the world raises IncompatibleModelError.
+    A sim from another environment than the world raises IncompatibleModelError,
+    and a ``LoadedPolicy`` that does not fit either one IncompatiblePolicyError.
     """
-    check_compat(world_env, policy_meta)
+    check_compat(world_env, policy)
     if sim_env is not None:
         _check_source(sim_env.fingerprint, world_env.fingerprint)
     world_pairs: list[tuple[Observation, int]] = []
@@ -186,7 +186,7 @@ def transfer_eval(
     norm_gap = None
     coverage = None
     if sim_env is not None:
-        sim_report = evaluate_policy(sim_env, policy, episodes, seed, "sim", policy_meta)
+        sim_report = evaluate_policy(sim_env, policy, episodes, seed, "sim")
         agreement = _coa_agreement(sim_report.coa, world_report.coa)
         gap = abs(world_report.mean_return - sim_report.mean_return)
         if optimal_return is not None:

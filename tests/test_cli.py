@@ -1,6 +1,7 @@
 """CLI plumbing: subcommands, exit codes, artifacts, provenance snapshots."""
 
 import json
+import warnings
 
 import pytest
 
@@ -175,6 +176,28 @@ def test_stats_flags_cross_scenario_mixing(scenario_file, mesh_file, tmp_path):
     a = _collect(scenario_file, tmp_path, name="a.jsonl", episodes=20)
     b = _collect(mesh_file, tmp_path, name="b.jsonl", episodes=20)
     assert main(["stats", str(a), str(b)]) == EXIT_INCOMPATIBLE
+
+
+def test_stats_prints_every_line_once_all_artifacts_have_loaded(scenario_file, mesh_file, tmp_path, capsys):
+    """Exact ``stats`` output of a chain, of a two-scenario mix, and of a chain whose second artifact is corrupt."""
+    data = _collect(scenario_file, tmp_path, episodes=60)
+    model = _build(data, tmp_path)
+    policy = _train(model, tmp_path, episodes=300)
+    mesh = _collect(mesh_file, tmp_path, name="mesh.jsonl", episodes=20)
+    desk5_fp, mesh_fp = "8c94a6c60a07de11", "d19ee163edacfd88"
+    log_line = f"{data}: log fingerprint={desk5_fp} seed=7 steps=4662 episodes=60\n"
+    capsys.readouterr()
+    assert main(["stats", str(data), str(model), str(policy)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        log_line
+        + f"{model}: model fingerprint={desk5_fp} seed=7 pairs=100 transitions=4662 obs=11\n"
+        + f"{policy}: policy fingerprint={desk5_fp} seed=1 algorithm=q_table\n"
+        + f"chain ok: 3 artifacts share fingerprint {desk5_fp}\n"
+    )
+    assert main(["stats", str(data), str(mesh)]) == EXIT_INCOMPATIBLE
+    assert capsys.readouterr().out == log_line + f"{mesh}: log fingerprint={mesh_fp} seed=7 steps=1979 episodes=20\n"
+    assert main(["stats", str(data), str(_tampered(model, tmp_path)), str(policy)]) == EXIT_ARTIFACT
+    assert capsys.readouterr().out == ""
 
 
 def test_eval_subcommand_on_sim(scenario_file, tmp_path):
@@ -383,6 +406,16 @@ def _add_step(manifest):
     manifest["total_steps"] += 1
 
 
+def _retyped(**fields):
+    """Line 1 rewritten with ``fields`` replaced, as the record's ``json.dumps``."""
+    return lambda lines: [json.dumps({**json.loads(lines[0]), **fields})] + lines[1:]
+
+
+def _retyped_obs(convert):
+    """Line 1 with its ``obs`` replaced by ``convert(obs)``."""
+    return lambda lines: _retyped(obs=convert(json.loads(lines[0])["obs"]))(lines)
+
+
 @pytest.mark.parametrize(
     "edit_log, edit_manifest, code",
     [
@@ -399,6 +432,17 @@ def _add_step(manifest):
         (None, "{not json", EXIT_DATA),
         (None, '{"format": "other"}', EXIT_INCOMPATIBLE),
         (_episode0_action_99, None, EXIT_DATA),
+        (_retyped(action=1.7), None, EXIT_DATA),
+        (_retyped(action=True), None, EXIT_DATA),
+        (_retyped(episode=0.0), None, EXIT_DATA),
+        (_retyped(reward="-1.0"), None, EXIT_DATA),
+        (_retyped(reward=False), None, EXIT_DATA),
+        (_retyped(reward=10**400), None, EXIT_DATA),
+        (_retyped(done="false"), None, EXIT_DATA),
+        (_retyped(action_success=1), None, EXIT_DATA),
+        (_retyped_obs(lambda obs: "".join(map(str, obs))), None, EXIT_DATA),
+        (_retyped_obs(lambda obs: [float(v) for v in obs]), None, EXIT_DATA),
+        (_retyped_obs(lambda obs: [bool(v) for v in obs]), None, EXIT_DATA),
     ],
 )
 def test_build_sim_exit_codes(scenario_file, tmp_path, edit_log, edit_manifest, code):
@@ -609,6 +653,17 @@ def test_exit_code_table(pipeline, tmp_path, capsys, kind):
     capsys.readouterr()
     assert main(argv) == code
     assert capsys.readouterr().err.startswith(f"error: {kind}: ")
+
+
+def test_diverging_dqn_warns_nothing_before_its_error(pipeline, tmp_path, capsys):
+    """Only the finiteness check reports a divergence: under warnings as errors the run still exits 2."""
+    _, command = _EXIT_TABLE["training-diverged"]
+    argv = command(pipeline["desk5"], pipeline["mesh"], tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: training-diverged: ")
 
 
 def test_batch_larger_than_replay_buffer_is_a_usage_error(pipeline, tmp_path, capsys):

@@ -104,6 +104,18 @@ def test_merge_rejects_different_scenarios(desk5, mesh, tmp_path):
         collect.merge_logs([a.log_path, b.log_path], tmp_path / "m.jsonl")
 
 
+def test_merge_rejects_a_source_that_fails_its_audit(desk5, tmp_path):
+    """A log missing its last episode fails its manifest check; merging it must not rewrite the totals."""
+    a = _collect(desk5, 10, 1, out=tmp_path / "a.jsonl")
+    kept = sum(1 for rec in a.records if rec.episode < 9)
+    a.log_path.write_text("".join(a.log_path.read_text().splitlines(keepends=True)[:kept]))
+    with pytest.raises(LogValidationError):
+        empirical.build_model_from_log(a.log_path)
+    with pytest.raises(LogValidationError):
+        collect.merge_logs([a.log_path], tmp_path / "m.jsonl")
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 def test_merge_order_does_not_change_model(desk5, tmp_path):
     a = _collect(desk5, 15, 1, out=tmp_path / "a.jsonl")
     b = _collect(desk5, 10, 2, out=tmp_path / "b.jsonl")

@@ -405,6 +405,10 @@ def _rename_first_key(table, rename):
     table[rename(key)] = table.pop(key)
 
 
+def _rename_first_action(rename):
+    return lambda doc: _rename_first_key(next(iter(doc["counts"].values())), rename)
+
+
 def _long_next_obs(doc):
     _rename_first_key(_first_outcomes(doc), lambda key: key + "00")
 
@@ -433,10 +437,18 @@ def _short_obs(doc):
         lambda doc: doc["counts"].update({"zz": {"0": {}}}),
         lambda doc: doc.pop("obs_dim"),
         lambda doc: doc.update(fingerprint=5),
+        lambda doc: doc.update(obs_dim=str(doc["obs_dim"])),
+        lambda doc: doc.update(obs_dim=float(doc["obs_dim"])),
+        lambda doc: doc.update(action_count=doc["action_count"] + 0.9),
+        _rename_first_action(lambda key: " " + key),
+        _rename_first_action(lambda key: "0_" + key),
+        _rename_first_action(lambda key: "+" + key),
+        _rename_first_action(lambda key: "0" + key),
     ],
     ids=["action-99", "action--1", "next-obs-17-bytes", "obs-15-bytes", "x0-17", "count--4", "count-0",
          "count-2.5", "count-str", "count-bool", "obs-dim-0", "action-count-0", "no-outcomes", "action-not-int",
-         "obs-not-hex", "no-obs-dim", "fingerprint-int"],
+         "obs-not-hex", "no-obs-dim", "fingerprint-int", "obs-dim-str", "obs-dim-float", "action-count-fraction",
+         "action-space", "action-underscore", "action-plus", "action-leading-zero"],
 )
 def test_out_of_range_model_payload_rejected(desk5_model, edit):
     payload = desk5_model.to_payload()

@@ -9,7 +9,7 @@ import pytest
 
 from redsim import artifacts, collect, empirical, evaluate, presets, world
 from redsim.cli import EXIT_OK, main
-from redsim.agents import QTable, TrainConfig, train_q_learning, value_iteration
+from redsim.agents import LoadedPolicy, QTable, TrainConfig, train_q_learning, value_iteration
 from redsim.empirical import EmpiricalSim, build_model, merge_models
 from redsim.evaluate import IncompatiblePolicyError, fidelity_report, transfer_eval
 
@@ -157,17 +157,21 @@ def test_transfer_steps_the_world_once_per_evaluated_step(desk5, desk5_solution,
 
 
 def test_transfer_rejects_mismatched_policy(desk5, mesh):
-    q = QTable(len(mesh.actions))
+    loaded = LoadedPolicy(QTable(len(mesh.actions)), "q_table", mesh.fingerprint, mesh.obs_dim, len(mesh.actions), {})
     with pytest.raises(IncompatiblePolicyError):
-        transfer_eval(
-            q,
-            world.AttackWorld(desk5, seed=1),
-            policy_meta={
-                "obs_dim": mesh.obs_dim,
-                "action_count": len(mesh.actions),
-                "fingerprint": mesh.fingerprint,
-            },
-        )
+        transfer_eval(loaded, world.AttackWorld(desk5, seed=1))
+
+
+def test_evaluate_rejects_a_loaded_policy_of_another_environment(desk5):
+    n = len(desk5.actions)
+    loaded = LoadedPolicy(QTable(n), "q_table", "0" * 64, desk5.obs_dim, n, {})
+    with pytest.raises(IncompatiblePolicyError, match="trained against a different environment"):
+        evaluate.evaluate_policy(world.AttackWorld(desk5, seed=1), loaded, 2, 0)
+
+
+def test_a_bare_policy_carries_no_provenance_and_passes(desk5):
+    report = evaluate.evaluate_policy(world.AttackWorld(desk5, seed=1), QTable(len(desk5.actions)), 2, 0)
+    assert report.episodes == 2
 
 
 def test_fidelity_zero_on_exhaustive_deterministic_data(det3):

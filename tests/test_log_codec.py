@@ -314,3 +314,23 @@ def test_golden_fidelity_and_study_digests(tmp_path):
         for path in (out, out.with_name(out.name + ".csv"))
     }
     assert digests == GOLDEN_AUDITS
+
+
+# sha256 of a log merged from two clean 30-episode desk5 logs (seeds 7 and
+# 8) and of its manifest, which names its sources as they were given.
+GOLDEN_MERGE = {
+    "m.jsonl": "c0ea6e04e85ec267054c9f07b7d7e9adf7ed3afe62a45ec2753455acda322644",
+    "m.jsonl.manifest.json": "f2e95d5a9df9c6efc70fabf7860a576439a06a250a5ff8ec3bb648fd3c1bb9a6",
+}
+
+
+def test_golden_merged_log_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scenario = tmp_path / "desk5.json"
+    scenario.write_text(json.dumps(presets.chain_scenario()), encoding="utf-8")
+    for name, seed in (("a.jsonl", "7"), ("b.jsonl", "8")):
+        argv = ["collect", "--scenario", str(scenario), "--episodes", "30", "--seed", seed, "--out", name]
+        assert main(argv) == EXIT_OK
+    merged = collect.merge_logs(["a.jsonl", "b.jsonl"], "m.jsonl").log_path
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (merged, manifest_path(merged))}
+    assert digests == GOLDEN_MERGE
