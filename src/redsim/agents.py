@@ -321,7 +321,8 @@ def load_policy(path) -> LoadedPolicy:
     """The policy a file holds; a malformed or out-of-range payload raises PolicyError.
 
     ``obs_dim`` and ``action_count`` must be positive ints, ``fingerprint``
-    a string and ``train_config`` an object.  Q-table keys
+    a string (it is required: a policy says which environment it was
+    trained in) and ``train_config`` an object.  Q-table keys
     must decode to ``obs_dim`` values and rows must hold ``action_count``
     values; DQN layer shapes must chain from ``obs_dim`` to ``action_count``.
     """
@@ -333,7 +334,7 @@ def load_policy(path) -> LoadedPolicy:
         obs_dim, action_count = payload["obs_dim"], payload["action_count"]
         if not all(n.__class__ is int and n >= 1 for n in (obs_dim, action_count)):
             raise PolicyError(f"obs_dim {obs_dim!r} and action_count {action_count!r} must be positive ints")
-        fingerprint, train_config = payload.get("fingerprint", ""), payload.get("train_config", {})
+        fingerprint, train_config = payload["fingerprint"], payload.get("train_config", {})
         if fingerprint.__class__ is not str or train_config.__class__ is not dict:
             raise PolicyError(
                 f"fingerprint of type {type(fingerprint).__name__} must be a string and "

@@ -360,18 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build_sim)
 
     p = sub.add_parser("train", help="train an agent in a world or generated sim")
+    defaults = agents.TrainConfig()
     p.add_argument("--env", required=True, help="world:<scenario.json> or sim:<model>")
     p.add_argument("--algo", choices=("q_learning", "dqn"), default="q_learning")
-    p.add_argument("--episodes", type=_positive_int, default=2000)
+    p.add_argument("--episodes", type=_positive_int, default=defaults.episodes)
     p.add_argument("--gamma", type=_gamma, default=None)
     p.add_argument("--learning-rate", type=_positive_float, default=None)
-    p.add_argument("--epsilon-start", type=_probability, default=1.0)
-    p.add_argument("--epsilon-end", type=_probability, default=0.05)
-    p.add_argument("--epsilon-decay-steps", type=_positive_int, default=10_000)
-    p.add_argument("--replay-capacity", type=_positive_int, default=20_000)
-    p.add_argument("--batch-size", type=_positive_int, default=32)
-    p.add_argument("--target-sync", type=_positive_int, default=500)
-    p.add_argument("--hidden", type=_positive_ints, default="100,100")
+    p.add_argument("--epsilon-start", type=_probability, default=defaults.epsilon_start)
+    p.add_argument("--epsilon-end", type=_probability, default=defaults.epsilon_end)
+    p.add_argument("--epsilon-decay-steps", type=_positive_int, default=defaults.epsilon_decay_steps)
+    p.add_argument("--replay-capacity", type=_positive_int, default=defaults.replay_capacity)
+    p.add_argument("--batch-size", type=_positive_int, default=defaults.batch_size)
+    p.add_argument("--target-sync", type=_positive_int, default=defaults.target_sync_interval)
+    p.add_argument("--hidden", type=_positive_ints, default=defaults.hidden_sizes)
     p.add_argument("--max-steps", type=_positive_int, default=None)
     p.add_argument("--fallback", choices=(empirical.FALLBACK_SELF, empirical.FALLBACK_REJECT),
                    default=empirical.FALLBACK_SELF)

@@ -17,7 +17,8 @@ from itertools import accumulate
 import numpy as np
 
 from . import artifacts, collect
-from .envapi import Env, GameConfig, Observation, TabularMDP, compute_reward
+from .envapi import INDEX, NON_NEGATIVE, POSITIVE, STEPS, UNIT, Env, GameConfig, Observation, TabularMDP
+from .envapi import compute_reward, game_number
 
 MODEL_FORMAT = "redsim-model-v1"
 
@@ -311,23 +312,30 @@ class SimConfig:
     def from_model(
         cls, model: EmpiricalModel, max_steps: int | None = None, fallback: str = FALLBACK_SELF
     ) -> "SimConfig":
-        """The game and rewards the model's manifest recorded, with ``max_steps`` replacing its horizon when given."""
-        reward_meta = model.metadata.get("reward") or {}
-        game_meta = model.metadata.get("game") or {}
-        worths, costs = reward_meta.get("flag_worths"), reward_meta.get("action_costs")
-        if worths is None or costs is None:
+        """The game and rewards the model's manifest recorded, with ``max_steps`` replacing its horizon when given.
+
+        ``envapi.game_number`` reads every recorded number, as it reads a
+        scenario's; a ``reward`` or ``game`` that is no object, or a number it
+        rejects, raises ModelError.
+        """
+        reward_meta, game_meta = model.metadata.get("reward"), model.metadata.get("game")
+        if reward_meta is None:
             raise ModelError("model carries no reward defaults; build a SimConfig with them")
-        game = GameConfig(
-            max_steps=int(max_steps if max_steps is not None else game_meta.get("max_steps", 100)),
-            gamma=float(game_meta.get("gamma", 1.0)),
-            goal_index=int(game_meta.get("goal_index", -1)),
-        )
-        return cls(
-            game=game,
-            flag_worths=tuple(float(w) for w in worths),
-            action_costs=tuple(float(c) for c in costs),
-            fallback=fallback,
-        )
+        game_meta = {} if game_meta is None else game_meta  # a log that recorded no game plays the default one
+        try:
+            worths, costs = reward_meta["flag_worths"], reward_meta["action_costs"]
+            if worths.__class__ is not list or costs.__class__ is not list:
+                raise ValueError(f"flag_worths {worths!r} and action_costs {costs!r} must be lists")
+            worths = tuple(game_number(w, "flag_worths entry", NON_NEGATIVE) for w in worths)
+            costs = tuple(game_number(c, "action_costs entry", POSITIVE) for c in costs)
+            recorded_steps = game_number(game_meta.get("max_steps", 100), "game.max_steps", STEPS)
+            gamma = game_number(game_meta.get("gamma", 1.0), "game.gamma", UNIT)
+            goal_index = game_number(game_meta.get("goal_index", -1), "game.goal_index", INDEX)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:  # Type-, AttributeError: not an object
+            raise ModelError(f"malformed game in model metadata: {exc!r}") from None
+        max_steps = int(max_steps) if max_steps is not None else recorded_steps
+        game = GameConfig(max_steps=max_steps, gamma=gamma, goal_index=goal_index)
+        return cls(game=game, flag_worths=worths, action_costs=costs, fallback=fallback)
 
 
 def compile_model(model: EmpiricalModel, config: SimConfig) -> TabularMDP:
@@ -336,11 +344,20 @@ def compile_model(model: EmpiricalModel, config: SimConfig) -> TabularMDP:
     Each row holds the outcome counts of one (observation, action) pair in
     sorted-observation order.  A pair the data never saw gets, under the
     self-transition fallback, one entry back to its own state with weight 1
-    at ``-cost``; under reject-action its row stays empty.
+    at ``-cost``; under reject-action its row stays empty.  This is the one
+    place a config is checked against its model: a model without ``x0``, or
+    a config whose worth count, cost count or ``goal_index`` does not fit the
+    model's ``obs_dim`` and ``action_count``, raises ModelError.
     """
+    worths, costs, goal = config.flag_worths, config.action_costs, config.game.goal_index
+    fits = (len(worths), len(costs)) == (model.obs_dim, model.action_count) and -model.obs_dim <= goal < model.obs_dim
+    if model.x0 is None or not fits:
+        raise ModelError(
+            f"a game of {len(worths)} worths, {len(costs)} costs and goal_index {goal} does not fit a model of "
+            f"obs_dim {model.obs_dim}, action_count {model.action_count} and start observation {model.x0}"
+        )
     states = sorted(model.observations())
     index = {obs: i for i, obs in enumerate(states)}
-    worths, costs = config.flag_worths, config.action_costs
     unchanged = (0,) * model.obs_dim
     stay = [compute_reward(worths, unchanged, unchanged, cost) for cost in costs]
     self_fallback = config.fallback == FALLBACK_SELF
@@ -383,18 +400,7 @@ class EmpiricalSim(Env):
     def __init__(self, model: EmpiricalModel, config: SimConfig | None = None, seed: int = 0):
         if config is None:
             config = SimConfig.from_model(model)
-        if model.x0 is None:
-            raise ModelError("model has no start observation; cannot run episodes")
-        if len(config.action_costs) != model.action_count:
-            raise ModelError(
-                f"{len(config.action_costs)} action costs for "
-                f"{model.action_count} actions"
-            )
-        if len(config.flag_worths) != model.obs_dim:
-            raise ModelError(
-                f"{len(config.flag_worths)} feature worths for "
-                f"observation dimension {model.obs_dim}"
-            )
+        mdp = compile_model(model, config)
         super().__init__(config.game, seed)
         self.model = model
         self.config = config
@@ -403,7 +409,6 @@ class EmpiricalSim(Env):
         self.fingerprint = model.fingerprint
         self.flag_worths = config.flag_worths
         self.action_costs = config.action_costs
-        mdp = compile_model(model, config)
         self._states = mdp.states
         self._start = mdp.start
         self._row_start = mdp.row_start.tolist()

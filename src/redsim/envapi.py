@@ -13,6 +13,7 @@ the fidelity audit and the sim read.
 from __future__ import annotations
 
 import hashlib
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any
@@ -74,6 +75,32 @@ class GameConfig:
 
     def is_goal(self, obs) -> bool:
         return obs[self.goal_index] == 1
+
+
+# The ranges of ``game_number``, each as (the number's type, the test it must pass, both in words).
+NON_NEGATIVE = (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+POSITIVE = (float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+UNIT = (float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+STEPS = (int, lambda v: v >= 1, "an int >= 1")
+INDEX = (int, lambda v: True, "an int")
+
+
+def game_number(value, name: str, rule: tuple):
+    """``value`` as the rule's type if it is a JSON number of that type that passes the rule's test, else ValueError.
+
+    Scenario files and a model's recorded game are read through this one
+    rule.  A bool, string or null is no number, an int where a float belongs
+    reads as the float it equals (so ``"worth": 2`` and ``"worth": 2.0`` give
+    the same game), and NaN fails every range.
+    """
+    kind, ok, expected = rule
+    try:
+        number = kind(value) if value.__class__ in (int, kind) else None
+    except OverflowError:  # an int too large for a float
+        number = None
+    if number is None or not ok(number):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return number
 
 
 def compute_reward(flag_worths, obs, next_obs, cost: float) -> float:

@@ -51,11 +51,10 @@ def check_compat(env: Env, policy) -> None:
             f"policy dims ({policy.obs_dim}, {policy.action_count}) do not "
             f"match environment ({env.obs_dim}, {env.action_count})"
         )
-    fp = policy.fingerprint
-    if fp and env.fingerprint and fp != env.fingerprint:
+    if policy.fingerprint != env.fingerprint:  # exact, as ``_check_source`` compares a model's
         raise IncompatiblePolicyError(
             "policy was trained against a different environment "
-            f"(fingerprint {fp[:12]} vs {env.fingerprint[:12]})"
+            f"(fingerprint {policy.fingerprint[:12]} vs {env.fingerprint[:12]})"
         )
 
 

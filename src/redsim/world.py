@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,18 +29,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .envapi import (
-    Env,
-    GameConfig,
-    Observation,
-    TabularMDP,
-    compute_reward,
-)
+from .envapi import NON_NEGATIVE, POSITIVE, STEPS, UNIT, Env, GameConfig, Observation, TabularMDP
+from .envapi import compute_reward, game_number
 
 ACTION_KINDS = ("scan", "exploit_user", "escalate_root", "objective")
 
 # The most observations an exhaustive enumeration of a scenario may reach.
 MAX_OBS = 100_000
+
+NOISE = (float, lambda v: 0.0 <= v < 0.5, "a number in [0, 0.5)")  # a range of ``envapi.game_number``
 
 
 class ScenarioError(Exception):
@@ -105,13 +101,6 @@ class RewardConfig:
     root_worth: float = 0.0
     objective_bonus: float = 100.0
     action_cost: float = 1.0
-
-    def __post_init__(self):
-        for name in ("user_worth", "root_worth", "objective_bonus"):
-            if not 0 <= getattr(self, name) < math.inf:  # NaN fails every comparison
-                raise ScenarioParseError(f"reward.{name} must be non-negative and finite")
-        if not 0 < self.action_cost < math.inf:
-            raise ScenarioParseError("reward.action_cost must be strictly positive and finite")
 
 
 @dataclass(frozen=True)
@@ -184,78 +173,61 @@ class Scenario:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _auto_actions(hosts, objective_host, defaults, default_cost) -> list[dict]:
-    """Standard action set: scan/exploit/escalate per host plus one objective."""
-    out = []
-    for host in hosts:
-        for kind in ("scan", "exploit_user", "escalate_root"):
-            spec = dict(defaults.get(kind, {}))
-            out.append(
-                {
-                    "kind": kind,
-                    "target": host["id"],
-                    "success_prob": spec.get("success_prob", 1.0),
-                    "cost": spec.get("cost", default_cost),
-                }
-            )
-    spec = dict(defaults.get("objective", {}))
-    out.append(
-        {
-            "kind": "objective",
-            "target": objective_host,
-            "success_prob": spec.get("success_prob", 1.0),
-            "cost": spec.get("cost", default_cost),
-        }
-    )
-    return out
+def _auto_actions(hosts, objective_host, defaults) -> list[dict]:
+    """Standard action set: scan/exploit/escalate per host plus one objective, each with its kind's defaults."""
+    targets = [(kind, host.id) for host in hosts for kind in ("scan", "exploit_user", "escalate_root")]
+    targets.append(("objective", objective_host))
+    return [{**defaults.get(kind, {}), "kind": kind, "target": target} for kind, target in targets]
 
 
 def parse_scenario(data: dict) -> Scenario:
     """Validate a scenario document and return the immutable Scenario.
 
     Raises ScenarioParseError / DanglingReferenceError /
-    UnreachableObjectiveError as appropriate; a value of the wrong type
-    (or an infinite ``max_steps``) anywhere in the document, and a worth,
-    reward, cost or ``step_latency_ms`` that is NaN or infinite, raise
-    ScenarioParseError.
+    UnreachableObjectiveError as appropriate.  Every number is read by
+    ``envapi.game_number``, so a value of the wrong type anywhere in the
+    document (a numeric string or a bool where a number belongs, a
+    ``max_steps`` that is not an int) and a number outside its range (a NaN
+    or infinite worth, reward, cost or latency) raise ScenarioParseError.
     """
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
     try:
         scenario = _parse_document(data)
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:  # overflow: int(Infinity)
+    except KeyError as exc:
+        raise ScenarioParseError(f"missing required key {exc}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ScenarioParseError(f"malformed scenario document: {exc}") from None
-    _check_objective_reachable(scenario)
+    if shortest_success_path(scenario) is None:
+        raise UnreachableObjectiveError(
+            f"objective host {scenario.objective_host!r} cannot be reached "
+            "from the entry foothold with the declared actions"
+        )
     return scenario
 
 
 def _parse_document(data: dict) -> Scenario:
-    try:
-        host_docs = list(data["hosts"])
-        entry_host = data["entry_host"]
-        objective_host = data["objective_host"]
-    except KeyError as exc:
-        raise ScenarioParseError(f"missing required key {exc}") from None
+    host_docs = list(data["hosts"])
+    entry_host = data["entry_host"]
+    objective_host = data["objective_host"]
 
     hosts = []
-    seen = set()
+    ids = set()
     for doc in host_docs:
         hid = doc.get("id")
         if not isinstance(hid, str) or not hid:
             raise ScenarioParseError("every host needs a non-empty string id")
-        if hid in seen:
+        if hid in ids:
             raise ScenarioParseError(f"duplicate host id {hid!r}")
-        seen.add(hid)
-        worth = float(doc.get("worth", 0.0))
-        if not 0 <= worth < math.inf:
-            raise ScenarioParseError(f"host {hid!r} worth must be non-negative and finite")
-        hosts.append(
-            HostSpec(id=hid, worth=worth, neighbors=tuple(doc.get("neighbors", ())))
-        )
+        ids.add(hid)
+        worth = game_number(doc.get("worth", 0.0), f"host {hid!r} worth", NON_NEGATIVE)
+        neighbors = doc.get("neighbors", [])
+        if neighbors.__class__ is not list:
+            raise ScenarioParseError(f"host {hid!r} neighbors must be a list of host ids")
+        hosts.append(HostSpec(id=hid, worth=worth, neighbors=tuple(neighbors)))
     if not hosts:
         raise ScenarioParseError("scenario needs at least one host")
 
-    ids = {h.id for h in hosts}
     for host in hosts:
         for nb in host.neighbors:
             if nb not in ids:
@@ -268,18 +240,16 @@ def _parse_document(data: dict) -> Scenario:
 
     reward_doc = data.get("reward", {})
     reward = RewardConfig(
-        user_worth=float(reward_doc.get("user_worth", 0.0)),
-        root_worth=float(reward_doc.get("root_worth", 0.0)),
-        objective_bonus=float(reward_doc.get("objective_bonus", 100.0)),
-        action_cost=float(reward_doc.get("action_cost", 1.0)),
+        user_worth=game_number(reward_doc.get("user_worth", 0.0), "reward.user_worth", NON_NEGATIVE),
+        root_worth=game_number(reward_doc.get("root_worth", 0.0), "reward.root_worth", NON_NEGATIVE),
+        objective_bonus=game_number(reward_doc.get("objective_bonus", 100.0), "reward.objective_bonus", NON_NEGATIVE),
+        action_cost=game_number(reward_doc.get("action_cost", 1.0), "reward.action_cost", POSITIVE),
     )
 
     if data.get("auto_actions"):
         if "actions" in data:
             raise ScenarioParseError("give either auto_actions or an explicit action list")
-        action_docs = _auto_actions(
-            host_docs, objective_host, data.get("action_defaults", {}), reward.action_cost
-        )
+        action_docs = _auto_actions(hosts, objective_host, data.get("action_defaults", {}))
     else:
         action_docs = data.get("actions")
         if not action_docs:
@@ -297,40 +267,32 @@ def _parse_document(data: dict) -> Scenario:
             raise ScenarioParseError(
                 f"action {i}: objective actions must target the objective host"
             )
-        prob = float(doc.get("success_prob", 1.0))
-        if not 0.0 < prob <= 1.0:
-            raise ScenarioParseError(f"action {i}: success_prob must be in (0, 1]")
-        cost = float(doc.get("cost", reward.action_cost))
-        if not 0 < cost < math.inf:
-            raise ScenarioParseError(f"action {i}: cost must be strictly positive and finite")
+        prob = game_number(doc.get("success_prob", 1.0), f"action {i}: success_prob", UNIT)
+        cost = game_number(doc.get("cost", reward.action_cost), f"action {i}: cost", POSITIVE)
         actions.append(
             ActionSpec(id=i, kind=kind, target=target, success_prob=prob, cost=cost)
         )
 
     game_doc = data.get("game", {})
     game = GameConfig(
-        max_steps=int(game_doc.get("max_steps", 100)),
-        gamma=float(game_doc.get("gamma", 1.0)),
+        max_steps=game_number(game_doc.get("max_steps", 100), "game.max_steps", STEPS),
+        gamma=game_number(game_doc.get("gamma", 1.0), "game.gamma", UNIT),
         goal_index=3 * len(hosts),
     )
-
-    noise = float(data.get("noise", 0.0))
-    if not 0.0 <= noise < 0.5:
-        raise ScenarioParseError("noise must be in [0, 0.5)")
-    step_latency_ms = float(data.get("step_latency_ms", 0.0))
-    if not 0.0 <= step_latency_ms < math.inf:
-        raise ScenarioParseError("step_latency_ms must be non-negative and finite")
+    name = data.get("name", "")
+    if name.__class__ is not str:
+        raise ScenarioParseError(f"name must be a string, got {name!r}")
 
     return Scenario(
-        name=str(data.get("name", "")),
+        name=name,
         hosts=tuple(hosts),
         entry_host=entry_host,
         objective_host=objective_host,
         actions=tuple(actions),
         reward=reward,
         game=game,
-        noise=noise,
-        step_latency_ms=step_latency_ms,
+        noise=game_number(data.get("noise", 0.0), "noise", NOISE),
+        step_latency_ms=game_number(data.get("step_latency_ms", 0.0), "step_latency_ms", NON_NEGATIVE),
     )
 
 
@@ -345,7 +307,7 @@ def load_scenario(path) -> Scenario:
 def scenario_from_json(text: str) -> Scenario:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int too long for Python to read
         raise ScenarioParseError(f"invalid JSON: {exc}") from None
     return parse_scenario(data)
 
@@ -380,10 +342,8 @@ def _action_rule(scenario: Scenario, action: ActionSpec) -> ActionRule:
         needs, effect = (1 << 3 * t, footholds), 3 * t + 1
     elif action.kind == "escalate_root":
         needs, effect = (1 << 3 * t + 1,), 3 * t + 2
-    elif action.kind == "objective":
+    else:  # objective
         needs, effect = (1 << 3 * t + 2,), scenario.objective_flag
-    else:
-        raise ValueError(f"unknown action kind {action.kind!r}")
     p, eps = action.success_prob, scenario.noise
     worths = scenario.flag_worths()
     none = (0,) * scenario.obs_dim
@@ -531,14 +491,6 @@ def reachable_observations(scenario: Scenario) -> list[Observation]:
     planning are the non-terminal ones.
     """
     return compile_world(scenario).states
-
-
-def _check_objective_reachable(scenario: Scenario) -> None:
-    if shortest_success_path(scenario) is None:
-        raise UnreachableObjectiveError(
-            f"objective host {scenario.objective_host!r} cannot be reached "
-            "from the entry foothold with the declared actions"
-        )
 
 
 def shortest_success_path(scenario: Scenario) -> int | None:

@@ -326,6 +326,7 @@ _BAD_Q_PAYLOADS = {
     "row-str": _set_first_q_row(["a", "b", "c"]),
     "row-dict": _set_first_q_row({"0": 1.0}),
     "fingerprint-int": _set("fingerprint", 5),
+    "no-fingerprint": _drop("fingerprint"),
     "train-config-list": _set("train_config", []),
 }
 

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from redsim import artifacts, cli, collect, presets
+from redsim import agents, artifacts, cli, collect, presets
 from redsim.cli import (
     EXIT_ARTIFACT,
     EXIT_DATA,
@@ -653,6 +653,97 @@ def test_exit_code_table(pipeline, tmp_path, capsys, kind):
     capsys.readouterr()
     assert main(argv) == code
     assert capsys.readouterr().err.startswith(f"error: {kind}: ")
+
+
+def _set_meta(block, key, value):
+    """A payload edit that sets ``metadata[block][key]``, or ``metadata[block]`` itself when ``key`` is None."""
+    def edit(payload):
+        if key is None:
+            payload["metadata"][block] = value
+        else:
+            payload["metadata"][block][key] = value
+    return edit
+
+
+def _set_first(key, value):
+    """A payload edit that sets the first entry of ``metadata["reward"][key]``."""
+    def edit(payload):
+        payload["metadata"]["reward"][key][0] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_meta("reward", None, "abc"),
+        _set_meta("game", None, "abc"),
+        _set_meta("reward", "flag_worths", "abc"),
+        _set_first("flag_worths", "NaN"),
+        _set_first("flag_worths", 10**400),
+        _set_first("action_costs", 0),
+        _set_meta("game", "max_steps", 0),
+        _set_meta("game", "max_steps", True),
+        _set_meta("game", "gamma", 2),
+        _set_meta("game", "goal_index", 99),
+        _set_meta("game", "goal_index", 1.5),
+    ],
+    ids=["reward-str", "game-str", "worths-str", "worth-nan-str", "worth-400-digits", "costs-0",
+         "max-steps-0", "max-steps-bool", "gamma-2", "goal-index-99", "goal-index-float"],
+)
+def test_a_model_with_a_malformed_or_unfitting_game_exits_data(pipeline, tmp_path, capsys, edit):
+    """A re-checksummed desk5 model whose recorded reward or game is wrong exits 5, never 0 or 1."""
+    model = _rewritten(pipeline["desk5"]["model"], tmp_path, edit)
+    argv = ["train", "--env", f"sim:{model}", "--episodes", "1", "--out", str(tmp_path / "p.policy")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: invalid-dataset: ")
+    assert not (tmp_path / "p.policy").exists()
+
+
+def test_a_policy_without_a_fingerprint_exits_artifact(pipeline, tmp_path):
+    """A policy file must say which environment it was trained in; one that does not is not evaluated."""
+    policy = _rewritten(pipeline["desk5"]["policy"], tmp_path, lambda p: p.pop("fingerprint"))
+    noisy = tmp_path / "noisy.json"
+    noisy.write_text(json.dumps(presets.chain_scenario(noise=0.1, exploit_prob=0.6)), encoding="utf-8")
+    assert main(_eval(noisy, policy, tmp_path)) == EXIT_ARTIFACT
+
+
+def _json_ints(node):
+    """``node`` with every float that equals an int written as that int."""
+    if isinstance(node, dict):
+        return {k: _json_ints(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_json_ints(v) for v in node]
+    return int(node) if node.__class__ is float and node.is_integer() else node
+
+
+@pytest.mark.parametrize("doc", [presets.chain_scenario(), presets.mesh_scenario()], ids=["desk5", "mesh"])
+def test_a_scenario_written_with_json_ints_plays_its_float_twin(tmp_path, capsys, doc):
+    """``"worth": 2`` reads as ``2.0``: the fingerprint and every output byte stay the same."""
+    twins = {"floats": json.dumps(doc), "ints": json.dumps(_json_ints(doc))}
+    assert twins["floats"] != twins["ints"]
+    outputs = []
+    for name, text in twins.items():
+        root = tmp_path / name
+        root.mkdir()
+        scenario = root / "s.json"
+        scenario.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["scenario-validate", "--scenario", str(scenario)]) == EXIT_OK
+        validated = capsys.readouterr().out
+        log = _collect(scenario, root, episodes=20)
+        model = _build(log, root)
+        outputs.append((validated, log.read_bytes(), collect.manifest_path(log).read_bytes(), model.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_train_flags_default_to_the_train_config_defaults():
+    args = cli.build_parser().parse_args(["train", "--env", "sim:m.model", "--out", "p.policy"])
+    defaults = agents.TrainConfig()
+    assert (args.episodes, args.epsilon_start, args.epsilon_end, args.epsilon_decay_steps, args.replay_capacity,
+            args.batch_size, args.target_sync, args.hidden) == (
+        defaults.episodes, defaults.epsilon_start, defaults.epsilon_end, defaults.epsilon_decay_steps,
+        defaults.replay_capacity, defaults.batch_size, defaults.target_sync_interval, defaults.hidden_sizes)
 
 
 def test_diverging_dqn_warns_nothing_before_its_error(pipeline, tmp_path, capsys):

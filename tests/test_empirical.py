@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from redsim import artifacts, collect, empirical, presets, world
+from redsim import agents, artifacts, collect, empirical, presets, world
 from redsim.artifacts import ArtifactChecksumError, ArtifactVersionError
 from redsim.cli import EXIT_DATA, main
 from redsim.collect import TransitionRecord
@@ -263,6 +263,40 @@ def test_sim_fallback_step_draws_nothing_and_reject_rows_stay_empty():
     assert np.diff(empirical.compile_model(model, config).row_start).tolist() == [1, 1, 1, 1]
     reject = SimConfig(config.game, config.flag_worths, config.action_costs, fallback=empirical.FALLBACK_REJECT)
     assert np.diff(empirical.compile_model(model, reject).row_start).tolist() == [1, 0, 0, 0]
+
+
+def _fitting_pair():
+    """A model on 2-value observations with 2 actions, and a config that fits it."""
+    model = build_model([TransitionRecord(0, 0, O, 0, A, 0.0, True, True)], obs_dim=2, action_count=2)
+    return model, SimConfig(GameConfig(max_steps=5, goal_index=1), (0.0, 0.0), (1.0, 1.0))
+
+
+_MISFITS = {
+    "costs-short": lambda model, config: (model, SimConfig(config.game, config.flag_worths, (1.0,))),
+    "worths-short": lambda model, config: (model, SimConfig(config.game, (0.0,), config.action_costs)),
+    "goal-index-99": lambda model, config: (
+        model, SimConfig(GameConfig(max_steps=5, goal_index=99), config.flag_worths, config.action_costs)
+    ),
+    "goal-index--3": lambda model, config: (
+        model, SimConfig(GameConfig(max_steps=5, goal_index=-3), config.flag_worths, config.action_costs)
+    ),
+    "no-x0": lambda model, config: (_without_x0(model), config),
+}
+
+
+def _without_x0(model):
+    bare = EmpiricalModel(model.obs_dim, model.action_count)
+    bare.counts = model.counts
+    return bare
+
+
+@pytest.mark.parametrize("use", [EmpiricalSim, agents.value_iteration_model], ids=["sim", "value-iteration"])
+@pytest.mark.parametrize("misfit", list(_MISFITS.values()), ids=list(_MISFITS))
+def test_a_config_that_does_not_fit_its_model_raises_model_error(use, misfit):
+    model, config = _fitting_pair()
+    use(model, config)  # the fitting pair works
+    with pytest.raises(ModelError):
+        use(*misfit(model, config))
 
 
 def test_sim_unseen_pair_reject_mode():

@@ -169,6 +169,13 @@ def test_evaluate_rejects_a_loaded_policy_of_another_environment(desk5):
         evaluate.evaluate_policy(world.AttackWorld(desk5, seed=1), loaded, 2, 0)
 
 
+def test_a_loaded_policy_with_an_empty_fingerprint_is_of_another_environment(desk5):
+    n = len(desk5.actions)
+    loaded = LoadedPolicy(QTable(n), "q_table", "", desk5.obs_dim, n, {})
+    with pytest.raises(IncompatiblePolicyError, match="trained against a different environment"):
+        evaluate.evaluate_policy(world.AttackWorld(desk5, seed=1), loaded, 2, 0)
+
+
 def test_a_bare_policy_carries_no_provenance_and_passes(desk5):
     report = evaluate.evaluate_policy(world.AttackWorld(desk5, seed=1), QTable(len(desk5.actions)), 2, 0)
     assert report.episodes == 2

@@ -81,14 +81,33 @@ def _worth_x(doc):
         lambda doc: doc["hosts"].append(7),
         lambda doc: doc["actions"][0].update(success_prob=None),
         lambda doc: doc["game"].update(max_steps=float("inf")),
+        lambda doc: doc["hosts"][1].update(worth="3"),
+        lambda doc: doc["actions"][0].update(success_prob="0.5"),
+        lambda doc: doc.update(noise=False),
+        lambda doc: doc.update(name=5),
+        lambda doc: doc["game"].update(max_steps=80.7),
+        lambda doc: doc["game"].update(max_steps=True),
+        lambda doc: doc["hosts"][0].update(neighbors="h1"),
+        lambda doc: doc["hosts"][1].update(worth=10**400),
     ],
-    ids=["hosts-int", "worth-str", "reward-list", "max-steps-str", "host-int", "prob-null", "max-steps-inf"],
+    ids=["hosts-int", "worth-str", "reward-list", "max-steps-str", "host-int", "prob-null", "max-steps-inf",
+         "worth-numeric-str", "prob-numeric-str", "noise-bool", "name-int", "max-steps-float", "max-steps-bool",
+         "neighbors-str", "worth-400-digits"],
 )
 def test_wrongly_typed_scenario_exits_scenario(tmp_path, edit):
     doc = presets.chain_scenario()
     doc = edit(doc) or doc
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ScenarioParseError):
+        world.load_scenario(path)
+    assert main(["scenario-validate", "--scenario", str(path)]) == EXIT_SCENARIO
+
+
+def test_an_int_too_long_to_read_exits_scenario(tmp_path):
+    """Python refuses to read an int of more than 4,300 digits; that is a bad scenario, not an unexpected error."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(presets.chain_scenario()).replace('"worth": 0.0', '"worth": ' + "9" * 5000, 1))
     with pytest.raises(ScenarioParseError):
         world.load_scenario(path)
     assert main(["scenario-validate", "--scenario", str(path)]) == EXIT_SCENARIO
@@ -168,6 +187,31 @@ def test_fuzzed_scenario_documents_raise_only_scenario_errors(doc):
         world.parse_scenario(doc)
     except ScenarioError:
         pass
+
+
+def _number_paths(node, path=()):
+    """The path of every JSON number (not bool) in a document."""
+    if isinstance(node, dict):
+        node = node.items()
+    elif isinstance(node, list):
+        node = enumerate(node)
+    else:
+        return [path] if node.__class__ in (int, float) else []
+    return [found for key, child in node for found in _number_paths(child, (*path, key))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_number_given_as_a_string_bool_or_null_is_rejected(data):
+    """Every number a preset holds must be a JSON number: its string form, a bool or null raises ScenarioParseError."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(_BASES)))
+    *parents, key = data.draw(st.sampled_from(_number_paths(doc)))
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = data.draw(st.sampled_from([str(node[key]), True, False, None]))
+    with pytest.raises(ScenarioParseError):
+        world.parse_scenario(doc)
 
 
 def test_transition_unmet_preconditions_is_noop(desk5):
