@@ -27,29 +27,40 @@ class TrainingDivergedError(Exception):
         self.step = step
 
 
+def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(w, b)`` views into ``flat``, laid out as w0, b0, w1, b1, ..."""
+    parts = np.split(flat, np.cumsum([k for m, n in shapes for k in (m * n, n)])[:-1])
+    return [(w.reshape(shape), b) for shape, w, b in zip(shapes, parts[::2], parts[1::2])]
+
+
 class DqnNet:
-    """Fully connected ReLU network mapping observations to action values."""
+    """Fully connected ReLU network mapping observations to action values.
+
+    ``layers`` are ``(w, b)`` views into one flat buffer, ``params``; the
+    gradients go to a second flat buffer, ``grad``, laid out the same way.
+    """
 
     def __init__(self, obs_dim: int, action_count: int, hidden_sizes=(100, 100), seed: int = 0):
-        self.obs_dim = int(obs_dim)
-        self.action_count = int(action_count)
-        self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         rng = np.random.default_rng(derive_seed(seed, "dqn-init"))
-        sizes = (self.obs_dim, *self.hidden_sizes, self.action_count)
-        self.layers: list[tuple[np.ndarray, np.ndarray]] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-            b = np.zeros(fan_out)
-            self.layers.append((w, b))
+        sizes = (int(obs_dim), *(int(h) for h in hidden_sizes), int(action_count))
+        self._set_layers(
+            [(rng.normal(0.0, np.sqrt(2.0 / m), size=(m, n)), np.zeros(n)) for m, n in zip(sizes[:-1], sizes[1:])]
+        )
 
     @classmethod
     def from_layers(cls, layers) -> "DqnNet":
         net = cls.__new__(cls)
-        net.layers = [(np.array(w, dtype=float), np.array(b, dtype=float)) for w, b in layers]
-        net.obs_dim = net.layers[0][0].shape[0]
-        net.action_count = net.layers[-1][0].shape[1]
-        net.hidden_sizes = tuple(w.shape[1] for w, _ in net.layers[:-1])
+        net._set_layers(layers)
         return net
+
+    def _set_layers(self, layers) -> None:
+        shapes = [np.shape(w) for w, _ in layers]
+        self.obs_dim, self.action_count = shapes[0][0], shapes[-1][1]
+        self.hidden_sizes = tuple(n for _, n in shapes[:-1])
+        self.params = np.concatenate([np.ravel(a) for layer in layers for a in layer], dtype=float)
+        self.grad = np.zeros_like(self.params)
+        self.layers = _layer_views(self.params, shapes)
+        self._grad_layers = _layer_views(self.grad, shapes)
 
     def copy(self) -> "DqnNet":
         return DqnNet.from_layers(self.layers)
@@ -65,7 +76,10 @@ class DqnNet:
         return self.forward(np.asarray(obs, dtype=float)[None, :])[0]
 
     def loss_and_grads(self, x: np.ndarray, actions: np.ndarray, targets: np.ndarray):
-        """Mean squared TD error over the batch and its exact gradients."""
+        """Mean squared TD error over the batch and its exact gradients.
+
+        The gradients are written into ``grad``; the returned ``(gw, gb)`` views of it change on the next call.
+        """
         batch = x.shape[0]
         pre: list[np.ndarray] = []
         post = [x]
@@ -78,20 +92,19 @@ class DqnNet:
         w, b = self.layers[-1]
         q = h @ w + b
 
-        picked = q[np.arange(batch), actions]
-        err = picked - targets
+        rows = np.arange(batch)
+        err = q[rows, actions] - targets
         loss = float(np.mean(err**2))
 
-        dq = np.zeros_like(q)
-        dq[np.arange(batch), actions] = 2.0 * err / batch
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
-        grads[-1] = (post[-1].T @ dq, dq.sum(axis=0))
-        dh = dq @ self.layers[-1][0].T
-        for i in range(len(self.layers) - 2, -1, -1):
-            dz = dh * (pre[i] > 0.0)
-            grads[i] = (post[i].T @ dz, dz.sum(axis=0))
+        # Walk back from the output layer; dz is the loss's gradient at layer i's pre-activation.
+        dz = np.zeros_like(q)
+        dz[rows, actions] = 2.0 * err / batch
+        grads = self._grad_layers
+        for i in range(len(self.layers) - 1, -1, -1):
+            np.matmul(post[i].T, dz, out=grads[i][0])
+            np.sum(dz, axis=0, out=grads[i][1])
             if i > 0:
-                dh = dz @ self.layers[i][0].T
+                dz = (dz @ self.layers[i][0].T) * (pre[i - 1] > 0.0)
         return loss, grads
 
 
@@ -107,23 +120,17 @@ def numeric_gradients(net: DqnNet, x, actions, targets, delta: float = 1e-6):
         err = q[np.arange(batch), actions] - targets
         return float(np.mean(err**2))
 
-    grads = []
-    for w, b in net.layers:
-        gw = np.zeros_like(w)
-        gb = np.zeros_like(b)
-        for arr, grad in ((w, gw), (b, gb)):
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for i in range(flat.size):
-                original = flat[i]
-                flat[i] = original + delta
-                hi = loss_only()
-                flat[i] = original - delta
-                lo = loss_only()
-                flat[i] = original
-                gflat[i] = (hi - lo) / (2.0 * delta)
-        grads.append((gw, gb))
-    return grads
+    flat = net.params
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + delta
+        hi = loss_only()
+        flat[i] = original - delta
+        lo = loss_only()
+        flat[i] = original
+        grad[i] = (hi - lo) / (2.0 * delta)
+    return _layer_views(grad, [w.shape for w, _ in net.layers])
 
 
 # Adam's moment decay rates and the term that keeps its step's denominator above zero.
@@ -133,25 +140,37 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    def __init__(self, layers, lr: float):
+    """Adam on one flat parameter vector, updated in place by whole-vector operations."""
+
+    def __init__(self, params: np.ndarray, lr: float):
+        self.params = params
         self.lr = lr
         self.t = 0
-        self.m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
-        self.v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._step = np.zeros_like(params)
+        self._scale = np.zeros_like(params)
 
-    def step(self, layers, grads) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
         correct1 = 1.0 - ADAM_BETA1**self.t
         correct2 = 1.0 - ADAM_BETA2**self.t
-        for i, ((w, b), (gw, gb)) in enumerate(zip(layers, grads)):
-            mw, mb = self.m[i]
-            vw, vb = self.v[i]
-            for param, grad, m, v in ((w, gw, mw, vw), (b, gb, mb, vb)):
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * grad
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * grad**2
-                param -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+        m, v, step, scale = self.m, self.v, self._step, self._scale
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
+        m += step
+        v *= ADAM_BETA2
+        np.multiply(grad, grad, out=step)
+        step *= 1.0 - ADAM_BETA2
+        v += step
+        # params -= lr * (m / correct1) / (sqrt(v / correct2) + eps), one operation at a time.
+        np.divide(m, correct1, out=step)
+        step *= self.lr
+        np.divide(v, correct2, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += ADAM_EPS
+        step /= scale
+        self.params -= step
 
 
 @dataclass
@@ -199,7 +218,7 @@ def train_dqn(env: Env, config: TrainConfig, eval_env: Env | None = None) -> Tra
     rng = np.random.default_rng(derive_seed(config.seed, "dqn"))
     net = DqnNet(env.obs_dim, env.action_count, config.hidden_sizes, seed=config.seed)
     target = net.copy()
-    optimizer = Adam(net.layers, lr=config.learning_rate)
+    optimizer = Adam(net.params, lr=config.learning_rate)
     replay = _Replay(config.replay_capacity, env.obs_dim)
     gamma = config.gamma if config.gamma is not None else env.game.gamma
     result = TrainResult(policy=net)
@@ -211,11 +230,11 @@ def train_dqn(env: Env, config: TrainConfig, eval_env: Env | None = None) -> Tra
                 b_obs, b_act, b_rew, b_next, b_goal = replay.sample(config.batch_size, rng)
                 next_q = target.forward(b_next).max(axis=1)
                 targets = b_rew + gamma * next_q * (1.0 - b_goal)
-                loss, grads = net.loss_and_grads(b_obs, b_act, targets)
+                loss, _ = net.loss_and_grads(b_obs, b_act, targets)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"non-finite loss {loss!r}", global_step)
-                optimizer.step(net.layers, grads)
+                optimizer.step(net.grad)
                 learn_steps += 1
                 if learn_steps % config.target_sync_interval == 0:
-                    target = net.copy()
+                    np.copyto(target.params, net.params)
     return result

@@ -136,23 +136,27 @@ class EmpiricalModel:
     def from_payload(cls, payload: dict) -> "EmpiricalModel":
         """The model a payload holds; malformed or out-of-range contents raise ModelError.
 
-        ``obs_dim`` and ``action_count`` must be positive ints and the
-        fingerprint a string.  Action keys must be written as ``str`` writes
-        an int and lie in ``0..action_count-1``, observations (``x0``
-        included) must hold ``obs_dim`` values in ``0..255``, and every count
-        must be a positive int.  Ranges are checked once per distinct action
+        ``obs_dim`` and ``action_count`` must be positive ints, the
+        fingerprint a string and ``metadata``, if given, an object.  Action
+        keys must be written as ``str`` writes an int and lie in
+        ``0..action_count-1``, observations (``x0`` included) must hold
+        ``obs_dim`` values in ``0..255``, and every count must be a positive
+        int.  Ranges are checked once per distinct action
         and observation.
         """
         try:
             x0, obs_dim, action_count = payload.get("x0"), payload["obs_dim"], payload["action_count"]
             if not all(n.__class__ is int and n >= 1 for n in (obs_dim, action_count)):
                 raise ModelError(f"obs_dim {obs_dim!r} and action_count {action_count!r} must be positive ints")
+            metadata = payload.get("metadata", {})
+            if metadata.__class__ is not dict:
+                raise ModelError(f"metadata of type {type(metadata).__name__} must be an object")
             model = cls(
                 obs_dim=obs_dim,
                 action_count=action_count,
                 fingerprint=payload.get("fingerprint", ""),
                 x0=bytes(list(x0)) if x0 is not None else None,  # bytes() rejects values outside 0..255
-                metadata=payload.get("metadata"),
+                metadata=metadata,
             )
             decoded: dict[str, Observation] = {}  # one tuple per distinct observation
             for obs_hex, row in payload.get("counts", {}).items():

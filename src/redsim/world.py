@@ -206,14 +206,23 @@ def parse_scenario(data: dict) -> Scenario:
     return scenario
 
 
+def _check_keys(doc: dict, known, where: str) -> None:
+    """Reject a key ``doc`` does not define, so that a misspelt field cannot silently take its default."""
+    if doc.keys() - known:
+        raise ScenarioParseError(f"{where}: unknown keys {sorted(doc.keys() - known)}")
+
+
 def _parse_document(data: dict) -> Scenario:
+    _check_keys(data, ("name", "hosts", "entry_host", "objective_host", "actions", "auto_actions",
+                       "action_defaults", "reward", "game", "noise", "step_latency_ms"), "scenario")
     host_docs = list(data["hosts"])
     entry_host = data["entry_host"]
     objective_host = data["objective_host"]
 
     hosts = []
     ids = set()
-    for doc in host_docs:
+    for i, doc in enumerate(host_docs):
+        _check_keys(doc, ("id", "worth", "neighbors"), f"host {i}")
         hid = doc.get("id")
         if not isinstance(hid, str) or not hid:
             raise ScenarioParseError("every host needs a non-empty string id")
@@ -239,6 +248,7 @@ def _parse_document(data: dict) -> Scenario:
             raise DanglingReferenceError(f"{key} {value!r} is not a declared host")
 
     reward_doc = data.get("reward", {})
+    _check_keys(reward_doc, ("user_worth", "root_worth", "objective_bonus", "action_cost"), "reward")
     reward = RewardConfig(
         user_worth=game_number(reward_doc.get("user_worth", 0.0), "reward.user_worth", NON_NEGATIVE),
         root_worth=game_number(reward_doc.get("root_worth", 0.0), "reward.root_worth", NON_NEGATIVE),
@@ -249,7 +259,11 @@ def _parse_document(data: dict) -> Scenario:
     if data.get("auto_actions"):
         if "actions" in data:
             raise ScenarioParseError("give either auto_actions or an explicit action list")
-        action_docs = _auto_actions(hosts, objective_host, data.get("action_defaults", {}))
+        defaults = data.get("action_defaults", {})
+        _check_keys(defaults, ACTION_KINDS, "action_defaults")
+        for kind, entry in defaults.items():
+            _check_keys(entry, ("success_prob", "cost"), f"action_defaults {kind!r}")
+        action_docs = _auto_actions(hosts, objective_host, defaults)
     else:
         action_docs = data.get("actions")
         if not action_docs:
@@ -257,6 +271,7 @@ def _parse_document(data: dict) -> Scenario:
 
     actions = []
     for i, doc in enumerate(action_docs):
+        _check_keys(doc, ("kind", "target", "success_prob", "cost"), f"action {i}")
         kind = doc.get("kind")
         if kind not in ACTION_KINDS:
             raise ScenarioParseError(f"action {i}: unknown kind {kind!r}")
@@ -274,6 +289,7 @@ def _parse_document(data: dict) -> Scenario:
         )
 
     game_doc = data.get("game", {})
+    _check_keys(game_doc, ("max_steps", "gamma"), "game")
     game = GameConfig(
         max_steps=game_number(game_doc.get("max_steps", 100), "game.max_steps", STEPS),
         gamma=game_number(game_doc.get("gamma", 1.0), "game.gamma", UNIT),

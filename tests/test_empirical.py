@@ -515,6 +515,28 @@ def test_mistyped_model_fingerprint_stats_exits_data(tmp_path, desk5_model):
     assert main(["stats", str(path)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "metadata",
+    [lambda meta: sorted(meta.items()), lambda meta: "", lambda meta: 0, lambda meta: [], lambda meta: None],
+    ids=["list-of-pairs", "empty-str", "zero", "empty-list", "null"],
+)
+def test_model_metadata_that_is_not_an_object_exits_data(tmp_path, desk5_model, metadata):
+    """A model's ``metadata`` is read as it was written, not coerced into a dict."""
+    payload = desk5_model.to_payload()
+    payload["metadata"] = metadata(payload["metadata"])
+    with pytest.raises(ModelError, match="metadata"):
+        EmpiricalModel.from_payload(payload)
+    path = tmp_path / "m.model"
+    artifacts.write_artifact(path, empirical.MODEL_FORMAT, payload)
+    assert main(["stats", str(path)]) == EXIT_DATA
+
+
+def test_a_model_payload_without_metadata_loads_empty_metadata():
+    payload = empirical.build_model([TransitionRecord(0, 0, (0,), 0, (1,), 0.0, True, True)], 1, 1).to_payload()
+    del payload["metadata"]
+    assert EmpiricalModel.from_payload(payload).metadata == {}
+
+
 def _action_99_on_line_1(lines):
     return [json.dumps({**json.loads(lines[0]), "action": 99})] + lines[1:]
 

@@ -240,14 +240,17 @@ def test_golden_artifact_digests(tmp_path, name):
 
 
 # sha256 of the training and report outputs built on that desk5 model: a
-# Q-learning and a small DQN policy with their learning curves, a world
-# evaluation and a sim-paired transfer report.  Any change to a sampled
+# Q-learning policy, a one- and a two-hidden-layer DQN policy (the second
+# syncs its target net every 50 learn steps) with their learning curves, a
+# world evaluation and a sim-paired transfer report.  Any change to a sampled
 # stream (environment, exploration, replay) changes at least one of them.
 GOLDEN_OUTPUTS = {
     "q.policy": "2124fcb4fd9fef75e8a208a8c76f9aedbdc7763aa4b29b4e2c3d12f7dd737907",
     "q.policy.curve.csv": "c4d5fc4b59b07f4449b65b3602dc006b9b7606890d3ba3d7cdf4c74cdc2607b9",
     "dqn.policy": "9fa6c3bae3bbe2497fc71d10c3f15ea871c655ea8f4ffb4eb7ac3932ab9ec062",
     "dqn.policy.curve.csv": "ed12e94f8891c873eef0f48d1e7ec8105519c22da5bd193d0446d6032688d958",
+    "dqn2.policy": "2de134ad5b781f807cec8ad093c5f8443a6c4e567cdecdd47d374277fcf1fcec",
+    "dqn2.policy.curve.csv": "41f42fbdfb2f6e6a29d4483c7004e0ee6b49f78977eff54f48f5a2f42d8975c7",
     "eval.json": "ede59e46371317dab64d1c5b36cd51b2bfb708c80e4621f9113be7a6f9c7e594",
     "eval.json.csv": "4d52f4bb756f9fc8b620e644374fbee77f7c3e53937985251cbb827c9547b718",
     "transfer.json": "1dc31360aa0ca63026a1c464ebc519f8e84b1daf4f4192ba9bce615f3dab7e44",
@@ -259,7 +262,7 @@ def test_golden_training_and_report_digests(tmp_path):
     scenario = tmp_path / "desk5.json"
     scenario.write_text(json.dumps(presets.chain_scenario()), encoding="utf-8")
     log, model = tmp_path / "d.jsonl", tmp_path / "m.model"
-    q, dqn = tmp_path / "q.policy", tmp_path / "dqn.policy"
+    q, dqn, dqn2 = tmp_path / "q.policy", tmp_path / "dqn.policy", tmp_path / "dqn2.policy"
     ev, tr = tmp_path / "eval.json", tmp_path / "transfer.json"
     commands = [
         ["collect", "--scenario", str(scenario), "--episodes", "120", "--seed", "7", "--out", str(log)],
@@ -267,6 +270,8 @@ def test_golden_training_and_report_digests(tmp_path):
         ["train", "--env", f"sim:{model}", "--episodes", "300", "--seed", "3", "--out", str(q)],
         ["train", "--env", f"sim:{model}", "--algo", "dqn", "--hidden", "16", "--episodes", "20",
          "--seed", "3", "--out", str(dqn)],
+        ["train", "--env", f"sim:{model}", "--algo", "dqn", "--hidden", "32,32", "--episodes", "20",
+         "--target-sync", "50", "--seed", "3", "--out", str(dqn2)],
         ["eval", "--env", f"world:{scenario}", "--policy", str(q), "--episodes", "20", "--seed", "5",
          "--out", str(ev)],
         ["transfer", "--policy", str(q), "--scenario", str(scenario), "--model", str(model),
@@ -274,11 +279,11 @@ def test_golden_training_and_report_digests(tmp_path):
     ]
     for argv in commands:
         assert main(argv) == EXIT_OK, argv
-    outputs = (q, dqn, ev, tr)
+    outputs = (q, dqn, dqn2, ev, tr)
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for out in outputs
-        for path in (out, out.with_name(out.name + (".curve.csv" if out in (q, dqn) else ".csv")))
+        for path in (out, out.with_name(out.name + (".curve.csv" if out in (q, dqn, dqn2) else ".csv")))
     }
     assert digests == GOLDEN_OUTPUTS
 

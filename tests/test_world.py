@@ -104,6 +104,53 @@ def test_wrongly_typed_scenario_exits_scenario(tmp_path, edit):
     assert main(["scenario-validate", "--scenario", str(path)]) == EXIT_SCENARIO
 
 
+@pytest.mark.parametrize(
+    "base, edit",
+    [
+        (presets.chain_scenario, lambda doc: doc["game"].update(max_step=5, gama=0.5)),
+        (presets.chain_scenario, lambda doc: doc.update(nosie=0.1)),
+        (presets.chain_scenario, lambda doc: doc["reward"].update(action_cst=2.0)),
+        (presets.chain_scenario, lambda doc: doc["hosts"][1].update(wroth=3.0)),
+        (presets.chain_scenario, lambda doc: doc["actions"][0].update(sucess_prob=0.5)),
+        (presets.mesh_scenario, lambda doc: doc["action_defaults"]["exploit_user"].update(sucess_prob=0.1)),
+        (presets.mesh_scenario, lambda doc: doc["action_defaults"].update(exploit_usr={"success_prob": 0.1})),
+        (presets.mesh_scenario, lambda doc: doc["action_defaults"]["scan"].update(kind="objective")),
+    ],
+    ids=["game-misspelt", "top-level", "reward", "host", "action", "defaults-entry", "defaults-kind",
+         "defaults-kind-key"],
+)
+def test_an_unknown_key_exits_scenario(tmp_path, base, edit):
+    """A misspelt field must not silently take its default."""
+    doc = base()
+    edit(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ScenarioParseError, match="unknown key"):
+        world.load_scenario(path)
+    assert main(["scenario-validate", "--scenario", str(path)]) == EXIT_SCENARIO
+
+
+def _object_paths(node, path=()):
+    """The path of every JSON object in a document."""
+    if isinstance(node, list):
+        return [found for i, child in enumerate(node) for found in _object_paths(child, (*path, i))]
+    if not isinstance(node, dict):
+        return []
+    return [path, *(found for key, child in node.items() for found in _object_paths(child, (*path, key)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_object_of_a_scenario_rejects_a_key_it_does_not_define(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(_BASES)))
+    node = doc
+    for step in data.draw(st.sampled_from(_object_paths(doc))):
+        node = node[step]
+    node["x-" + data.draw(st.text(max_size=4))] = data.draw(st.sampled_from([0.5, 1, "h0", {}]))
+    with pytest.raises(ScenarioParseError, match="unknown key"):
+        world.parse_scenario(doc)
+
+
 def test_an_int_too_long_to_read_exits_scenario(tmp_path):
     """Python refuses to read an int of more than 4,300 digits; that is a bad scenario, not an unexpected error."""
     path = tmp_path / "s.json"
