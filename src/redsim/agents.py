@@ -17,7 +17,7 @@ import numpy as np
 from . import artifacts
 from .empirical import FALLBACK_SELF, compile_model
 from .envapi import Env, Observation, TabularMDP, derive_seed, rollout
-from .world import Scenario, compile_world
+from .world import Scenario
 
 # The benchmark's per-layer tracer (perfbench/layers.py) wraps these names here too.
 from .envapi import compute_reward  # noqa: F401, E402
@@ -245,7 +245,7 @@ def value_iteration(scenario: Scenario, horizon: int | None = None) -> ValueSolu
     horizon fixed point.
     """
     horizon = scenario.game.max_steps if horizon is None else horizon
-    mdp = compile_world(scenario)
+    mdp = scenario.law
     return _solve_tabular(mdp, mdp.weight, scenario.game.gamma, horizon)
 
 

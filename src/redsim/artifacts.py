@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 
@@ -36,17 +37,90 @@ def payload_checksum(payload) -> str:
 
 
 def write_artifact(path, format_tag: str, payload) -> None:
-    doc = {
-        "format": format_tag,
-        "checksum": payload_checksum(payload),
-        "payload": payload,
-    }
-    Path(path).write_text(canonical_json(doc) + "\n", encoding="utf-8")
+    """The canonical encoding of ``{"checksum", "format", "payload"}``, the payload encoded once."""
+    data = canonical_json(payload).encode("utf-8")
+    head = f'{{"checksum":"{hashlib.sha256(data).hexdigest()}","format":{canonical_json(format_tag)},"payload":'
+    with open(path, "wb") as fh:  # the container's keys sort in the order written here
+        fh.writelines((head.encode("utf-8"), data, b"}\n"))
 
 
 def write_json(path, doc) -> None:
     """``doc`` as JSON with sorted keys, two-space indent and a trailing newline."""
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(_indented_json(doc) + "\n", encoding="utf-8")
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_WORDS.get(text, text)
+
+
+# How json writes a value of each of these exact types.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _indented_json(doc) -> str:
+    """What ``json.dumps(doc, sort_keys=True, indent=2)`` returns, without json's pure-Python indenting encoder.
+
+    Plain dicts with string keys, lists, tuples and scalars are written
+    here; any other value (a subclass, a non-string key, an unknown type) is
+    handed to ``json.dumps`` itself, so it is written, or rejected, as json
+    would.  A document nested too deeply to recurse through goes to json
+    whole.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+    breaks = ["\n"]  # a line break and the indent of each depth, built once per depth
+
+    def encode(value, depth):
+        cls = value.__class__
+        scalar = _SCALARS.get(cls)
+        if scalar is not None:
+            append(scalar(value))
+            return
+        if not (cls is list or cls is tuple or cls is dict and {*map(type, value)} <= {str}):
+            append(json.dumps(value, sort_keys=True, indent=2).replace("\n", breaks[depth]))
+            return
+        if not value:
+            append("{}" if cls is dict else "[]")
+            return
+        if len(breaks) == depth + 1:
+            breaks.append(breaks[depth] + "  ")
+        inner, outer = breaks[depth + 1], breaks[depth]
+        if cls is dict:
+            separator = "{" + inner
+            for key, item in sorted(value.items()):
+                scalar = _SCALARS.get(item.__class__)
+                if scalar is None:
+                    append(f"{separator}{encode_basestring_ascii(key)}: ")
+                    encode(item, depth + 1)
+                else:
+                    append(f"{separator}{encode_basestring_ascii(key)}: {scalar(item)}")
+                separator = "," + inner
+            append(outer + "}")
+        elif {*map(type, value)} == {int}:
+            append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + outer + "]")
+        else:
+            separator = "[" + inner
+            for item in value:
+                append(separator)
+                encode(item, depth + 1)
+                separator = "," + inner
+            append(outer + "]")
+
+    try:
+        encode(doc, 0)
+    except RecursionError:
+        return json.dumps(doc, sort_keys=True, indent=2)
+    return "".join(chunks)
 
 
 def write_csv(path, columns, rows) -> None:

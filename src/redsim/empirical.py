@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
 from . import artifacts, collect
 from .envapi import INDEX, NON_NEGATIVE, POSITIVE, STEPS, UNIT, Env, GameConfig, Observation, TabularMDP
-from .envapi import compute_reward, game_number
+from .envapi import game_number
+
+# The benchmark's per-layer tracer (perfbench/layers.py) wraps this name here too.
+from .envapi import compute_reward  # noqa: F401, E402
 
 MODEL_FORMAT = "redsim-model-v1"
 
@@ -348,7 +351,8 @@ def compile_model(model: EmpiricalModel, config: SimConfig) -> TabularMDP:
     Each row holds the outcome counts of one (observation, action) pair in
     sorted-observation order.  A pair the data never saw gets, under the
     self-transition fallback, one entry back to its own state with weight 1
-    at ``-cost``; under reject-action its row stays empty.  This is the one
+    at ``-cost``; under reject-action its row stays empty.  Each entry's
+    reward is what ``compute_reward`` returns for it.  This is the one
     place a config is checked against its model: a model without ``x0``, or
     a config whose worth count, cost count or ``goal_index`` does not fit the
     model's ``obs_dim`` and ``action_count``, raises ModelError.
@@ -362,29 +366,40 @@ def compile_model(model: EmpiricalModel, config: SimConfig) -> TabularMDP:
         )
     states = sorted(model.observations())
     index = {obs: i for i, obs in enumerate(states)}
-    unchanged = (0,) * model.obs_dim
-    stay = [compute_reward(worths, unchanged, unchanged, cost) for cost in costs]
-    self_fallback = config.fallback == FALLBACK_SELF
-    row_start = [0]
-    next_state: list[int] = []
-    weight: list[int] = []
-    reward: list[float] = []
-    for obs in states:
-        for action in range(model.action_count):
-            outcomes = model.counts.get((obs, action)) or ({obs: 1} if self_fallback else {})
-            for next_obs, count in sorted(outcomes.items()):
-                next_state.append(index[next_obs])
-                weight.append(count)
-                reward.append(stay[action] if next_obs == obs else compute_reward(worths, obs, next_obs, costs[action]))
-            row_start.append(len(next_state))
+    actions, n_rows = model.action_count, len(states) * model.action_count
+    # one entry per observed outcome, pair by pair in the counts' own order
+    outcomes = model.counts.values()
+    row = np.repeat(
+        np.array([index[obs] * actions + action for obs, action in model.counts], dtype=np.int64),
+        np.fromiter(map(len, outcomes), dtype=np.int64),
+    )
+    next_state = np.fromiter(map(index.__getitem__, chain.from_iterable(outcomes)), dtype=np.int64)
+    weight = np.fromiter(chain.from_iterable(map(dict.values, outcomes)), dtype=np.int64)
+    row_state = np.repeat(np.arange(len(states)), actions)
+    if config.fallback == FALLBACK_SELF:
+        unseen = np.ones(n_rows, dtype=bool)
+        unseen[row] = False
+        unseen = np.flatnonzero(unseen)
+        row = np.concatenate((row, unseen))
+        next_state = np.concatenate((next_state, row_state[unseen]))
+        weight = np.concatenate((weight, np.ones(len(unseen), dtype=np.int64)))
+    order = np.lexsort((next_state, row))
+    row, next_state, weight = row[order], next_state[order], weight[order]
+    row_start = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=row_start[1:])
+    flags = np.array(states, dtype=np.float64)  # observation values are bytes, which a float holds exactly
+    gains = np.where(flags[next_state] > flags[row_state[row]], np.array(worths, dtype=np.float64), 0.0)
+    gained = np.zeros(len(row))
+    for column in gains.T:  # compute_reward's flag order; adding 0.0 for an unchanged flag is exact
+        gained += column
     return TabularMDP(
         states=states,
-        action_count=model.action_count,
-        row_start=np.array(row_start, dtype=np.int64),
-        next_state=np.array(next_state, dtype=np.int64),
-        weight=np.array(weight, dtype=np.int64),
-        reward=np.array(reward, dtype=np.float64),
-        goal=np.array([config.game.is_goal(obs) for obs in states], dtype=bool),
+        action_count=actions,
+        row_start=row_start,
+        next_state=next_state,
+        weight=weight,
+        reward=gained - np.tile(np.array(costs, dtype=np.float64), len(states))[row],
+        goal=flags[:, goal] == 1,
         start=index[model.x0],
     )
 

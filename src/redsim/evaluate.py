@@ -14,7 +14,7 @@ import numpy as np
 from .agents import LoadedPolicy, TrainConfig, greedy_action, train_q_learning, value_iteration
 from .empirical import EmpiricalModel, EmpiricalSim, IncompatibleModelError, SimConfig
 from .envapi import Env, Observation, rollout
-from .world import Scenario, compile_world, shortest_success_path
+from .world import Scenario, shortest_success_path
 
 # The benchmark's per-layer tracer (perfbench/layers.py) wraps these names here too.
 from .world import exact_transition, reachable_observations  # noqa: F401, E402
@@ -255,7 +255,7 @@ def fidelity_report(
     below it (including never-visited pairs) counts as low-confidence.
     """
     _check_source(model.fingerprint, scenario.fingerprint)
-    law = compile_world(scenario)
+    law = scenario.law
     states, actions = law.states, law.action_count
     row_start, next_state, weight = law.row_start.tolist(), law.next_state.tolist(), law.weight.tolist()
     sources = np.flatnonzero(~law.goal).tolist()

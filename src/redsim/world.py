@@ -6,8 +6,8 @@ action outcomes, and an exact transition law.  ``Scenario.rules`` packs
 each action's law once per scenario, over states packed into ints whose bit
 i is flag i.  The sampling world, which steps on such an int, the
 ``exact_transition`` oracle, ``shortest_success_path`` and
-``compile_world``'s table, which the fidelity audit and the value-iteration
-planner read, all follow it.
+``compile_world``'s table all follow it; ``Scenario.law`` keeps that table,
+compiled once, for the fidelity audit and the value-iteration planner.
 
 Observation layout: three flags per host in declared order
 (discovered, user access, root access) followed by one global
@@ -123,6 +123,14 @@ class Scenario:
     def rules(self) -> tuple[ActionRule, ...]:
         """The rule of each action, by action id."""
         return tuple(_action_rule(self, action) for action in self.actions)
+
+    @cached_property
+    def law(self) -> TabularMDP:
+        """``compile_world(self)``, compiled once per scenario; read-only arrays, as every reader shares them."""
+        law = compile_world(self)
+        for array in (law.row_start, law.next_state, law.weight, law.reward, law.goal):
+            array.flags.writeable = False
+        return law
 
     @property
     def obs_dim(self) -> int:
@@ -265,6 +273,8 @@ def _parse_document(data: dict) -> Scenario:
             _check_keys(entry, ("success_prob", "cost"), f"action_defaults {kind!r}")
         action_docs = _auto_actions(hosts, objective_host, defaults)
     else:
+        if "action_defaults" in data:
+            raise ScenarioParseError("action_defaults apply to auto_actions only, not to an explicit action list")
         action_docs = data.get("actions")
         if not action_docs:
             raise ScenarioParseError("scenario needs actions or auto_actions: true")
@@ -506,7 +516,7 @@ def reachable_observations(scenario: Scenario) -> list[Observation]:
     Includes terminal (objective-reached) observations; sources for
     planning are the non-terminal ones.
     """
-    return compile_world(scenario).states
+    return list(scenario.law.states)
 
 
 def shortest_success_path(scenario: Scenario) -> int | None:

@@ -321,6 +321,31 @@ def test_golden_fidelity_and_study_digests(tmp_path):
     assert digests == GOLDEN_AUDITS
 
 
+# sha256 of the fidelity audit of a 200-episode mesh model: thousands of
+# per-pair rows of floats, so it pins the JSON writer on a large report.
+GOLDEN_MESH_AUDIT = {
+    "fidelity.json": "fff1ef1afd9a4285789f64f9e056bdc8fe3e73fda127b0328665706f961a9b2a",
+    "fidelity.json.csv": "07c73cdcd26f3cb9341264d9ff3b598645e6ebe2c7fd67f529b8626b659e7d11",
+}
+
+
+def test_golden_mesh_fidelity_digests(tmp_path):
+    scenario = tmp_path / "mesh.json"
+    scenario.write_text(json.dumps(presets.mesh_scenario()), encoding="utf-8")
+    log, model, fid = tmp_path / "d.jsonl", tmp_path / "m.model", tmp_path / "fidelity.json"
+    commands = [
+        ["collect", "--scenario", str(scenario), "--episodes", "200", "--seed", "7", "--out", str(log)],
+        ["build-sim", "--data", str(log), "--out", str(model)],
+        ["fidelity", "--model", str(model), "--scenario", str(scenario), "--out", str(fid)],
+    ]
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (fid, fid.with_name("fidelity.json.csv"))
+    }
+    assert digests == GOLDEN_MESH_AUDIT
+
+
 # sha256 of a log merged from two clean 30-episode desk5 logs (seeds 7 and
 # 8) and of its manifest, which names its sources as they were given.
 GOLDEN_MERGE = {

@@ -6,12 +6,15 @@ breadth-first enumeration below is the one the world used before it
 compiled its law, kept as the reference for the state order.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from redsim import collect, presets, world
-from redsim.empirical import SimConfig, build_model, compile_model
-from redsim.envapi import compute_reward
+from redsim import agents, collect, evaluate, presets, world
+from redsim.empirical import FALLBACK_REJECT, FALLBACK_SELF, EmpiricalModel, SimConfig, build_model, compile_model
+from redsim.envapi import GameConfig, compute_reward
 
 _probs = st.floats(0.05, 0.99)
 _worths = st.sampled_from((0.0, 0.5, 2.0, 10.0))
@@ -127,3 +130,98 @@ def test_compiled_model_rows_are_the_sorted_counts(doc, episodes, seed):
             assert [r for nxt, _, r in row] == [
                 compute_reward(config.flag_worths, obs, nxt, config.action_costs[action]) for nxt, _, _ in row
             ]
+
+
+def _compile_model_reference(model, config):
+    """``compile_model`` as a loop over every (observation, action) row, each entry priced by ``compute_reward``."""
+    states = sorted(model.observations())
+    index = {obs: i for i, obs in enumerate(states)}
+    row_start, next_state, weight, reward = [0], [], [], []
+    for obs in states:
+        for action in range(model.action_count):
+            outcomes = model.counts.get((obs, action)) or ({obs: 1} if config.fallback == FALLBACK_SELF else {})
+            for next_obs, count in sorted(outcomes.items()):
+                next_state.append(index[next_obs])
+                weight.append(count)
+                reward.append(compute_reward(config.flag_worths, obs, next_obs, config.action_costs[action]))
+            row_start.append(len(next_state))
+    goal = [config.game.is_goal(obs) for obs in states]
+    return states, row_start, next_state, weight, reward, goal, index[model.x0]
+
+
+_table_worths = st.sampled_from((0.0, -0.0, 0.1, 0.5, 2.0, 1e-300, 1e16)) | st.floats(0.0, 1e6)
+_table_costs = st.sampled_from((0.1, 1.0, 3.0)) | st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _count_tables(draw):
+    """A model of arbitrary counts (flags may turn off, values reach 3) and a config that fits it."""
+    obs_dim, actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    observations = st.tuples(*[st.integers(0, 3)] * obs_dim)
+    model = EmpiricalModel(obs_dim, actions, x0=draw(observations))
+    triples = st.tuples(observations, st.integers(0, actions - 1), observations, st.integers(1, 5))
+    for obs, action, next_obs, n in draw(st.lists(triples, max_size=25)):
+        model.record(obs, action, next_obs, n)
+    config = SimConfig(
+        GameConfig(max_steps=5, goal_index=draw(st.integers(-obs_dim, obs_dim - 1))),
+        tuple(draw(st.lists(_table_worths, min_size=obs_dim, max_size=obs_dim))),
+        tuple(draw(st.lists(_table_costs, min_size=actions, max_size=actions))),
+        fallback=draw(st.sampled_from((FALLBACK_SELF, FALLBACK_REJECT))),
+    )
+    return model, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_tables())
+def test_compiled_model_is_the_row_by_row_table_bit_for_bit(table):
+    model, config = table
+    mdp = compile_model(model, config)
+    states, row_start, next_state, weight, reward, goal, start = _compile_model_reference(model, config)
+    assert (mdp.states, mdp.start, mdp.action_count) == (states, start, model.action_count)
+    for array, expected, dtype in (
+        (mdp.row_start, row_start, np.int64),
+        (mdp.next_state, next_state, np.int64),
+        (mdp.weight, weight, np.int64),
+        (mdp.reward, reward, np.float64),
+        (mdp.goal, goal, bool),
+    ):
+        assert array.dtype == dtype
+        assert array.tobytes() == np.array(expected, dtype=dtype).tobytes()
+
+
+def _small_model(scenario):
+    env = world.AttackWorld(scenario, seed=1)
+    data = collect.run_collection(env, collect.uniform_random_policy(env.action_count), 5, 1)
+    return build_model(
+        data.records, obs_dim=scenario.obs_dim, action_count=env.action_count, fingerprint=scenario.fingerprint
+    )
+
+
+def test_a_scenario_compiles_its_law_once(monkeypatch):
+    """The planner at four horizons, the fidelity audit and the enumeration share ``Scenario.law``."""
+    compiled = []
+    compile_world = world.compile_world
+    monkeypatch.setattr(world, "compile_world", lambda scenario: compiled.append(scenario) or compile_world(scenario))
+    scenario = world.parse_scenario(presets.chain_scenario())
+    model = _small_model(scenario)
+    for horizon in (10, 20, 40, 100):
+        agents.value_iteration(scenario, horizon=horizon)
+    evaluate.fidelity_report(model, scenario)
+    states = world.reachable_observations(scenario)
+    assert len(compiled) == 1 and compiled[0] is scenario
+    states.clear()  # a copy: the law keeps its states
+    assert world.reachable_observations(scenario) == scenario.law.states != []
+
+
+def test_a_scenario_law_is_read_only():
+    law = world.parse_scenario(presets.chain_scenario()).law
+    for array in (law.row_start, law.next_state, law.weight, law.reward, law.goal):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
+def test_a_replaced_scenario_compiles_its_own_law():
+    scenario = world.parse_scenario(presets.chain_scenario())
+    noisy = dataclasses.replace(scenario, noise=0.25)
+    assert noisy.law is not scenario.law
+    assert noisy.law.weight.tolist() == world.compile_world(noisy).weight.tolist() != scenario.law.weight.tolist()

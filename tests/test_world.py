@@ -130,6 +130,27 @@ def test_an_unknown_key_exits_scenario(tmp_path, base, edit):
     assert main(["scenario-validate", "--scenario", str(path)]) == EXIT_SCENARIO
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(action_defaults={"scan": {"success_prob": 0.1}}),
+        lambda doc: doc.update(action_defaults={}),
+        lambda doc: doc.update(action_defaults={"scan": {"cost": 2.0}}, auto_actions=False),
+        lambda doc: doc.update(auto_actions=True),
+    ],
+    ids=["defaults", "empty-defaults", "defaults-auto-false", "auto-actions"],
+)
+def test_explicit_actions_beside_generated_ones_exit_scenario(tmp_path, edit):
+    """``action_defaults`` and ``auto_actions`` shape generated actions only; beside an explicit list they do nothing."""
+    doc = presets.chain_scenario()
+    edit(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ScenarioParseError, match="explicit action list"):
+        world.load_scenario(path)
+    assert main(["scenario-validate", "--scenario", str(path)]) == EXIT_SCENARIO
+
+
 def _object_paths(node, path=()):
     """The path of every JSON object in a document."""
     if isinstance(node, list):
