@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -37,11 +38,30 @@ def payload_checksum(payload) -> str:
 
 
 def write_artifact(path, format_tag: str, payload) -> None:
-    """The canonical encoding of ``{"checksum", "format", "payload"}``, the payload encoded once."""
-    data = canonical_json(payload).encode("utf-8")
+    """The canonical encoding of ``{"checksum", "format", "payload"}``, the payload encoded once.
+
+    A dict key that is not a string raises TypeError and writes nothing:
+    json would write it as a string, which sorts otherwise when read back,
+    so ``read_artifact`` would find the checksum wrong.
+    """
+    data = canonical_json(payload).encode("utf-8")  # first, so json rejects what it cannot write, cycles included
+    _check_string_keys(payload)
     head = f'{{"checksum":"{hashlib.sha256(data).hexdigest()}","format":{canonical_json(format_tag)},"payload":'
     with open(path, "wb") as fh:  # the container's keys sort in the order written here
         fh.writelines((head.encode("utf-8"), data, b"}\n"))
+
+
+def _check_string_keys(payload) -> None:
+    items = [payload]
+    while items:  # one nesting level a round, each element's type read in bulk
+        inside = {kind for kind in {*map(type, items)} if issubclass(kind, (dict, list, tuple))}
+        level = [*compress(items, map(inside.__contains__, map(type, items)))]
+        dicts = [value for value in level if isinstance(value, dict)]
+        if {*map(type, chain.from_iterable(dicts))} - {str}:
+            bad = [key for value in dicts for key in value if not isinstance(key, str)]
+            if bad:
+                raise TypeError(f"artifact payload key {bad[0]!r} is not a string")
+        items = [*chain.from_iterable(value.values() if isinstance(value, dict) else value for value in level)]
 
 
 def write_json(path, doc) -> None:

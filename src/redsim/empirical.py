@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
@@ -46,7 +47,11 @@ class IncompatibleModelError(ModelError):
 
 
 class EmpiricalModel:
-    """Outcome counts per (observation, action) with exact normalisation."""
+    """Outcome counts per (observation, action) with exact normalisation.
+
+    The counts are frozen once ``table`` is read: ``record`` then raises
+    ModelError, so the cached table cannot go stale.
+    """
 
     def __init__(
         self,
@@ -67,6 +72,8 @@ class EmpiricalModel:
     # -- construction -------------------------------------------------------
 
     def record(self, obs, action: int, next_obs, n: int = 1) -> None:
+        if "table" in self.__dict__:
+            raise ModelError("a model's counts are frozen once its table is built")
         outcomes = self.counts.setdefault((tuple(obs), int(action)), {})
         next_obs = tuple(next_obs)
         outcomes[next_obs] = outcomes.get(next_obs, 0) + n
@@ -107,6 +114,11 @@ class EmpiricalModel:
         """Every observation in the counts, plus ``x0``."""
         seen = collect.observations_in(self.counts)
         return seen if self.x0 is None else seen | {self.x0}
+
+    @cached_property
+    def table(self) -> CountTable:
+        """The counts as a ``CountTable``, built once per model; read-only arrays, as every reader shares them."""
+        return count_table(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmpiricalModel):
@@ -161,6 +173,7 @@ class EmpiricalModel:
                 x0=bytes(list(x0)) if x0 is not None else None,  # bytes() rejects values outside 0..255
                 metadata=metadata,
             )
+            counts = model.counts
             decoded: dict[str, Observation] = {}  # one tuple per distinct observation
             for obs_hex, row in payload.get("counts", {}).items():
                 obs = decoded.setdefault(obs_hex, tuple(bytes.fromhex(obs_hex)))
@@ -170,13 +183,15 @@ class EmpiricalModel:
                     action = int(action_str)
                     if str(action) != action_str:
                         raise ModelError(f"action key {action_str!r} is not an int as str writes it")
+                    # hex keys differing only in case or spacing name one observation: add counts as ``record`` does
+                    pair = counts.setdefault((obs, action), {})
                     for next_hex, count in outcomes.items():
                         if count.__class__ is not int or count < 1:
                             raise ModelError(f"count {count!r} is not a positive integer")
                         next_obs = decoded.get(next_hex) or decoded.setdefault(
                             next_hex, tuple(bytes.fromhex(next_hex))
                         )
-                        model.record(obs, action, next_obs, count)
+                        pair[next_obs] = pair.get(next_obs, 0) + count
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ModelError(f"malformed model payload: {exc!r}") from None
         if model.fingerprint.__class__ is not str:
@@ -272,7 +287,8 @@ def load_model(path) -> EmpiricalModel:
 
 def model_stats(model: EmpiricalModel) -> dict:
     """Support and visit-count statistics at thresholds 1, 10 and 200; sparse support predicts erratic sims."""
-    visit_counts = sorted(sum(v.values()) for v in model.counts.values())
+    visits = model.table.visits
+    visit_counts = sorted(visits[visits > 0].tolist())
     histogram: dict[str, int] = {}
     for count in visit_counts:
         bucket = 1 << (count.bit_length() - 1)
@@ -284,7 +300,7 @@ def model_stats(model: EmpiricalModel) -> dict:
         for k in (1, 10, 200)
     }
     return {
-        "observations_seen": len(model.observations()),
+        "observations_seen": len(model.table.states),
         "pair_support": support,
         "total_transitions": sum(visit_counts),
         "min_visits": visit_counts[0] if visit_counts else 0,
@@ -345,29 +361,38 @@ class SimConfig:
         return cls(game=game, flag_worths=worths, action_costs=costs, fallback=fallback)
 
 
-def compile_model(model: EmpiricalModel, config: SimConfig) -> TabularMDP:
-    """The model's law under ``config``'s rewards, goal and fallback, over its observations in sorted order.
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """A model's counts over integer state ids: the part of its law no ``SimConfig`` changes.
 
-    Each row holds the outcome counts of one (observation, action) pair in
-    sorted-observation order.  A pair the data never saw gets, under the
-    self-transition fallback, one entry back to its own state with weight 1
-    at ``-cost``; under reject-action its row stays empty.  Each entry's
-    reward is what ``compute_reward`` returns for it.  This is the one
-    place a config is checked against its model: a model without ``x0``, or
-    a config whose worth count, cost count or ``goal_index`` does not fit the
-    model's ``obs_dim`` and ``action_count``, raises ModelError.
+    ``states`` are the model's observations in sorted order, ``index`` maps
+    each to its id and ``flags`` holds them as float rows.  Row
+    ``r = s * action_count + a`` is the pair ``(states[s], a)``: its entries
+    ``row_start[r]:row_start[r + 1]`` name each next-state id in
+    ``next_state``, in id order, with its integer count in ``weight``, and
+    ``visits[r]`` is the row's total.  A row the data never saw (``visits``
+    0) holds one self-fallback entry back to its own state with weight 1;
+    ``fallback`` lists where those entries sit.  ``rise[i, e]`` says entry
+    ``e`` raises flag ``i``.
     """
-    worths, costs, goal = config.flag_worths, config.action_costs, config.game.goal_index
-    fits = (len(worths), len(costs)) == (model.obs_dim, model.action_count) and -model.obs_dim <= goal < model.obs_dim
-    if model.x0 is None or not fits:
-        raise ModelError(
-            f"a game of {len(worths)} worths, {len(costs)} costs and goal_index {goal} does not fit a model of "
-            f"obs_dim {model.obs_dim}, action_count {model.action_count} and start observation {model.x0}"
-        )
+
+    states: list[Observation]
+    index: dict[Observation, int]
+    flags: np.ndarray
+    row_start: np.ndarray
+    next_state: np.ndarray
+    weight: np.ndarray
+    visits: np.ndarray
+    fallback: np.ndarray
+    rise: np.ndarray
+
+
+def count_table(model: EmpiricalModel) -> CountTable:
+    """The ``CountTable`` of ``model``'s counts, built with whole-array operations and set read-only."""
     states = sorted(model.observations())
     index = {obs: i for i, obs in enumerate(states)}
     actions, n_rows = model.action_count, len(states) * model.action_count
-    # one entry per observed outcome, pair by pair in the counts' own order
+    # one entry per observed outcome, pair by pair in the counts' own order, then one per unseen row
     outcomes = model.counts.values()
     row = np.repeat(
         np.array([index[obs] * actions + action for obs, action in model.counts], dtype=np.int64),
@@ -376,31 +401,73 @@ def compile_model(model: EmpiricalModel, config: SimConfig) -> TabularMDP:
     next_state = np.fromiter(map(index.__getitem__, chain.from_iterable(outcomes)), dtype=np.int64)
     weight = np.fromiter(chain.from_iterable(map(dict.values, outcomes)), dtype=np.int64)
     row_state = np.repeat(np.arange(len(states)), actions)
-    if config.fallback == FALLBACK_SELF:
-        unseen = np.ones(n_rows, dtype=bool)
-        unseen[row] = False
-        unseen = np.flatnonzero(unseen)
-        row = np.concatenate((row, unseen))
-        next_state = np.concatenate((next_state, row_state[unseen]))
-        weight = np.concatenate((weight, np.ones(len(unseen), dtype=np.int64)))
+    visits = np.bincount(row, weight, n_rows).astype(np.int64)  # exact: a float holds any count below 2**53
+    unseen = np.ones(n_rows, dtype=bool)
+    unseen[row] = False
+    unseen = np.flatnonzero(unseen)
+    row = np.concatenate((row, unseen))
+    next_state = np.concatenate((next_state, row_state[unseen]))
+    weight = np.concatenate((weight, np.ones(len(unseen), dtype=np.int64)))
     order = np.lexsort((next_state, row))
     row, next_state, weight = row[order], next_state[order], weight[order]
     row_start = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n_rows), out=row_start[1:])
-    flags = np.array(states, dtype=np.float64)  # observation values are bytes, which a float holds exactly
-    gains = np.where(flags[next_state] > flags[row_state[row]], np.array(worths, dtype=np.float64), 0.0)
-    gained = np.zeros(len(row))
-    for column in gains.T:  # compute_reward's flag order; adding 0.0 for an unchanged flag is exact
-        gained += column
-    return TabularMDP(
+    # observation values are bytes, which a float holds exactly
+    flags = np.array(states, dtype=np.float64).reshape(len(states), model.obs_dim)
+    source = row_state[row]
+    table = CountTable(
         states=states,
-        action_count=actions,
+        index=index,
+        flags=flags,
         row_start=row_start,
         next_state=next_state,
         weight=weight,
-        reward=gained - np.tile(np.array(costs, dtype=np.float64), len(states))[row],
-        goal=flags[:, goal] == 1,
-        start=index[model.x0],
+        visits=visits,
+        fallback=row_start[unseen],
+        rise=np.array([column[next_state] > column[source] for column in flags.T], dtype=bool),
+    )
+    for array in (flags, row_start, next_state, weight, visits, table.fallback, table.rise):
+        array.flags.writeable = False
+    return table
+
+
+def compile_model(model: EmpiricalModel, config: SimConfig) -> TabularMDP:
+    """The model's law under ``config``'s rewards, goal and fallback: ``model.table`` priced.
+
+    The rows are the table's.  Under the self-transition fallback a pair the
+    data never saw keeps its one entry back to its own state, at ``-cost``;
+    under reject-action its row is empty.  Each entry's reward is what
+    ``compute_reward`` returns for it, summed flag by flag in its order.
+    This is the one place a config is checked against its model: a model
+    without ``x0``, or a config whose worth count, cost count or
+    ``goal_index`` does not fit the model's ``obs_dim`` and
+    ``action_count``, raises ModelError.
+    """
+    worths, costs, goal = config.flag_worths, config.action_costs, config.game.goal_index
+    fits = (len(worths), len(costs)) == (model.obs_dim, model.action_count) and -model.obs_dim <= goal < model.obs_dim
+    if model.x0 is None or not fits:
+        raise ModelError(
+            f"a game of {len(worths)} worths, {len(costs)} costs and goal_index {goal} does not fit a model of "
+            f"obs_dim {model.obs_dim}, action_count {model.action_count} and start observation {model.x0}"
+        )
+    table = model.table
+    gained = np.zeros(len(table.next_state))
+    for worth, rises in zip(np.array(worths, dtype=np.float64), table.rise):
+        gained += np.where(rises, worth, 0.0)  # compute_reward's flag order; adding 0.0 for an unchanged flag is exact
+    reward = gained - np.repeat(np.tile(np.array(costs, dtype=np.float64), len(table.states)), np.diff(table.row_start))
+    row_start, next_state, weight = table.row_start, table.next_state, table.weight
+    if config.fallback == FALLBACK_REJECT:  # each unseen row loses its one entry
+        row_start = row_start - np.concatenate(([0], np.cumsum(table.visits == 0)))
+        next_state, weight, reward = (np.delete(a, table.fallback) for a in (next_state, weight, reward))
+    return TabularMDP(
+        states=table.states,
+        action_count=model.action_count,
+        row_start=row_start,
+        next_state=next_state,
+        weight=weight,
+        reward=reward,
+        goal=table.flags[:, goal] == 1,
+        start=table.index[model.x0],
     )
 
 

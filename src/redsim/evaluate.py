@@ -191,8 +191,9 @@ def transfer_eval(
         if optimal_return is not None:
             norm_gap = gap / max(1.0, abs(optimal_return))
         if isinstance(sim_env, EmpiricalSim):
-            known = sum(1 for obs, action in world_pairs if sim_env.model.has_pair(obs, action))
-            coverage = known / len(world_pairs)
+            table, actions = sim_env.model.table, sim_env.action_count
+            rows = [table.index[obs] * actions + action for obs, action in world_pairs if obs in table.index]
+            coverage = np.count_nonzero(table.visits[rows]) / len(world_pairs)
     world_gap = None
     if optimal_return is not None:
         world_gap = abs(world_report.mean_return - optimal_return) / max(
@@ -238,9 +239,11 @@ class FidelityReport:
         return doc
 
 
-def _tv_distance(p: dict, q: dict) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+def _row_entries(row_start: np.ndarray, rows: np.ndarray):
+    """For each entry of ``rows``, row by row: its position, and the index in ``rows`` of the row it is in."""
+    lo, length = row_start[rows], row_start[rows + 1] - row_start[rows]
+    owner = np.repeat(np.arange(len(rows)), length)
+    return np.arange(len(owner)) + np.repeat(lo - (np.cumsum(length) - length), length), owner
 
 
 def fidelity_report(
@@ -253,30 +256,43 @@ def fidelity_report(
     Computed per reachable (observation, action) pair.  Pairs with at least
     ``visit_threshold`` visits are held to the fidelity bar; everything
     below it (including never-visited pairs) counts as low-confidence.
+    The world's table and the model's are read row against row, aligned by
+    observation; a pair's TV adds its per-outcome differences in the order
+    of the model's state ids, outcomes the model never saw last.
     """
     _check_source(model.fingerprint, scenario.fingerprint)
-    law = scenario.law
-    states, actions = law.states, law.action_count
-    row_start, next_state, weight = law.row_start.tolist(), law.next_state.tolist(), law.weight.tolist()
-    sources = np.flatnonzero(~law.goal).tolist()
-    pairs: list[PairFidelity] = []
-    confident_tv = []
-    for s in sources:
-        obs = states[s]
-        for action in range(actions):
-            outcomes = model.counts.get((obs, action))
-            if outcomes is None:
-                continue
-            row = s * actions + action
-            lo, hi = row_start[row], row_start[row + 1]
-            exact = {states[j]: p for j, p in zip(next_state[lo:hi], weight[lo:hi])}
-            tv = _tv_distance(model.distribution(obs, action), exact)
-            pair = PairFidelity(obs, action, sum(outcomes.values()), tv)
-            pairs.append(pair)
-            if pair.visits >= visit_threshold:
-                confident_tv.append(pair.tv_distance)
-
-    reachable = len(sources) * actions
+    law, table = scenario.law, model.table
+    actions, n_model = law.action_count, len(table.states)
+    # each world state's model id, or n_model + its world id where the model never saw it
+    model_id = np.array([table.index.get(obs, -1) for obs in law.states], dtype=np.int64)
+    model_id = np.where(model_id < 0, n_model + np.arange(len(law.states)), model_id)
+    sources = np.flatnonzero(~law.goal & (model_id < n_model))
+    world_rows = (sources[:, None] * actions + np.arange(actions)).ravel()  # the report's pair order
+    model_rows = (model_id[sources][:, None] * actions + np.arange(actions)).ravel()
+    visited = table.visits[model_rows] > 0
+    world_rows, model_rows = world_rows[visited], model_rows[visited]
+    visits = table.visits[model_rows]
+    # every outcome of a pair, keyed by (pair, next state) and kept apart by side
+    width = n_model + len(law.states)
+    model_entry, model_pair = _row_entries(table.row_start, model_rows)
+    world_entry, world_pair = _row_entries(law.row_start, world_rows)
+    keys, run = np.unique(
+        np.concatenate((
+            model_pair * width + table.next_state[model_entry],
+            world_pair * width + model_id[law.next_state[world_entry]],
+        )),
+        return_inverse=True,
+    )
+    p_model, p_world = np.zeros(len(keys)), np.zeros(len(keys))
+    p_model[run[: len(model_entry)]] = table.weight[model_entry] / visits[model_pair]
+    p_world[run[len(model_entry):]] = law.weight[world_entry]
+    tv = 0.5 * np.bincount(keys // width, np.abs(p_model - p_world), len(world_rows))
+    confident_tv = tv[visits >= visit_threshold]
+    pairs = [
+        PairFidelity(law.states[row // actions], row % actions, n, d)
+        for row, n, d in zip(world_rows.tolist(), visits.tolist(), tv.tolist())
+    ]
+    reachable = int(np.count_nonzero(~law.goal)) * actions
     return FidelityReport(
         visit_threshold=visit_threshold,
         reachable_pairs=reachable,
@@ -284,8 +300,8 @@ def fidelity_report(
         coverage=len(pairs) / reachable if reachable else 1.0,
         confident_pairs=len(confident_tv),
         low_confidence_pairs=reachable - len(confident_tv),
-        max_tv_confident=max(confident_tv) if confident_tv else 0.0,
-        mean_tv_confident=float(np.mean(confident_tv)) if confident_tv else 0.0,
+        max_tv_confident=float(confident_tv.max()) if len(confident_tv) else 0.0,
+        mean_tv_confident=float(np.mean(confident_tv)) if len(confident_tv) else 0.0,
         pairs=pairs,
     )
 

@@ -112,15 +112,51 @@ def test_write_json_hands_a_document_too_deep_to_recurse_to_json(tmp_path):
         artifacts.write_json(tmp_path / "r.json", doc)
 
 
+def _holds_a_non_string_key(doc) -> bool:
+    if isinstance(doc, dict):
+        return any(not isinstance(k, str) or _holds_a_non_string_key(v) for k, v in doc.items())
+    return isinstance(doc, (list, tuple)) and any(map(_holds_a_non_string_key, doc))
+
+
 @settings(max_examples=150, deadline=None)
 @given(documents, st.text())
 def test_write_artifact_encodes_the_container_canonically(tmp_path_factory, payload, tag):
-    """The payload is encoded once and spliced in; the bytes are those of the whole container's encoding."""
-    try:
-        checksum = artifacts.payload_checksum(payload)
-    except (TypeError, ValueError):  # keys that do not sort
-        return
+    """The payload is encoded once and spliced in; the bytes are those of the whole container's encoding.
+
+    A payload holding a non-string key is rejected, by json if the keys do not sort, before anything is written.
+    """
     path = tmp_path_factory.mktemp("artifact") / "a.json"
+    if _holds_a_non_string_key(payload):
+        with pytest.raises(TypeError):
+            artifacts.write_artifact(path, tag, payload)
+        assert not path.exists()
+        return
     artifacts.write_artifact(path, tag, payload)
-    container = {"format": tag, "checksum": checksum, "payload": payload}
+    container = {"format": tag, "checksum": artifacts.payload_checksum(payload), "payload": payload}
     assert path.read_text(encoding="utf-8") == artifacts.canonical_json(container) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"x": {2: 0, 10: 0}}, {1: "a"}, [{"a": {None: 1}}], {"x": ({2.5: 0},)}, {"a": [[{True: 1}]]}],
+)
+def test_write_artifact_rejects_keys_that_would_not_read_back(tmp_path, payload):
+    """json writes a non-string key as a string, which sorts otherwise on reading, so the checksum would not hold."""
+    path = tmp_path / "a.json"
+    with pytest.raises(TypeError, match="key"):
+        artifacts.write_artifact(path, "redsim-model-v1", payload)
+    assert not path.exists()
+
+
+def test_write_artifact_rejects_a_circular_payload_as_json_does(tmp_path):
+    with pytest.raises(ValueError, match="Circular"):
+        artifacts.write_artifact(tmp_path / "a.json", "redsim-model-v1", {"x": _circular()})
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_an_artifact_with_string_keys_reads_back_as_written(tmp_path):
+    payload = {"x": {"2": 0, "10": 0}, "y": [{"a": 1}, ({"b": [2]},)]}
+    artifacts.write_artifact(tmp_path / "a.json", "redsim-model-v1", payload)
+    assert artifacts.read_artifact(tmp_path / "a.json", "redsim-model-v1") == {
+        "x": {"2": 0, "10": 0}, "y": [{"a": 1}, [{"b": [2]}]],
+    }

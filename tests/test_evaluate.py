@@ -6,6 +6,7 @@ from math import comb, fsum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redsim import artifacts, collect, empirical, evaluate, presets, world
 from redsim.cli import EXIT_OK, main
@@ -198,6 +199,66 @@ def test_fidelity_zero_on_exhaustive_deterministic_data(det3):
     assert all(p.tv_distance == 0.0 for p in report.pairs)
 
 
+def _tv_reference(p: dict, q: dict) -> float:
+    """Total variation between two outcome distributions, summed over the union of their outcomes in set order."""
+    keys = set(p) | set(q)
+    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+def _fidelity_reference(model, scenario):
+    """``(obs, action, visits, tv)`` of every visited reachable pair, pair by pair from the model's count dicts."""
+    pairs = []
+    for obs in world.reachable_observations(scenario):
+        if obs[scenario.objective_flag] == 1:
+            continue
+        for action in scenario.actions:
+            if model.has_pair(obs, action.id):
+                exact = dict(world.exact_transition(scenario, obs, action))
+                tv = _tv_reference(model.distribution(obs, action.id), exact)
+                pairs.append((obs, action.id, sum(model.outcome_counts(obs, action.id).values()), tv))
+    return pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5), st.floats(0.05, 0.95), st.floats(0.01, 0.45), st.integers(1, 40),
+    st.integers(0, 2**32 - 1), st.integers(0, 30),
+)
+def test_fidelity_audit_is_the_per_pair_reference_bit_for_bit(n_hosts, exploit_prob, noise, episodes, seed, threshold):
+    scenario = world.parse_scenario(presets.chain_scenario(n_hosts=n_hosts, exploit_prob=exploit_prob, noise=noise))
+    env = world.AttackWorld(scenario, seed=seed)
+    data = collect.run_collection(env, collect.uniform_random_policy(env.action_count), episodes, seed)
+    model = build_model(
+        data.records, obs_dim=scenario.obs_dim, action_count=env.action_count, fingerprint=scenario.fingerprint
+    )
+    expected = _fidelity_reference(model, scenario)
+    report = fidelity_report(model, scenario, visit_threshold=threshold)
+    got = [(p.obs, p.action, p.visits, p.tv_distance) for p in report.pairs]
+    assert [(o, a, n, tv.hex()) for o, a, n, tv in got] == [(o, a, n, tv.hex()) for o, a, n, tv in expected]
+    assert all(type(n) is int and type(tv) is float for _, _, n, tv in got)
+    confident = [tv for _, _, n, tv in expected if n >= threshold]
+    assert report.confident_pairs == len(confident)
+    assert report.max_tv_confident == (max(confident) if confident else 0.0)
+    assert report.mean_tv_confident == (float(np.mean(confident)) if confident else 0.0)
+
+
+def test_fidelity_audit_sums_outcomes_the_world_cannot_produce(det3):
+    """A hand-made row with outcomes off the world's law: every outcome on either side counts once."""
+    x0 = det3.initial_observation()
+    [(after, _)] = world.exact_transition(det3, x0, det3.actions[0])
+    odd = tuple(1 - v for v in x0)
+    model = empirical.EmpiricalModel(det3.obs_dim, len(det3.actions), det3.fingerprint, x0=x0)
+    for next_obs, n in ((x0, 1), (odd, 2), (after, 3)):
+        model.record(x0, 0, next_obs, n)
+    model.record(x0, 1, odd, 4)
+    report = fidelity_report(model, det3, visit_threshold=1)
+    assert [(p.obs, p.action, p.visits) for p in report.pairs] == [(x0, 0, 6), (x0, 1, 4)]
+    exact_1 = dict(world.exact_transition(det3, x0, det3.actions[1]))
+    expected = [fsum((1 / 6, 2 / 6, 1 - 3 / 6)) / 2, _tv_reference({odd: 1.0}, exact_1)]
+    assert [p.tv_distance for p in report.pairs] == pytest.approx(expected, rel=1e-15)
+    assert report.pairs[1].tv_distance == 1.0
+
+
 def test_fidelity_tv_bound_at_threshold_visits_with_binomial_oracle():
     # A 0.6/0.4 pair estimated from exactly 200 visits.  The exact binomial
     # oracle puts P(TV <= 0.05) at 0.8706, so the bound is a likely-but-not-
@@ -224,7 +285,7 @@ def test_fidelity_tv_bound_at_threshold_visits_with_binomial_oracle():
         res = env.step(exploit.id)
         model.record(state, exploit.id, res.observation)
     exact = dict(world.exact_transition(scenario, state, exploit))
-    tv = evaluate._tv_distance(model.distribution(state, exploit.id), exact)
+    tv = _tv_reference(model.distribution(state, exploit.id), exact)
     assert tv <= 0.05
 
 

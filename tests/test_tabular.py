@@ -12,8 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redsim import agents, collect, evaluate, presets, world
-from redsim.empirical import FALLBACK_REJECT, FALLBACK_SELF, EmpiricalModel, SimConfig, build_model, compile_model
+from redsim import agents, collect, empirical, evaluate, presets, world
+from redsim.empirical import (
+    FALLBACK_REJECT,
+    FALLBACK_SELF,
+    EmpiricalModel,
+    ModelError,
+    SimConfig,
+    build_model,
+    compile_model,
+    merge_models,
+)
 from redsim.envapi import GameConfig, compute_reward
 
 _probs = st.floats(0.05, 0.99)
@@ -189,11 +198,109 @@ def test_compiled_model_is_the_row_by_row_table_bit_for_bit(table):
         assert array.tobytes() == np.array(expected, dtype=dtype).tobytes()
 
 
+_TABLE_ARRAYS = ("flags", "row_start", "next_state", "weight", "visits", "fallback", "rise")
+
+
+def _table_reference(model):
+    """A model's ``CountTable`` fields, row by row from its count dicts."""
+    states = sorted(model.observations())
+    index = {obs: i for i, obs in enumerate(states)}
+    row_start, next_state, weight, visits, fallback, rise = [0], [], [], [], [], []
+    for obs in states:
+        for action in range(model.action_count):
+            outcomes = model.counts.get((obs, action))
+            visits.append(sum(outcomes.values()) if outcomes else 0)
+            if not outcomes:
+                fallback.append(len(next_state))
+            for next_obs, count in sorted((outcomes or {obs: 1}).items()):
+                next_state.append(index[next_obs])
+                weight.append(count)
+                rise.append([b > a for a, b in zip(obs, next_obs)])
+            row_start.append(len(next_state))
+    arrays = dict(
+        flags=np.array(states, dtype=np.float64).reshape(len(states), model.obs_dim),
+        row_start=np.array(row_start, dtype=np.int64),
+        next_state=np.array(next_state, dtype=np.int64),
+        weight=np.array(weight, dtype=np.int64),
+        visits=np.array(visits, dtype=np.int64),
+        fallback=np.array(fallback, dtype=np.int64),
+        rise=np.array(rise, dtype=bool).reshape(len(rise), model.obs_dim).T.copy(),
+    )
+    return states, index, arrays
+
+
+def _check_table(model):
+    states, index, arrays = _table_reference(model)
+    table = model.table
+    assert model.table is table and (table.states, table.index) == (states, index)
+    for name in _TABLE_ARRAYS:
+        array, expected = getattr(table, name), arrays[name]
+        assert (array.dtype, array.shape) == (expected.dtype, expected.shape), name
+        assert array.tobytes() == expected.tobytes(), name
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_count_tables(), st.integers(0, 25))
+def test_every_way_to_make_a_model_holds_the_table_of_its_counts(table, cut):
+    """Recorded, loaded from a payload or merged from two shards: each model's table is its counts', read-only."""
+    model, _ = table
+    dims = model.obs_dim, model.action_count
+    halves = EmpiricalModel(*dims, x0=model.x0), EmpiricalModel(*dims)
+    for i, ((obs, action), outcomes) in enumerate(model.counts.items()):
+        for next_obs, n in outcomes.items():
+            halves[i >= cut].record(obs, action, next_obs, n)
+    for made in (EmpiricalModel.from_payload(model.to_payload()), merge_models(*halves), model):
+        assert made == model
+        _check_table(made)
+
+
+def test_a_collected_models_table_is_its_counts(desk5_model):
+    _check_table(desk5_model)
+
+
+def test_a_models_counts_are_frozen_once_its_table_is_read():
+    model = EmpiricalModel(2, 2, x0=(0, 0))
+    model.record((0, 0), 1, (0, 1))
+    model.record((0, 0), 1, (0, 1), 2)
+    assert model.counts == {((0, 0), 1): {(0, 1): 3}}
+    assert model.table.visits.tolist() == [0, 3, 0, 0]
+    with pytest.raises(ModelError, match="frozen"):
+        model.record((0, 0), 1, (0, 1))
+    assert model.counts == {((0, 0), 1): {(0, 1): 3}}
+    planned = agents.value_iteration_model(model, SimConfig(GameConfig(max_steps=3), (1.0, 1.0), (1.0, 1.0)))
+    assert planned.policy == {(0, 0): 1} and model.table.visits.tolist() == [0, 3, 0, 0]
+
+
+def test_a_model_is_tabled_once_for_every_reader(monkeypatch):
+    """The planner at four horizons, the sim, the audit, the transfer coverage and the stats share ``model.table``."""
+    built = []
+    count_table = empirical.count_table
+    monkeypatch.setattr(empirical, "count_table", lambda model: built.append(model) or count_table(model))
+    scenario = world.parse_scenario(presets.chain_scenario())
+    model = _small_model(scenario)
+    config = SimConfig.from_model(model)
+    for horizon in (10, 20, 40, 100):
+        agents.value_iteration_model(model, config, horizon=horizon)
+    sim = empirical.EmpiricalSim(model, config, seed=1)
+    evaluate.fidelity_report(model, scenario)
+    solution = agents.value_iteration(scenario)
+    policy = agents.QTable(len(scenario.actions))
+    for obs, action in solution.policy.items():
+        policy.row(obs)[action] = 1.0
+    report = evaluate.transfer_eval(policy, world.AttackWorld(scenario, seed=1), sim, episodes=3, seed=1)
+    empirical.model_stats(model)
+    assert built == [model] and 0 < report.world_pairs_in_model <= 1
+
+
 def _small_model(scenario):
     env = world.AttackWorld(scenario, seed=1)
     data = collect.run_collection(env, collect.uniform_random_policy(env.action_count), 5, 1)
     return build_model(
-        data.records, obs_dim=scenario.obs_dim, action_count=env.action_count, fingerprint=scenario.fingerprint
+        data.records, obs_dim=scenario.obs_dim, action_count=env.action_count, fingerprint=scenario.fingerprint,
+        metadata={"reward": data.manifest["reward"], "game": data.manifest["game"]},
     )
 
 
