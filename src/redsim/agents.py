@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -317,14 +318,23 @@ class LoadedPolicy:
         return self.policy.action_values(obs)
 
 
+def _check_numbers(values) -> None:
+    """Raise PolicyError unless every one of ``values`` is a JSON number, checked by type in one pass."""
+    wrong = set(map(type, values)) - {int, float}
+    if wrong:
+        raise PolicyError(f"policy values of type {sorted(t.__name__ for t in wrong)} must be numbers")
+
+
 def load_policy(path) -> LoadedPolicy:
     """The policy a file holds; a malformed or out-of-range payload raises PolicyError.
 
     ``obs_dim`` and ``action_count`` must be positive ints, ``fingerprint``
     a string (it is required: a policy says which environment it was
-    trained in) and ``train_config`` an object.  Q-table keys
-    must decode to ``obs_dim`` values and rows must hold ``action_count``
-    values; DQN layer shapes must chain from ``obs_dim`` to ``action_count``.
+    trained in) and ``train_config`` an object.  Q-table keys must be
+    lower-case hex, as ``save_policy`` writes them, of ``obs_dim`` values
+    and rows must hold ``action_count`` values; DQN layer shapes must chain
+    from ``obs_dim`` to ``action_count``.  Every Q-value, weight and bias
+    must be a JSON number: an int or a float, not a bool, string or null.
     """
     from .dqn import DqnNet
 
@@ -344,15 +354,20 @@ def load_policy(path) -> LoadedPolicy:
             if data["action_count"] != action_count:
                 raise PolicyError(f"q-table action_count {data['action_count']!r}, policy {action_count}")
             policy = QTable(action_count)
+            _check_numbers(chain.from_iterable(data["q"].values()))
             for obs_hex, row in data["q"].items():
-                obs, values = tuple(bytes.fromhex(obs_hex)), np.array(row, dtype=float)
+                obs, values = bytes.fromhex(obs_hex), np.array(row, dtype=float)
+                if obs.hex() != obs_hex:
+                    raise PolicyError(f"q-table key {obs_hex!r} is not lower-case hex as save_policy writes it")
                 if len(obs) != obs_dim or values.shape != (action_count,):
                     raise PolicyError(
                         f"q-table row {obs_hex!r} of shape {values.shape} out of range for "
                         f"obs_dim={obs_dim}, action_count={action_count}"
                     )
-                policy.values[obs] = values
+                policy.values[tuple(obs)] = values
         elif data["kind"] == "dqn":
+            for layer in data["layers"]:
+                _check_numbers(chain(chain.from_iterable(layer["w"]), layer["b"]))
             layers = [
                 (np.array(layer["w"], dtype=float), np.array(layer["b"], dtype=float))
                 for layer in data["layers"]
@@ -363,7 +378,7 @@ def load_policy(path) -> LoadedPolicy:
             policy = DqnNet.from_layers(layers)
         else:
             raise PolicyError(f"unknown policy kind {data['kind']!r}")
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:  # Overflow: an int no float holds
         raise PolicyError(f"malformed policy payload: {exc!r}") from None
     return LoadedPolicy(
         policy=policy,

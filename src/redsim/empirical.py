@@ -11,7 +11,7 @@ probabilities on demand.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 
@@ -46,37 +46,23 @@ class IncompatibleModelError(ModelError):
     """A model meets a model or environment from another network."""
 
 
+@dataclass(frozen=True)
 class EmpiricalModel:
     """Outcome counts per (observation, action) with exact normalisation.
 
-    The counts are frozen once ``table`` is read: ``record`` then raises
-    ModelError, so the cached table cannot go stale.
+    A model is fixed when it is made: its builders count first and construct
+    it once, and rebinding a field raises ``dataclasses.FrozenInstanceError``.
+    ``counts`` maps ``(obs, action)`` to ``{next obs: count}``; writing into
+    that dict (or ``metadata``) is a caller error, as ``table`` is built from
+    it once and never again.
     """
 
-    def __init__(
-        self,
-        obs_dim: int,
-        action_count: int,
-        fingerprint: str = "",
-        x0: Observation | None = None,
-        metadata: dict | None = None,
-    ):
-        self.obs_dim = int(obs_dim)
-        self.action_count = int(action_count)
-        self.fingerprint = fingerprint
-        self.x0 = tuple(x0) if x0 is not None else None
-        self.metadata = dict(metadata or {})
-        # (obs, action) -> {next obs: count}
-        self.counts: dict[tuple[Observation, int], dict[Observation, int]] = {}
-
-    # -- construction -------------------------------------------------------
-
-    def record(self, obs, action: int, next_obs, n: int = 1) -> None:
-        if "table" in self.__dict__:
-            raise ModelError("a model's counts are frozen once its table is built")
-        outcomes = self.counts.setdefault((tuple(obs), int(action)), {})
-        next_obs = tuple(next_obs)
-        outcomes[next_obs] = outcomes.get(next_obs, 0) + n
+    obs_dim: int
+    action_count: int
+    fingerprint: str = ""
+    x0: Observation | None = None
+    metadata: dict = field(default_factory=dict, compare=False)
+    counts: dict[tuple[Observation, int], dict[Observation, int]] = field(default_factory=dict)
 
     # -- queries -------------------------------------------------------------
 
@@ -120,17 +106,6 @@ class EmpiricalModel:
         """The counts as a ``CountTable``, built once per model; read-only arrays, as every reader shares them."""
         return count_table(self)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EmpiricalModel):
-            return NotImplemented
-        return (
-            self.obs_dim == other.obs_dim
-            and self.action_count == other.action_count
-            and self.fingerprint == other.fingerprint
-            and self.x0 == other.x0
-            and self.counts == other.counts
-        )
-
     # -- serialisation --------------------------------------------------------
 
     def to_payload(self) -> dict:
@@ -154,27 +129,24 @@ class EmpiricalModel:
         ``obs_dim`` and ``action_count`` must be positive ints, the
         fingerprint a string and ``metadata``, if given, an object.  Action
         keys must be written as ``str`` writes an int and lie in
-        ``0..action_count-1``, observations (``x0`` included) must hold
+        ``0..action_count-1``, observation keys as ``save_model`` writes
+        them, in lower-case hex, observations (``x0`` included) must hold
         ``obs_dim`` values in ``0..255``, and every count must be a positive
-        int.  Ranges are checked once per distinct action
+        int.  Keys and ranges are checked once per distinct action
         and observation.
         """
         try:
             x0, obs_dim, action_count = payload.get("x0"), payload["obs_dim"], payload["action_count"]
             if not all(n.__class__ is int and n >= 1 for n in (obs_dim, action_count)):
                 raise ModelError(f"obs_dim {obs_dim!r} and action_count {action_count!r} must be positive ints")
-            metadata = payload.get("metadata", {})
+            fingerprint, metadata = payload.get("fingerprint", ""), payload.get("metadata", {})
+            if fingerprint.__class__ is not str:
+                raise ModelError(f"fingerprint of type {type(fingerprint).__name__} must be a string")
             if metadata.__class__ is not dict:
                 raise ModelError(f"metadata of type {type(metadata).__name__} must be an object")
-            model = cls(
-                obs_dim=obs_dim,
-                action_count=action_count,
-                fingerprint=payload.get("fingerprint", ""),
-                x0=bytes(list(x0)) if x0 is not None else None,  # bytes() rejects values outside 0..255
-                metadata=metadata,
-            )
-            counts = model.counts
-            decoded: dict[str, Observation] = {}  # one tuple per distinct observation
+            x0 = tuple(bytes(list(x0))) if x0 is not None else None  # bytes() rejects values outside 0..255
+            counts: dict[tuple[Observation, int], dict[Observation, int]] = {}
+            decoded: dict[str, Observation] = {}  # one tuple per distinct observation key
             for obs_hex, row in payload.get("counts", {}).items():
                 obs = decoded.setdefault(obs_hex, tuple(bytes.fromhex(obs_hex)))
                 for action_str, outcomes in row.items():
@@ -183,24 +155,23 @@ class EmpiricalModel:
                     action = int(action_str)
                     if str(action) != action_str:
                         raise ModelError(f"action key {action_str!r} is not an int as str writes it")
-                    # hex keys differing only in case or spacing name one observation: add counts as ``record`` does
-                    pair = counts.setdefault((obs, action), {})
+                    counts[obs, action] = pair = {}
                     for next_hex, count in outcomes.items():
                         if count.__class__ is not int or count < 1:
                             raise ModelError(f"count {count!r} is not a positive integer")
-                        next_obs = decoded.get(next_hex) or decoded.setdefault(
-                            next_hex, tuple(bytes.fromhex(next_hex))
-                        )
-                        pair[next_obs] = pair.get(next_obs, 0) + count
+                        next_obs = decoded.get(next_hex) or decoded.setdefault(next_hex, tuple(bytes.fromhex(next_hex)))
+                        pair[next_obs] = count
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ModelError(f"malformed model payload: {exc!r}") from None
-        if model.fingerprint.__class__ is not str:
-            raise ModelError(f"fingerprint of type {type(model.fingerprint).__name__} must be a string")
-        bad_actions = sorted({a for _, a in model.counts if not 0 <= a < model.action_count})
-        bad_obs = sorted(bytes(obs).hex() for obs in model.observations() if len(obs) != model.obs_dim)
+        bad_keys = sorted(key for key, obs in decoded.items() if bytes(obs).hex() != key)
+        if bad_keys:
+            raise ModelError(f"observation keys {bad_keys[:5]} are not lower-case hex as save_model writes them")
+        model = cls(obs_dim, action_count, fingerprint, x0, metadata, counts)
+        bad_actions = sorted({a for _, a in counts if not 0 <= a < action_count})
+        bad_obs = sorted(bytes(obs).hex() for obs in model.observations() if len(obs) != obs_dim)
         if bad_actions or bad_obs:
             raise ModelError(
-                f"model out of range for obs_dim={model.obs_dim}, action_count={model.action_count}: "
+                f"model out of range for obs_dim={obs_dim}, action_count={action_count}: "
                 f"actions {bad_actions[:5]}, observations {bad_obs[:5]}"
             )
         return model
@@ -233,11 +204,14 @@ def build_model_from_log(log_path) -> EmpiricalModel:
         "source_episodes": manifest.get("episodes"),
         "source_policy": manifest.get("policy"),
         "source_seed": manifest.get("seed"),
+        # what model_stats would say of the model: each observed pair and observation is in the audit's counts
+        "build_stats": {
+            "pair_support": report.visited_pairs,
+            "total_transitions": report.total_steps,
+            "observations_seen": report.unique_observations,
+        },
     }
-    model = _model_from_audit(report, manifest["obs_dim"], manifest["action_count"], manifest["fingerprint"], metadata)
-    stats = model_stats(model)
-    model.metadata["build_stats"] = {k: stats[k] for k in ("pair_support", "total_transitions", "observations_seen")}
-    return model
+    return _model_from_audit(report, manifest["obs_dim"], manifest["action_count"], manifest["fingerprint"], metadata)
 
 
 def _model_from_audit(report: collect.CoverageReport, obs_dim, action_count, fingerprint, metadata) -> EmpiricalModel:
@@ -249,9 +223,8 @@ def _model_from_audit(report: collect.CoverageReport, obs_dim, action_count, fin
         raise AmbiguousStartError(
             f"{len(starts)} distinct episode-start observations in dataset"
         )
-    model = EmpiricalModel(obs_dim, action_count, fingerprint, x0=starts[0] if starts else None, metadata=metadata)
-    model.counts = report.counts
-    return model
+    x0 = starts[0] if starts else None
+    return EmpiricalModel(obs_dim, action_count, fingerprint, x0, dict(metadata or {}), report.counts)
 
 
 def merge_models(a: EmpiricalModel, b: EmpiricalModel) -> EmpiricalModel:
@@ -263,18 +236,14 @@ def merge_models(a: EmpiricalModel, b: EmpiricalModel) -> EmpiricalModel:
             )
     if a.x0 is not None and b.x0 is not None and a.x0 != b.x0:
         raise IncompatibleModelError(f"start observations differ: {a.x0} vs {b.x0}")
-    merged = EmpiricalModel(
-        a.obs_dim,
-        a.action_count,
-        a.fingerprint,
-        x0=a.x0 if a.x0 is not None else b.x0,
-        metadata=a.metadata or b.metadata,
-    )
+    counts: dict[tuple[Observation, int], dict[Observation, int]] = {}
     for source in (a, b):
-        for (obs, action), outcomes in source.counts.items():
+        for pair, outcomes in source.counts.items():
+            summed = counts.setdefault(pair, {})
             for next_obs, count in outcomes.items():
-                merged.record(obs, action, next_obs, count)
-    return merged
+                summed[next_obs] = summed.get(next_obs, 0) + count
+    x0 = a.x0 if a.x0 is not None else b.x0
+    return EmpiricalModel(a.obs_dim, a.action_count, a.fingerprint, x0, dict(a.metadata or b.metadata), counts)
 
 
 def save_model(model: EmpiricalModel, path) -> None:

@@ -16,6 +16,15 @@ DATASET_SEED = 20240601
 DATASET_EPISODES = 2050  # ~157k steps on the desk5 chain at max_steps=80
 
 
+def count_transitions(transitions) -> dict:
+    """The ``counts`` an ``EmpiricalModel`` is made with: ``(obs, action, next_obs, n)`` tallied, repeats added."""
+    counts: dict = {}
+    for obs, action, next_obs, n in transitions:
+        outcomes = counts.setdefault((tuple(obs), action), {})
+        outcomes[tuple(next_obs)] = outcomes.get(tuple(next_obs), 0) + n
+    return counts
+
+
 @pytest.fixture(scope="session")
 def desk5() -> world.Scenario:
     return world.parse_scenario(presets.chain_scenario())

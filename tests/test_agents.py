@@ -320,11 +320,18 @@ _BAD_Q_PAYLOADS = {
     "key-1-value": _rename_first_q_key("00"),
     "key-3-values": _rename_first_q_key("000000"),
     "key-not-hex": _rename_first_q_key("zz"),
+    "key-upper-case": _rename_first_q_key("0A0B"),
+    "key-leading-space": _rename_first_q_key(" 0000"),
+    "key-two-spellings": lambda payload: payload["data"]["q"].update({"0a00": [1.0] * 3, "0A00": [2.0] * 3}),
     "row-1-value": _set_first_q_row([1.0]),
     "row-4-values": _set_first_q_row([1.0, 2.0, 3.0, 4.0]),
     "row-nested": _set_first_q_row([[1.0, 3.0, 2.0]]),
     "row-str": _set_first_q_row(["a", "b", "c"]),
     "row-dict": _set_first_q_row({"0": 1.0}),
+    "value-str": _set_first_q_row(["1.5", 3.0, 2.0]),
+    "value-bool": _set_first_q_row([True, 3.0, 2.0]),
+    "value-null": _set_first_q_row([None, 3.0, 2.0]),
+    "value-too-large": _set_first_q_row([10**400, 3.0, 2.0]),
     "fingerprint-int": _set("fingerprint", 5),
     "no-fingerprint": _drop("fingerprint"),
     "train-config-list": _set("train_config", []),
@@ -334,6 +341,16 @@ _BAD_Q_PAYLOADS = {
 def _set_layer(index, key, shape):
     def edit(payload):
         payload["data"]["layers"][index][key] = np.zeros(shape).tolist()
+    return edit
+
+
+def _set_layer_entry(index, key, at, value):
+    def edit(payload):
+        *outer, last = at
+        entries = payload["data"]["layers"][index][key]
+        for i in outer:
+            entries = entries[i]
+        entries[last] = value
     return edit
 
 
@@ -350,6 +367,12 @@ _BAD_DQN_PAYLOADS = {
     "drop-last-layer": lambda payload: payload["data"]["layers"].pop(),
     "obs-dim-3": _set("obs_dim", 3),
     "action-count-4": _set("action_count", 4),
+    "w-str": _set_layer_entry(0, "w", (0, 0), "1.5"),
+    "w-bool": _set_layer_entry(1, "w", (3, 2), True),
+    "w-null": _set_layer_entry(0, "w", (1, 3), None),
+    "b-str": _set_layer_entry(0, "b", (2,), "0"),
+    "b-bool": _set_layer_entry(1, "b", (0,), False),
+    "b-null": _set_layer_entry(1, "b", (1,), None),
 }
 
 
@@ -373,7 +396,29 @@ def _check_policy_edit_rejected(tmp_path, policy, edit):
         agents.load_policy(path)
 
 
-@pytest.mark.parametrize("edit", [_drop("data"), _set_first_q_row([1.0])], ids=["no-data", "row-1-value"])
+def test_a_q_table_of_json_ints_loads_as_floats(tmp_path):
+    def ints(payload):
+        payload["data"]["q"] = {"0000": [1, 3, 2], "0001": [2, -2, 1.5]}
+
+    path = _saved(tmp_path, _toy_q_table())
+    payload = artifacts.read_artifact(path, agents.POLICY_FORMAT)
+    ints(payload)
+    artifacts.write_artifact(path, agents.POLICY_FORMAT, payload)
+    values = agents.load_policy(path).policy.values
+    assert {obs: row.tolist() for obs, row in values.items()} == {(0, 0): [1.0, 3.0, 2.0], (0, 1): [2.0, -2.0, 1.5]}
+    assert all(row.dtype == np.float64 for row in values.values())
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop("data"),
+        _set_first_q_row([1.0]),
+        lambda payload: _rename_first_q_key(" " + next(iter(payload["data"]["q"])))(payload),
+        lambda payload: _set_first_q_row(["1.5"] * payload["action_count"])(payload),
+    ],
+    ids=["no-data", "row-1-value", "key-leading-space", "value-str"],
+)
 def test_malformed_policy_file_exits_artifact(tmp_path, desk5, desk5_sim_policy, edit):
     """A re-checksummed desk5 policy with a broken payload exits 7, not 1 or 0."""
     scenario = tmp_path / "desk5.json"

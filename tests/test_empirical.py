@@ -1,5 +1,6 @@
 """Empirical model: exact counting, normalisation, merging, sampling, persistence."""
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from redsim import agents, artifacts, collect, empirical, presets, world
 from redsim.artifacts import ArtifactChecksumError, ArtifactVersionError
@@ -25,6 +26,8 @@ from redsim.empirical import (
     model_stats,
 )
 from redsim.envapi import GameConfig
+
+from conftest import count_transitions
 
 
 O, A, B = (0, 0), (1, 0), (1, 1)
@@ -100,14 +103,8 @@ def test_merge_identity_and_commutativity(desk5, desk5_model):
     assert merge_models(desk5_model, empty) == desk5_model
     assert merge_models(empty, desk5_model) == desk5_model
 
-    half = len(desk5_model.counts) // 2
-    keys = list(desk5_model.counts)
-    m1 = EmpiricalModel(desk5_model.obs_dim, desk5_model.action_count, desk5_model.fingerprint, desk5_model.x0)
-    m2 = EmpiricalModel(desk5_model.obs_dim, desk5_model.action_count, desk5_model.fingerprint, desk5_model.x0)
-    for i, key in enumerate(keys):
-        target = m1 if i < half else m2
-        for next_obs, count in desk5_model.counts[key].items():
-            target.record(key[0], key[1], next_obs, count)
+    pairs, cut = list(desk5_model.counts.items()), desk5_model.pair_support // 2
+    m1, m2 = (dataclasses.replace(desk5_model, counts=dict(half)) for half in (pairs[:cut], pairs[cut:]))
     assert merge_models(m1, m2) == merge_models(m2, m1) == desk5_model
 
 
@@ -198,8 +195,7 @@ class _FixedDraw:
 
 def _check_draw_mapping(counts: dict):
     """Every draw value ``0..total-1`` once: outcome k comes out count_k times, in sorted-observation order."""
-    model = EmpiricalModel(obs_dim=2, action_count=1, x0=O)
-    model.counts[(O, 0)] = dict(counts)
+    model = EmpiricalModel(obs_dim=2, action_count=1, x0=O, counts={(O, 0): dict(counts)})
     config = SimConfig(game=GameConfig(max_steps=1), flag_worths=(0.0, 0.0), action_costs=(1.0,))
     sim = EmpiricalSim(model, config, seed=0)
     total = sum(counts.values())
@@ -285,9 +281,7 @@ _MISFITS = {
 
 
 def _without_x0(model):
-    bare = EmpiricalModel(model.obs_dim, model.action_count)
-    bare.counts = model.counts
-    return bare
+    return dataclasses.replace(model, x0=None)
 
 
 @pytest.mark.parametrize("use", [EmpiricalSim, agents.value_iteration_model], ids=["sim", "value-iteration"])
@@ -478,11 +472,12 @@ def _short_obs(doc):
         _rename_first_action(lambda key: "0_" + key),
         _rename_first_action(lambda key: "+" + key),
         _rename_first_action(lambda key: "0" + key),
+        lambda doc: doc["counts"].update({" " + key: row for key, row in doc["counts"].items()}),
     ],
     ids=["action-99", "action--1", "next-obs-17-bytes", "obs-15-bytes", "x0-17", "count--4", "count-0",
          "count-2.5", "count-str", "count-bool", "obs-dim-0", "action-count-0", "no-outcomes", "action-not-int",
          "obs-not-hex", "no-obs-dim", "fingerprint-int", "obs-dim-str", "obs-dim-float", "action-count-fraction",
-         "action-space", "action-underscore", "action-plus", "action-leading-zero"],
+         "action-space", "action-underscore", "action-plus", "action-leading-zero", "obs-two-spellings"],
 )
 def test_out_of_range_model_payload_rejected(desk5_model, edit):
     payload = desk5_model.to_payload()
@@ -590,6 +585,29 @@ def test_payload_round_trip_property(model):
     assert artifacts.canonical_json(back.to_payload()) == artifacts.canonical_json(model.to_payload())
 
 
+_RESPELLINGS = (str.upper, lambda key: " " + key, lambda key: key[:2] + " " + key[2:])
+
+
+@settings(deadline=None)
+@given(_models, st.data())
+def test_an_observation_key_has_one_spelling(tmp_path_factory, model, data):
+    """A payload reads back as the model that wrote it; any other spelling of one of its observation keys exits 5."""
+    payload = json.loads(artifacts.canonical_json(model.to_payload()))
+    assert EmpiricalModel.from_payload(payload) == model
+    counts = payload["counts"]
+    keys = [(counts, obs_hex) for obs_hex in counts] + [
+        (outcomes, next_hex) for row in counts.values() for outcomes in row.values() for next_hex in outcomes
+    ]
+    table, key = data.draw(st.sampled_from(keys))
+    respell = data.draw(st.sampled_from([respell for respell in _RESPELLINGS if respell(key) != key]))
+    table[respell(key)] = table.pop(key)
+    with pytest.raises(ModelError, match="lower-case hex"):
+        EmpiricalModel.from_payload(payload)
+    path = tmp_path_factory.mktemp("model") / "m.model"
+    artifacts.write_artifact(path, empirical.MODEL_FORMAT, payload)
+    assert main(["stats", str(path)]) == EXIT_DATA
+
+
 @given(_models, _models, _models)
 def test_merge_is_a_commutative_monoid(a, b, c):
     empty = EmpiricalModel(**_DIMS)
@@ -600,9 +618,8 @@ def test_merge_is_a_commutative_monoid(a, b, c):
 
 @given(_record_lists(), _observations)
 def test_observations_are_the_recorded_ones_plus_x0(records, x0):
-    model = EmpiricalModel(**_DIMS, x0=x0)
-    for rec in records:
-        model.record(rec.obs, rec.action, rec.next_obs)
+    counts = count_transitions((rec.obs, rec.action, rec.next_obs, 1) for rec in records)
+    model = EmpiricalModel(**_DIMS, x0=x0, counts=counts)
     expected = {rec.obs for rec in records} | {rec.next_obs for rec in records} | {x0}
     assert model.observations() == expected
     assert len(EmpiricalModel.from_payload(model.to_payload()).observations()) == len(expected)
@@ -639,11 +656,11 @@ def test_build_model_from_log_counts_in_the_audits_pass(desk5_dataset, monkeypat
         audits.append(log_path)
         return audit_records(records, log_path, manifest)
 
-    def no_record(*args):
-        raise AssertionError("EmpiricalModel.record called")
-
     monkeypatch.setattr(collect, "audit_records", counting_audit)
-    monkeypatch.setattr(EmpiricalModel, "record", no_record)
     model = empirical.build_model_from_log(desk5_dataset.log_path)
     assert audits == [desk5_dataset.log_path]
     assert model.total_transitions == desk5_dataset.manifest["total_steps"]
+    stats = model_stats(model)
+    assert model.metadata["build_stats"] == {
+        k: stats[k] for k in ("pair_support", "total_transitions", "observations_seen")
+    }

@@ -14,6 +14,8 @@ from redsim.agents import LoadedPolicy, QTable, TrainConfig, train_q_learning, v
 from redsim.empirical import EmpiricalSim, build_model, merge_models
 from redsim.evaluate import IncompatiblePolicyError, fidelity_report, transfer_eval
 
+from conftest import count_transitions
+
 
 class _PlanPolicy:
     """Greedy adapter around a value-iteration policy map."""
@@ -247,10 +249,8 @@ def test_fidelity_audit_sums_outcomes_the_world_cannot_produce(det3):
     x0 = det3.initial_observation()
     [(after, _)] = world.exact_transition(det3, x0, det3.actions[0])
     odd = tuple(1 - v for v in x0)
-    model = empirical.EmpiricalModel(det3.obs_dim, len(det3.actions), det3.fingerprint, x0=x0)
-    for next_obs, n in ((x0, 1), (odd, 2), (after, 3)):
-        model.record(x0, 0, next_obs, n)
-    model.record(x0, 1, odd, 4)
+    counts = count_transitions([(x0, 0, x0, 1), (x0, 0, odd, 2), (x0, 0, after, 3), (x0, 1, odd, 4)])
+    model = empirical.EmpiricalModel(det3.obs_dim, len(det3.actions), det3.fingerprint, x0, counts=counts)
     report = fidelity_report(model, det3, visit_threshold=1)
     assert [(p.obs, p.action, p.visits) for p in report.pairs] == [(x0, 0, 6), (x0, 1, 4)]
     exact_1 = dict(world.exact_transition(det3, x0, det3.actions[1]))
@@ -276,14 +276,14 @@ def test_fidelity_tv_bound_at_threshold_visits_with_binomial_oracle():
     exploit = next(a for a in scenario.actions if a.kind == "exploit_user")
     env = world.AttackWorld(scenario, seed=40)
     env.reset(seed=40)
-    model = empirical.EmpiricalModel(
-        scenario.obs_dim, len(scenario.actions), scenario.fingerprint,
-        x0=scenario.initial_observation(),
-    )
+    outcomes = []
     for _ in range(n):
         env.set_state(state)
-        res = env.step(exploit.id)
-        model.record(state, exploit.id, res.observation)
+        outcomes.append((state, exploit.id, env.step(exploit.id).observation, 1))
+    model = empirical.EmpiricalModel(
+        scenario.obs_dim, len(scenario.actions), scenario.fingerprint,
+        x0=scenario.initial_observation(), counts=count_transitions(outcomes),
+    )
     exact = dict(world.exact_transition(scenario, state, exploit))
     tv = _tv_reference(model.distribution(state, exploit.id), exact)
     assert tv <= 0.05

@@ -17,13 +17,14 @@ from redsim.empirical import (
     FALLBACK_REJECT,
     FALLBACK_SELF,
     EmpiricalModel,
-    ModelError,
     SimConfig,
     build_model,
     compile_model,
     merge_models,
 )
 from redsim.envapi import GameConfig, compute_reward
+
+from conftest import count_transitions
 
 _probs = st.floats(0.05, 0.99)
 _worths = st.sampled_from((0.0, 0.5, 2.0, 10.0))
@@ -167,10 +168,9 @@ def _count_tables(draw):
     """A model of arbitrary counts (flags may turn off, values reach 3) and a config that fits it."""
     obs_dim, actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     observations = st.tuples(*[st.integers(0, 3)] * obs_dim)
-    model = EmpiricalModel(obs_dim, actions, x0=draw(observations))
+    x0 = draw(observations)
     triples = st.tuples(observations, st.integers(0, actions - 1), observations, st.integers(1, 5))
-    for obs, action, next_obs, n in draw(st.lists(triples, max_size=25)):
-        model.record(obs, action, next_obs, n)
+    model = EmpiricalModel(obs_dim, actions, x0=x0, counts=count_transitions(draw(st.lists(triples, max_size=25))))
     config = SimConfig(
         GameConfig(max_steps=5, goal_index=draw(st.integers(-obs_dim, obs_dim - 1))),
         tuple(draw(st.lists(_table_worths, min_size=obs_dim, max_size=obs_dim))),
@@ -245,13 +245,13 @@ def _check_table(model):
 @settings(max_examples=200, deadline=None)
 @given(_count_tables(), st.integers(0, 25))
 def test_every_way_to_make_a_model_holds_the_table_of_its_counts(table, cut):
-    """Recorded, loaded from a payload or merged from two shards: each model's table is its counts', read-only."""
+    """Counted, loaded from a payload or merged from two shards: each model's table is its counts', read-only."""
     model, _ = table
-    dims = model.obs_dim, model.action_count
-    halves = EmpiricalModel(*dims, x0=model.x0), EmpiricalModel(*dims)
-    for i, ((obs, action), outcomes) in enumerate(model.counts.items()):
-        for next_obs, n in outcomes.items():
-            halves[i >= cut].record(obs, action, next_obs, n)
+    dims, pairs = (model.obs_dim, model.action_count), list(model.counts.items())
+    halves = (
+        EmpiricalModel(*dims, x0=model.x0, counts=dict(pairs[:cut])),
+        EmpiricalModel(*dims, counts=dict(pairs[cut:])),
+    )
     for made in (EmpiricalModel.from_payload(model.to_payload()), merge_models(*halves), model):
         assert made == model
         _check_table(made)
@@ -261,17 +261,20 @@ def test_a_collected_models_table_is_its_counts(desk5_model):
     _check_table(desk5_model)
 
 
-def test_a_models_counts_are_frozen_once_its_table_is_read():
-    model = EmpiricalModel(2, 2, x0=(0, 0))
-    model.record((0, 0), 1, (0, 1))
-    model.record((0, 0), 1, (0, 1), 2)
-    assert model.counts == {((0, 0), 1): {(0, 1): 3}}
+def test_a_model_is_fixed_when_it_is_made():
+    """No field can be rebound, before or after the table is read, and the table is the counts the model was given."""
+    counts = count_transitions([((0, 0), 1, (0, 1), 1), ((0, 0), 1, (0, 1), 2)])
+    model = EmpiricalModel(2, 2, x0=(0, 0), counts=counts)
+    assert not hasattr(model, "record") and model.counts == {((0, 0), 1): {(0, 1): 3}}
+    for read_table in (False, True):
+        if read_table:
+            _check_table(model)
+        for name in [f.name for f in dataclasses.fields(model)] + ["table"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, {})
     assert model.table.visits.tolist() == [0, 3, 0, 0]
-    with pytest.raises(ModelError, match="frozen"):
-        model.record((0, 0), 1, (0, 1))
-    assert model.counts == {((0, 0), 1): {(0, 1): 3}}
     planned = agents.value_iteration_model(model, SimConfig(GameConfig(max_steps=3), (1.0, 1.0), (1.0, 1.0)))
-    assert planned.policy == {(0, 0): 1} and model.table.visits.tolist() == [0, 3, 0, 0]
+    assert planned.policy == {(0, 0): 1} and model.counts == {((0, 0), 1): {(0, 1): 3}}
 
 
 def test_a_model_is_tabled_once_for_every_reader(monkeypatch):
