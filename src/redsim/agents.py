@@ -291,16 +291,10 @@ def save_policy(result_policy, path, *, fingerprint: str, obs_dim: int, train_co
         "fingerprint": fingerprint,
         "obs_dim": obs_dim,
         "action_count": action_count,
-        "train_config": _config_dict(train_config),
+        "train_config": asdict(train_config),
         "data": data,
     }
     artifacts.write_artifact(path, POLICY_FORMAT, payload)
-
-
-def _config_dict(config: TrainConfig) -> dict:
-    doc = asdict(config)
-    doc["hidden_sizes"] = list(config.hidden_sizes)
-    return doc
 
 
 @dataclass
@@ -325,6 +319,12 @@ def _check_numbers(values) -> None:
         raise PolicyError(f"policy values of type {sorted(t.__name__ for t in wrong)} must be numbers")
 
 
+def _check_finite(arrays) -> None:
+    """Raise PolicyError if any of ``arrays`` holds NaN or an infinity, which json reads from ``NaN`` or ``1e400``."""
+    if not all(np.isfinite(values).all() for values in arrays):
+        raise PolicyError("policy values must be finite, not NaN or Infinity")
+
+
 def load_policy(path) -> LoadedPolicy:
     """The policy a file holds; a malformed or out-of-range payload raises PolicyError.
 
@@ -334,7 +334,8 @@ def load_policy(path) -> LoadedPolicy:
     lower-case hex, as ``save_policy`` writes them, of ``obs_dim`` values
     and rows must hold ``action_count`` values; DQN layer shapes must chain
     from ``obs_dim`` to ``action_count``.  Every Q-value, weight and bias
-    must be a JSON number: an int or a float, not a bool, string or null.
+    must be a JSON number: an int or a float, not a bool, string or null,
+    and finite: not ``NaN`` or ``Infinity``, which json also reads.
     """
     from .dqn import DqnNet
 
@@ -365,6 +366,7 @@ def load_policy(path) -> LoadedPolicy:
                         f"obs_dim={obs_dim}, action_count={action_count}"
                     )
                 policy.values[tuple(obs)] = values
+            _check_finite(policy.values.values())
         elif data["kind"] == "dqn":
             for layer in data["layers"]:
                 _check_numbers(chain(chain.from_iterable(layer["w"]), layer["b"]))
@@ -375,6 +377,7 @@ def load_policy(path) -> LoadedPolicy:
             sizes = [obs_dim, *(len(b) for _, b in layers[:-1]), action_count]
             if [(w.shape, b.shape) for w, b in layers] != [((m, n), (n,)) for m, n in zip(sizes, sizes[1:])]:
                 raise PolicyError(f"dqn layers do not chain from obs_dim={obs_dim} to action_count={action_count}")
+            _check_finite(chain.from_iterable(layers))
             policy = DqnNet.from_layers(layers)
         else:
             raise PolicyError(f"unknown policy kind {data['kind']!r}")

@@ -5,7 +5,8 @@ A log is one JSON object per line with exactly the fields
 plus a JSON manifest sidecar (``<log>.manifest.json``) that records the
 environment fingerprint, dimensions, totals and default reward/game
 parameters.  Logs are append-only and corruption-localizing; merging
-renumbers episodes and adds totals.
+renumbers episodes.  Collection and merging write a dataset alike, the
+totals and start observations derived from its records.
 """
 
 from __future__ import annotations
@@ -249,35 +250,36 @@ def run_collection(
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     policy_rng = np.random.default_rng(derive_seed(seed, "collection-policy"))
-    records: list[TransitionRecord] = []
     steps = rollout(env, lambda obs: policy(obs, policy_rng), episodes, seed)
-    for ep, step, obs, action, res in steps:
-        records.append(
-            TransitionRecord(
-                episode=ep,
-                step=step,
-                obs=obs,
-                action=action,
-                next_obs=res.observation,
-                reward=res.reward,
-                done=res.done,
-                action_success=res.info["action_success"],
-            )
-        )
+    records = [
+        TransitionRecord(ep, step, obs, action, res.observation, res.reward, res.done, res.info["action_success"])
+        for ep, step, obs, action, res in steps
+    ]
+    return _dataset(records, env.metadata(), getattr(policy, "descriptor", "custom"), seed, out_path)
 
-    meta = env.metadata()
+
+def _dataset(records: list, source: dict, policy: str, seed, out_path, **extra) -> CollectionResult:
+    """The dataset of ``records``, its log and manifest written when ``out_path`` is given.
+
+    ``source`` (an environment's ``metadata()`` or a source log's manifest)
+    gives the fingerprint, dimensions, reward and game.  The records give the
+    rest: ``total_steps`` is their number, and each step-0 record starts one
+    of the ``episodes``, so ``o0`` lists the distinct observations they start from.
+    """
+    starts = [rec.obs for rec in records if rec.step == 0]
     manifest = {
         "format": LOG_FORMAT,
-        "fingerprint": meta["fingerprint"],
-        "obs_dim": meta["obs_dim"],
-        "action_count": meta["action_count"],
+        "fingerprint": source["fingerprint"],
+        "obs_dim": source["obs_dim"],
+        "action_count": source["action_count"],
         "total_steps": len(records),
-        "episodes": episodes,
-        "o0": [list(o) for o in sorted({rec.obs for rec in records if rec.step == 0})],
-        "policy": getattr(policy, "descriptor", "custom"),
+        "episodes": len(starts),
+        "o0": [list(o) for o in sorted(set(starts))],
+        "policy": policy,
         "seed": seed,
-        "reward": meta["reward"],
-        "game": meta["game"],
+        **extra,
+        "reward": source.get("reward"),
+        "game": source.get("game"),
     }
     log_path = None
     if out_path is not None:
@@ -312,34 +314,14 @@ def merge_logs(log_paths, out_path) -> CollectionResult:
     _require_compatible(manifests)
 
     merged: list[TransitionRecord] = []
-    next_episode = 0
-    for records, _, _ in sources:
+    offset = 0
+    for records, _, _ in sources:  # each source's episodes in order of first appearance, after those merged so far
         remap: dict[int, int] = {}
-        for rec in records:
-            if rec.episode not in remap:
-                remap[rec.episode] = next_episode
-                next_episode += 1
-            merged.append(replace(rec, episode=remap[rec.episode]))
+        merged += [replace(rec, episode=remap.setdefault(rec.episode, offset + len(remap))) for rec in records]
+        offset += len(remap)
 
-    first = manifests[0]
-    manifest = {
-        "format": LOG_FORMAT,
-        "fingerprint": first["fingerprint"],
-        "obs_dim": first["obs_dim"],
-        "action_count": first["action_count"],
-        "total_steps": len(merged),
-        "episodes": next_episode,
-        "o0": first["o0"],
-        "policy": "merged(" + ", ".join(m.get("policy", "?") for m in manifests) + ")",
-        "seed": None,
-        "sources": [str(p) for p in log_paths],
-        "reward": first.get("reward"),
-        "game": first.get("game"),
-    }
-    log_path = Path(out_path)
-    write_log(merged, log_path)
-    write_manifest(manifest, log_path)
-    return CollectionResult(records=merged, manifest=manifest, log_path=log_path)
+    policy = "merged(" + ", ".join(m.get("policy", "?") for m in manifests) + ")"
+    return _dataset(merged, manifests[0], policy, None, out_path, sources=[str(p) for p in log_paths])
 
 
 @dataclass

@@ -228,7 +228,11 @@ def _model_from_audit(report: collect.CoverageReport, obs_dim, action_count, fin
 
 
 def merge_models(a: EmpiricalModel, b: EmpiricalModel) -> EmpiricalModel:
-    """Pointwise count addition.  Counts form a commutative monoid under merge."""
+    """Pointwise count addition.  Counts form a commutative monoid under merge.
+
+    Of the metadata, only the ``reward`` and ``game`` of the first source that has any are kept,
+    as ``collect.merge_logs`` keeps its first manifest's.
+    """
     for attr in ("obs_dim", "action_count", "fingerprint"):
         if getattr(a, attr) != getattr(b, attr):
             raise IncompatibleModelError(
@@ -243,7 +247,9 @@ def merge_models(a: EmpiricalModel, b: EmpiricalModel) -> EmpiricalModel:
             for next_obs, count in outcomes.items():
                 summed[next_obs] = summed.get(next_obs, 0) + count
     x0 = a.x0 if a.x0 is not None else b.x0
-    return EmpiricalModel(a.obs_dim, a.action_count, a.fingerprint, x0, dict(a.metadata or b.metadata), counts)
+    source = a.metadata or b.metadata
+    metadata = {key: source[key] for key in ("reward", "game") if key in source}
+    return EmpiricalModel(a.obs_dim, a.action_count, a.fingerprint, x0, metadata, counts)
 
 
 def save_model(model: EmpiricalModel, path) -> None:

@@ -356,8 +356,7 @@ def max_steps_study(
         config = SimConfig.from_model(model, max_steps=max_steps)
         sim = EmpiricalSim(model, config, seed=seed)
         result = train_q_learning(sim, train_config)
-        eval_sim = EmpiricalSim(model, config, seed=seed)
-        report = evaluate_policy(eval_sim, result.policy, eval_episodes, seed, "sim")
+        report = evaluate_policy(sim, result.policy, eval_episodes, seed, "sim")  # re-seeds the sim
         solution = value_iteration(scenario, horizon=max_steps)
         within = abs(report.mean_return - solution.optimal_return) <= STUDY_TOLERANCE * max(
             1.0, abs(solution.optimal_return)

@@ -332,6 +332,9 @@ _BAD_Q_PAYLOADS = {
     "value-bool": _set_first_q_row([True, 3.0, 2.0]),
     "value-null": _set_first_q_row([None, 3.0, 2.0]),
     "value-too-large": _set_first_q_row([10**400, 3.0, 2.0]),
+    "value-nan": _set_first_q_row([float("nan"), 3.0, 2.0]),
+    "value-inf": _set_first_q_row([1.0, float("inf"), 2.0]),
+    "value-neg-inf": _set_first_q_row([1.0, 3.0, -float("inf")]),
     "fingerprint-int": _set("fingerprint", 5),
     "no-fingerprint": _drop("fingerprint"),
     "train-config-list": _set("train_config", []),
@@ -373,6 +376,9 @@ _BAD_DQN_PAYLOADS = {
     "b-str": _set_layer_entry(0, "b", (2,), "0"),
     "b-bool": _set_layer_entry(1, "b", (0,), False),
     "b-null": _set_layer_entry(1, "b", (1,), None),
+    "w-nan": _set_layer_entry(0, "w", (1, 2), float("nan")),
+    "w-inf": _set_layer_entry(1, "w", (0, 1), float("inf")),
+    "b-neg-inf": _set_layer_entry(0, "b", (3,), -float("inf")),
 }
 
 
@@ -416,8 +422,9 @@ def test_a_q_table_of_json_ints_loads_as_floats(tmp_path):
         _set_first_q_row([1.0]),
         lambda payload: _rename_first_q_key(" " + next(iter(payload["data"]["q"])))(payload),
         lambda payload: _set_first_q_row(["1.5"] * payload["action_count"])(payload),
+        lambda payload: _set_first_q_row([float("nan"), float("inf")] + [2.0] * (payload["action_count"] - 2))(payload),
     ],
-    ids=["no-data", "row-1-value", "key-leading-space", "value-str"],
+    ids=["no-data", "row-1-value", "key-leading-space", "value-str", "value-nan-inf"],
 )
 def test_malformed_policy_file_exits_artifact(tmp_path, desk5, desk5_sim_policy, edit):
     """A re-checksummed desk5 policy with a broken payload exits 7, not 1 or 0."""
@@ -451,7 +458,7 @@ def test_mistyped_policy_provenance_stats_exits_artifact(tmp_path, edit):
 @given(
     st.dictionaries(
         st.tuples(*[st.integers(0, 255)] * 2),
-        st.lists(st.floats(allow_nan=False), min_size=3, max_size=3),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
         max_size=12,
     )
 )

@@ -97,6 +97,39 @@ def test_merge_concatenates_and_renumbers(desk5, tmp_path):
     assert collect.validate_log(merged.log_path).clean
 
 
+def test_merge_of_logs_without_records(desk5, tmp_path):
+    """An empty log with a manifest to match merges into an empty log: no episodes and no start observations."""
+    source = _collect(desk5, 3, 1, out=tmp_path / "a.jsonl")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    collect.write_manifest({**source.manifest, "total_steps": 0, "episodes": 0, "o0": []}, empty)
+    assert collect.validate_log(empty).clean
+    merged = collect.merge_logs([empty, empty], tmp_path / "m.jsonl")
+    assert merged.records == []
+    assert merged.log_path.read_bytes() == b""
+    assert {k: merged.manifest[k] for k in ("total_steps", "episodes", "o0", "seed")} == {
+        "total_steps": 0, "episodes": 0, "o0": [], "seed": None
+    }
+    assert merged.manifest["policy"] == "merged(uniform-random, uniform-random)"
+    assert merged.manifest["sources"] == [str(empty), str(empty)]
+    assert collect.read_manifest(merged.log_path) == merged.manifest
+    assert collect.validate_log(merged.log_path).clean
+
+
+def test_merge_of_a_log_with_interleaved_episodes_passes_its_audit(desk5, tmp_path):
+    """The audit follows each episode on its own, so a log may interleave them; its merge counts each episode once."""
+    source = _collect(desk5, 2, 3, out=tmp_path / "a.jsonl")
+    lines = source.log_path.read_text().splitlines(keepends=True)
+    first = [line for line, rec in zip(lines, source.records) if rec.episode == 0]
+    second = [line for line, rec in zip(lines, source.records) if rec.episode == 1]
+    source.log_path.write_text("".join(second[:1] + first + second[1:]))
+    assert collect.validate_log(source.log_path).clean
+    merged = collect.merge_logs([source.log_path], tmp_path / "m.jsonl")
+    assert merged.manifest["episodes"] == 2
+    assert merged.manifest["total_steps"] == len(source.records)
+    assert collect.validate_log(merged.log_path).clean
+
+
 def test_merge_rejects_different_scenarios(desk5, mesh, tmp_path):
     a = _collect(desk5, 5, 1, out=tmp_path / "a.jsonl")
     b = _collect(mesh, 5, 1, out=tmp_path / "b.jsonl")

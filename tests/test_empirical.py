@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from redsim import agents, artifacts, collect, empirical, presets, world
 from redsim.artifacts import ArtifactChecksumError, ArtifactVersionError
-from redsim.cli import EXIT_DATA, main
+from redsim.cli import EXIT_DATA, EXIT_OK, main
 from redsim.collect import TransitionRecord
 from redsim.empirical import (
     AmbiguousStartError,
@@ -126,6 +126,29 @@ def test_merge_associative_random_splits(desk5, desk5_dataset):
     right = merge_models(m1, merge_models(m2, m3))
     whole = build_model(records, **dims)
     assert left == right == whole
+
+
+def test_merged_model_keeps_only_the_reward_and_game_of_its_first_source(desk5, tmp_path, capsys):
+    """A merge drops its sources' provenance, so ``stats`` reads no seed, as for a merged log."""
+    models = []
+    for seed in (1, 2):
+        log = tmp_path / f"{seed}.jsonl"
+        env = world.AttackWorld(desk5, seed=seed)
+        collect.run_collection(env, collect.uniform_random_policy(env.action_count), 20, seed, out_path=log)
+        models.append(empirical.build_model_from_log(log))
+    a, b = models
+    empty = EmpiricalModel(a.obs_dim, a.action_count, a.fingerprint)
+    merged = merge_models(a, b)
+    assert merged.total_transitions == a.total_transitions + b.total_transitions
+    assert merged.metadata == {"reward": a.metadata["reward"], "game": a.metadata["game"]}
+    assert merge_models(empty, b).metadata == {"reward": b.metadata["reward"], "game": b.metadata["game"]}
+    assert merge_models(empty, empty).metadata == {}
+    path = tmp_path / "merged.model"
+    empirical.save_model(merged, path)
+    assert empirical.load_model(path).metadata == merged.metadata
+    capsys.readouterr()
+    assert main(["stats", str(path)]) == EXIT_OK
+    assert " seed=None " in capsys.readouterr().out
 
 
 def test_merge_rejects_mismatched_models(desk5_model, mesh):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,6 +476,24 @@ def test_fingerprint_covers_dynamics_not_rewards():
     different = world.parse_scenario(presets.chain_scenario(exploit_prob=0.5))
     assert base.fingerprint == regamed.fingerprint
     assert base.fingerprint != different.fingerprint
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize(
+    "name, factory",
+    [
+        ("desk3_deterministic", presets.deterministic_chain),
+        ("desk5_chain", presets.chain_scenario),
+        ("desk6_mesh", presets.mesh_scenario),
+    ],
+)
+def test_shipped_scenario_files_are_the_presets(name, factory):
+    """The benchmark and README run ``scenarios/*.json``; the tests build the presets.  They are one scenario."""
+    shipped, preset = world.load_scenario(SCENARIOS / f"{name}.json"), world.parse_scenario(factory())
+    assert shipped == preset
+    assert shipped.fingerprint == preset.fingerprint
 
 
 def test_scenario_file_round_trip(tmp_path, desk5):
