@@ -120,13 +120,6 @@ class TrainResult:
     evals: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _greedy_rollouts(env: Env, policy, episodes: int, seed: int) -> float:
-    total = 0.0
-    for *_, res in rollout(env, lambda obs: greedy_action(policy, obs), episodes, seed):
-        total += res.reward
-    return total / episodes
-
-
 def epsilon_greedy_steps(env: Env, config: TrainConfig, rng, result: TrainResult, eval_env: Env | None):
     """The epsilon-greedy training run of ``result.policy`` in ``env``; yields ``(global_step, obs, action, res)``.
 
@@ -135,12 +128,14 @@ def epsilon_greedy_steps(env: Env, config: TrainConfig, rng, result: TrainResult
     and greedy under the policy otherwise.  ``global_step`` counts the steps
     taken, this one included.  The consumer learns from a step before the
     generator resumes; then, every ``config.eval_interval`` steps with an
-    ``eval_env``, the greedy mean return over ``config.eval_episodes`` is
-    appended to ``result.evals``, and each finished episode appends its
-    ``CurvePoint`` to ``result.curve``.  The run ends after
-    ``config.episodes`` episodes, or with the first episode to finish at or
-    past ``config.max_env_steps`` steps.
+    ``eval_env``, the ``evaluate_policy`` mean return over
+    ``config.eval_episodes`` is appended to ``result.evals``, and each
+    finished episode appends its ``CurvePoint`` to ``result.curve``.  The
+    run ends after ``config.episodes`` episodes, or with the first episode
+    to finish at or past ``config.max_env_steps`` steps.
     """
+    from .evaluate import evaluate_policy
+
     policy = result.policy
     global_step = 0
     ep_return = 0.0
@@ -157,7 +152,8 @@ def epsilon_greedy_steps(env: Env, config: TrainConfig, rng, result: TrainResult
         yield global_step, obs, action, res
         if evaluating and global_step % config.eval_interval == 0:
             eval_seed = derive_seed(config.seed, "eval")
-            result.evals.append((global_step, _greedy_rollouts(eval_env, policy, config.eval_episodes, eval_seed)))
+            mean_return = evaluate_policy(eval_env, policy, config.eval_episodes, eval_seed).mean_return
+            result.evals.append((global_step, mean_return))
         if res.done:
             result.curve.append(CurvePoint(global_step, ep_return, step + 1, config.epsilon_at(global_step)))
             ep_return = 0.0
@@ -210,7 +206,8 @@ def _solve_tabular(mdp: TabularMDP, prob, gamma, horizon) -> ValueSolution:
     """
     states, n = mdp.states, len(mdp.states)
     shape = (n, mdp.action_count)
-    rows, next_state, reward = mdp.entry_rows(), mdp.next_state, mdp.reward
+    rows = np.repeat(np.arange(n * mdp.action_count), np.diff(mdp.row_start))
+    next_state, reward = mdp.next_state, mdp.reward
 
     def backup(values):
         # bincount adds each row's entries in order, as a sequential sum would
@@ -254,22 +251,24 @@ def value_iteration_model(model, config, horizon: int | None = None) -> ValueSol
     """Value iteration on the empirical model itself (not the world).
 
     It plans over the table the sim steps through, unseen pairs' fallback
-    entries included, so the planned MDP is exactly the MDP the sim executes.
+    entries included, so the planned MDP is exactly the MDP the sim executes;
+    each entry is taken with the table's ``prob``, whose entries are the
+    compiled ones under the self-transition fallback.
     """
     if config.fallback != FALLBACK_SELF:
         raise ValueError("model planning requires the self-transition fallback")
     horizon = config.game.max_steps if horizon is None else horizon
-    mdp = compile_model(model, config)
-    rows = mdp.entry_rows()
-    return _solve_tabular(mdp, mdp.weight / np.bincount(rows, mdp.weight)[rows], config.game.gamma, horizon)
+    return _solve_tabular(compile_model(model, config), model.table.prob, config.game.gamma, horizon)
 
 
 # --- persistence -------------------------------------------------------------
 
 def save_policy(result_policy, path, *, fingerprint: str, obs_dim: int, train_config: TrainConfig) -> None:
+    """Write a ``QTable`` or ``DqnNet`` and its provenance; a NaN or an infinity raises PolicyError, writing nothing."""
     from .dqn import DqnNet
 
     if isinstance(result_policy, QTable):
+        arrays = result_policy.values.values()
         data = {
             "kind": "q_table",
             "q": {bytes(k).hex(): row.tolist() for k, row in sorted(result_policy.values.items())},
@@ -277,6 +276,7 @@ def save_policy(result_policy, path, *, fingerprint: str, obs_dim: int, train_co
         }
         action_count = result_policy.action_count
     elif isinstance(result_policy, DqnNet):
+        arrays = chain.from_iterable(result_policy.layers)
         data = {
             "kind": "dqn",
             "hidden_sizes": list(result_policy.hidden_sizes),
@@ -287,6 +287,7 @@ def save_policy(result_policy, path, *, fingerprint: str, obs_dim: int, train_co
         action_count = result_policy.action_count
     else:
         raise PolicyError(f"cannot serialise policy of type {type(result_policy).__name__}")
+    _check_finite(arrays)  # load_policy would reject the file
     payload = {
         "fingerprint": fingerprint,
         "obs_dim": obs_dim,
@@ -320,7 +321,7 @@ def _check_numbers(values) -> None:
 
 
 def _check_finite(arrays) -> None:
-    """Raise PolicyError if any of ``arrays`` holds NaN or an infinity, which json reads from ``NaN`` or ``1e400``."""
+    """Raise PolicyError if any of ``arrays`` holds NaN or an infinity (json reads them from ``NaN`` or ``1e400``)."""
     if not all(np.isfinite(values).all() for values in arrays):
         raise PolicyError("policy values must be finite, not NaN or Infinity")
 

@@ -3,9 +3,10 @@
 The generator is data-centric: it never interprets host or action
 semantics, only the ``(obs, action, next_obs)`` triples in the log.  The
 persisted representation is raw outcome counts, not probabilities --
-counts are lossless sufficient statistics, merge by pointwise addition
-(so shard builds commute) and normalise to exact rational transition
-probabilities on demand.
+counts are lossless sufficient statistics and merge by pointwise addition
+(so shard builds commute).  A model's ``CountTable`` turns them into
+probabilities once, for the planner and the fidelity audit; the sim draws
+from the integer counts themselves.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class ModelError(Exception):
 
 
 class NoDataError(ModelError):
-    """The queried (observation, action) pair was never observed."""
+    """A sim step under the reject-action fallback reached an (observation, action) pair the data never saw."""
 
 
 class AmbiguousStartError(ModelError):
@@ -48,7 +49,7 @@ class IncompatibleModelError(ModelError):
 
 @dataclass(frozen=True)
 class EmpiricalModel:
-    """Outcome counts per (observation, action) with exact normalisation.
+    """Outcome counts per (observation, action); ``table`` holds them as arrays, probabilities included.
 
     A model is fixed when it is made: its builders count first and construct
     it once, and rebinding a field raises ``dataclasses.FrozenInstanceError``.
@@ -65,25 +66,6 @@ class EmpiricalModel:
     counts: dict[tuple[Observation, int], dict[Observation, int]] = field(default_factory=dict)
 
     # -- queries -------------------------------------------------------------
-
-    def outcome_counts(self, obs, action: int) -> dict[Observation, int]:
-        try:
-            return self.counts[(tuple(obs), int(action))]
-        except KeyError:
-            raise NoDataError(
-                f"no data for observation {tuple(obs)} action {action}"
-            ) from None
-
-    def distribution(self, obs, action: int) -> dict[Observation, float]:
-        """Normalised outcome probabilities; they sum to 1 by construction."""
-        outcomes = self.outcome_counts(obs, action)
-        total = sum(outcomes.values())
-        return {k: c / total for k, c in sorted(outcomes.items())}
-
-    def transition_prob(self, obs, action: int, next_obs) -> float:
-        outcomes = self.outcome_counts(obs, action)
-        total = sum(outcomes.values())
-        return outcomes.get(tuple(next_obs), 0) / total
 
     def has_pair(self, obs, action: int) -> bool:
         return (tuple(obs), int(action)) in self.counts
@@ -347,8 +329,11 @@ class CountTable:
     ``next_state``, in id order, with its integer count in ``weight``, and
     ``visits[r]`` is the row's total.  A row the data never saw (``visits``
     0) holds one self-fallback entry back to its own state with weight 1;
-    ``fallback`` lists where those entries sit.  ``rise[i, e]`` says entry
-    ``e`` raises flag ``i``.
+    ``fallback`` lists where those entries sit.  ``prob[e]`` is entry
+    ``e``'s weight over its row's visits, so each row's sum is 1 up to
+    rounding and a fallback entry's is 1.0: the law the planner and the
+    fidelity audit read (the sim draws on ``weight`` itself).  ``rise[i, e]``
+    says entry ``e`` raises flag ``i``.
     """
 
     states: list[Observation]
@@ -359,6 +344,7 @@ class CountTable:
     weight: np.ndarray
     visits: np.ndarray
     fallback: np.ndarray
+    prob: np.ndarray
     rise: np.ndarray
 
 
@@ -399,9 +385,10 @@ def count_table(model: EmpiricalModel) -> CountTable:
         weight=weight,
         visits=visits,
         fallback=row_start[unseen],
+        prob=weight / np.maximum(visits, 1)[row],
         rise=np.array([column[next_state] > column[source] for column in flags.T], dtype=bool),
     )
-    for array in (flags, row_start, next_state, weight, visits, table.fallback, table.rise):
+    for array in (flags, row_start, next_state, weight, visits, table.fallback, table.prob, table.rise):
         array.flags.writeable = False
     return table
 

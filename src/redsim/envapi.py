@@ -146,10 +146,6 @@ class TabularMDP:
     goal: np.ndarray
     start: int
 
-    def entry_rows(self) -> np.ndarray:
-        """The row of every entry."""
-        return np.repeat(np.arange(len(self.row_start) - 1), np.diff(self.row_start))
-
 
 class Env(ABC):
     """Reset/step contract implemented by the world and the generated sim.

@@ -58,11 +58,17 @@ def check_compat(env: Env, policy) -> None:
         )
 
 
-def _check_source(model_fingerprint: str, env_fingerprint: str) -> None:
-    if model_fingerprint != env_fingerprint:
+def _check_source(source, fingerprint: str, obs_dim: int, action_count: int) -> None:
+    """Raise IncompatibleModelError unless a model or sim ``source`` has this environment's fingerprint and dims."""
+    if source.fingerprint != fingerprint:
         raise IncompatibleModelError(
             f"model was generated from another environment "
-            f"(fingerprint {model_fingerprint[:12]} vs {env_fingerprint[:12]})"
+            f"(fingerprint {source.fingerprint[:12]} vs {fingerprint[:12]})"
+        )
+    if (source.obs_dim, source.action_count) != (obs_dim, action_count):
+        raise IncompatibleModelError(
+            f"model dims ({source.obs_dim}, {source.action_count}) do not match "
+            f"environment ({obs_dim}, {action_count})"
         )
 
 
@@ -165,12 +171,13 @@ def transfer_eval(
     policy visited in the world were ever seen by the model -- the coverage
     diagnostic that explains widening gaps on starved datasets.  Each world
     episode is played once; the coverage comes from the evaluated steps.
-    A sim from another environment than the world raises IncompatibleModelError,
+    A sim from another environment than the world (another fingerprint,
+    ``obs_dim`` or action count) raises IncompatibleModelError,
     and a ``LoadedPolicy`` that does not fit either one IncompatiblePolicyError.
     """
     check_compat(world_env, policy)
     if sim_env is not None:
-        _check_source(sim_env.fingerprint, world_env.fingerprint)
+        _check_source(sim_env, world_env.fingerprint, world_env.obs_dim, world_env.action_count)
     world_pairs: list[tuple[Observation, int]] = []
 
     def choose(obs):
@@ -260,7 +267,7 @@ def fidelity_report(
     observation; a pair's TV adds its per-outcome differences in the order
     of the model's state ids, outcomes the model never saw last.
     """
-    _check_source(model.fingerprint, scenario.fingerprint)
+    _check_source(model, scenario.fingerprint, scenario.obs_dim, len(scenario.actions))
     law, table = scenario.law, model.table
     actions, n_model = law.action_count, len(table.states)
     # each world state's model id, or n_model + its world id where the model never saw it
@@ -284,7 +291,7 @@ def fidelity_report(
         return_inverse=True,
     )
     p_model, p_world = np.zeros(len(keys)), np.zeros(len(keys))
-    p_model[run[: len(model_entry)]] = table.weight[model_entry] / visits[model_pair]
+    p_model[run[: len(model_entry)]] = table.prob[model_entry]
     p_world[run[len(model_entry):]] = law.weight[world_entry]
     tv = 0.5 * np.bincount(keys // width, np.abs(p_model - p_world), len(world_rows))
     confident_tv = tv[visits >= visit_threshold]
@@ -350,7 +357,7 @@ def max_steps_study(
     is reported as non-converged even though its (purely negative) optimum
     is trivially matched.
     """
-    _check_source(model.fingerprint, scenario.fingerprint)
+    _check_source(model, scenario.fingerprint, scenario.obs_dim, len(scenario.actions))
     rows = []
     for max_steps in max_steps_values:
         config = SimConfig.from_model(model, max_steps=max_steps)

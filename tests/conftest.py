@@ -25,6 +25,14 @@ def count_transitions(transitions) -> dict:
     return counts
 
 
+def table_distribution(model, obs, action) -> dict:
+    """``{next_obs: probability}`` of one pair as ``model.table.prob`` holds it, one entry per outcome in its row."""
+    table = model.table
+    row = table.index[tuple(obs)] * model.action_count + action
+    entries = range(table.row_start[row], table.row_start[row + 1])
+    return {table.states[table.next_state[e]]: float(table.prob[e]) for e in entries}
+
+
 @pytest.fixture(scope="session")
 def desk5() -> world.Scenario:
     return world.parse_scenario(presets.chain_scenario())

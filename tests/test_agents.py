@@ -402,6 +402,27 @@ def _check_policy_edit_rejected(tmp_path, policy, edit):
         agents.load_policy(path)
 
 
+def _non_finite_q_table() -> QTable:
+    q = _toy_q_table()
+    q.values[(0, 0)] = np.array([1.0, np.inf, 2.0])
+    return q
+
+
+def _non_finite_dqn() -> DqnNet:
+    net = DqnNet(2, 3, (4,), seed=0)
+    net.layers[1][0][0, 1] = np.nan
+    return net
+
+
+@pytest.mark.parametrize("make", [_non_finite_q_table, _non_finite_dqn], ids=["q-table-inf", "dqn-weight-nan"])
+def test_save_policy_refuses_what_load_policy_rejects(tmp_path, make):
+    """A NaN or an infinity raises PolicyError before any file is written."""
+    path = tmp_path / "p.policy"
+    with pytest.raises(agents.PolicyError, match="finite"):
+        agents.save_policy(make(), path, fingerprint="toy", obs_dim=2, train_config=TrainConfig())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_q_table_of_json_ints_loads_as_floats(tmp_path):
     def ints(payload):
         payload["data"]["q"] = {"0000": [1, 3, 2], "0001": [2, -2, 1.5]}

@@ -541,13 +541,26 @@ def test_file_argument_exit_codes(pipeline, tmp_path, capsys, target, not_utf8_c
                            "--policy-file", str(m["policy"]), "--episodes", "1", "--out", str(out)],
         lambda d, m, out: ["eval", "--env", f"world:{d['scenario']}", "--policy", str(m["policy"]),
                            "--episodes", "1", "--out", str(out)],
+        lambda d, m, out: ["fidelity", "--model", str(_with_more_actions(d["model"], out.parent)),
+                           "--scenario", str(d["scenario"]), "--out", str(out)],
+        lambda d, m, out: ["study-max-steps", "--model", str(_with_more_actions(d["model"], out.parent)),
+                           "--scenario", str(d["scenario"]), "--values", "5", "--episodes", "1",
+                           "--eval-episodes", "1", "--out", str(out)],
     ],
-    ids=["fidelity", "study", "transfer-model", "collect-policy", "eval-policy"],
+    ids=["fidelity", "study", "transfer-model", "collect-policy", "eval-policy", "fidelity-dims", "study-dims"],
 )
 def test_artifact_from_another_network_is_incompatible(pipeline, tmp_path, command):
     argv = command(pipeline["desk5"], pipeline["mesh"], tmp_path / "out")
     assert main(argv) == EXIT_INCOMPATIBLE
     assert not (tmp_path / "out").exists()
+
+
+def _with_more_actions(model, tmp_path, extra=3):
+    """A copy of ``model`` with ``extra`` more actions and its recorded costs padded to fit; the fingerprint is kept."""
+    def grow(payload):
+        payload["action_count"] += extra
+        payload["metadata"]["reward"]["action_costs"] += [1.0] * extra
+    return _rewritten(model, tmp_path, grow)
 
 
 def _copy_log(files, tmp_path, manifest=None):

@@ -27,7 +27,7 @@ from redsim.empirical import (
 )
 from redsim.envapi import GameConfig
 
-from conftest import count_transitions
+from conftest import count_transitions, table_distribution
 
 
 O, A, B = (0, 0), (1, 0), (1, 1)
@@ -39,16 +39,14 @@ def test_counts_normalise_exactly():
         for e, nxt in enumerate((A, A, A, B))
     ]
     model = build_model(records, obs_dim=2, action_count=1)
-    assert model.transition_prob(O, 0, A) == 0.75
-    assert model.transition_prob(O, 0, B) == 0.25
-    assert model.distribution(O, 0) == {A: 0.75, B: 0.25}
+    assert table_distribution(model, O, 0) == {A: 0.75, B: 0.25}
 
 
 def test_single_record_probability_one():
     model = build_model(
         [TransitionRecord(0, 0, O, 0, A, 0.0, True, True)], obs_dim=2, action_count=1
     )
-    assert model.transition_prob(O, 0, A) == 1.0
+    assert table_distribution(model, O, 0) == {A: 1.0}
     assert model.pair_support == 1
 
 
@@ -58,24 +56,27 @@ def test_unobserved_next_probability_zero():
         for e, nxt in enumerate((A, A, A, B))
     ]
     model = build_model(records, obs_dim=2, action_count=1)
-    assert model.transition_prob(O, 0, (0, 1)) == 0.0
+    assert (0, 1) not in table_distribution(model, O, 0)  # only observed outcomes have entries
 
 
-def test_missing_pair_raises_no_data():
+def test_missing_pair_is_one_self_fallback_entry():
+    """An unseen pair has no visits; its row is one entry back to its own state, with probability 1."""
     model = build_model(
         [TransitionRecord(0, 0, O, 0, A, 0.0, True, True)], obs_dim=2, action_count=2
     )
-    with pytest.raises(NoDataError):
-        model.transition_prob(A, 0, O)
-    with pytest.raises(NoDataError):
-        model.distribution(O, 1)
+    table = model.table
+    for obs, action in ((A, 0), (O, 1)):
+        row = table.index[obs] * 2 + action
+        assert table.visits[row] == 0
+        assert table_distribution(model, obs, action) == {obs: 1.0}
+        assert table.row_start[row] in table.fallback
 
 
 def test_distributions_sum_to_one_rationally(desk5_model):
     for (obs, action), outcomes in desk5_model.counts.items():
         total = sum(outcomes.values())
         assert sum(Fraction(c, total) for c in outcomes.values()) == 1
-        float_sum = sum(desk5_model.distribution(obs, action).values())
+        float_sum = sum(table_distribution(desk5_model, obs, action).values())
         assert abs(float_sum - 1.0) <= 1e-12
 
 
@@ -395,7 +396,7 @@ def test_scale_dataset_supports_most_reachable_pairs(desk5, desk5_model):
     well_visited = 0
     for obs, action in reachable_pairs:
         if desk5_model.has_pair(obs, action):
-            if sum(desk5_model.outcome_counts(obs, action).values()) >= 200:
+            if sum(desk5_model.counts[obs, action].values()) >= 200:
                 well_visited += 1
     assert well_visited / len(reachable_pairs) >= 0.95
 

@@ -1,5 +1,6 @@
 """Evaluation, transfer, fidelity and the game-horizon study."""
 
+import dataclasses
 import hashlib
 import json
 from math import comb, fsum
@@ -207,6 +208,13 @@ def _tv_reference(p: dict, q: dict) -> float:
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
+def _count_distribution(model, obs, action) -> dict:
+    """One pair's outcome probabilities, each count over the pair's total, from ``model.counts`` in sorted order."""
+    outcomes = model.counts[obs, action]
+    total = sum(outcomes.values())
+    return {k: c / total for k, c in sorted(outcomes.items())}
+
+
 def _fidelity_reference(model, scenario):
     """``(obs, action, visits, tv)`` of every visited reachable pair, pair by pair from the model's count dicts."""
     pairs = []
@@ -216,8 +224,8 @@ def _fidelity_reference(model, scenario):
         for action in scenario.actions:
             if model.has_pair(obs, action.id):
                 exact = dict(world.exact_transition(scenario, obs, action))
-                tv = _tv_reference(model.distribution(obs, action.id), exact)
-                pairs.append((obs, action.id, sum(model.outcome_counts(obs, action.id).values()), tv))
+                tv = _tv_reference(_count_distribution(model, obs, action.id), exact)
+                pairs.append((obs, action.id, sum(model.counts[obs, action.id].values()), tv))
     return pairs
 
 
@@ -285,7 +293,7 @@ def test_fidelity_tv_bound_at_threshold_visits_with_binomial_oracle():
         x0=scenario.initial_observation(), counts=count_transitions(outcomes),
     )
     exact = dict(world.exact_transition(scenario, state, exploit))
-    tv = _tv_reference(model.distribution(state, exploit.id), exact)
+    tv = _tv_reference(_count_distribution(model, state, exploit.id), exact)
     assert tv <= 0.05
 
 
@@ -383,6 +391,43 @@ def test_transfer_rejects_sim_from_another_scenario(desk5, mesh):
     q = QTable(len(desk5.actions))
     with pytest.raises(empirical.IncompatibleModelError):
         transfer_eval(q, world.AttackWorld(desk5, seed=1), EmpiricalSim(_small_model(mesh), seed=1), episodes=2)
+
+
+def _grown(model, flags=0, actions=0):
+    """``model`` with ``flags`` more observation values (each 0) and ``actions`` more actions, its game padded to fit."""
+    pad = (0,) * flags
+    reward = model.metadata["reward"]
+    return dataclasses.replace(
+        model,
+        obs_dim=model.obs_dim + flags,
+        action_count=model.action_count + actions,
+        x0=model.x0 + pad,
+        counts={(obs + pad, a): {n + pad: c for n, c in row.items()} for (obs, a), row in model.counts.items()},
+        metadata={**model.metadata, "reward": {
+            "flag_worths": reward["flag_worths"] + [0.0] * flags,
+            "action_costs": reward["action_costs"] + [1.0] * actions,
+        }},
+    )
+
+
+_SOURCE_CHECKS = {
+    "fidelity": lambda model, scenario: fidelity_report(model, scenario),
+    "study": lambda model, scenario: evaluate.max_steps_study(model, scenario, [20], TrainConfig(episodes=5)),
+    "transfer": lambda model, scenario: transfer_eval(
+        QTable(len(scenario.actions)), world.AttackWorld(scenario, seed=1), EmpiricalSim(model, seed=1), episodes=2
+    ),
+}
+
+
+@pytest.mark.parametrize("growth", [{"flags": 1}, {"actions": 3}], ids=["obs_dim", "action_count"])
+@pytest.mark.parametrize("check", list(_SOURCE_CHECKS.values()), ids=list(_SOURCE_CHECKS))
+def test_a_model_of_other_dimensions_is_incompatible(desk5, check, growth):
+    """A model with the scenario's fingerprint but not its ``obs_dim`` or action count is from another environment."""
+    model = _grown(_small_model(desk5), **growth)
+    assert model.fingerprint == desk5.fingerprint
+    EmpiricalSim(model, seed=1)  # the grown model fits its own game
+    with pytest.raises(empirical.IncompatibleModelError, match="dims"):
+        check(model, desk5)
 
 
 # sha256 of the mesh fidelity audit (JSON and CSV) on a 200-episode random
