@@ -17,7 +17,7 @@ import numpy as np
 
 from . import artifacts
 from .empirical import FALLBACK_SELF, compile_model
-from .envapi import Env, Observation, TabularMDP, derive_seed, rollout
+from .envapi import Env, Observation, TabularMDP, derive_seed, read_network, rollout
 from .world import Scenario
 
 # The benchmark's per-layer tracer (perfbench/layers.py) wraps these names here too.
@@ -264,19 +264,17 @@ def value_iteration_model(model, config, horizon: int | None = None) -> ValueSol
 # --- persistence -------------------------------------------------------------
 
 def save_policy(result_policy, path, *, fingerprint: str, obs_dim: int, train_config: TrainConfig) -> None:
-    """Write a ``QTable`` or ``DqnNet`` and its provenance; a NaN or an infinity raises PolicyError, writing nothing."""
+    """Write a ``QTable`` or ``DqnNet`` and its provenance; what ``load_policy`` would reject raises PolicyError,
+    writing nothing: a NaN or an infinity, or a policy that does not fit ``obs_dim``."""
     from .dqn import DqnNet
 
     if isinstance(result_policy, QTable):
-        arrays = result_policy.values.values()
         data = {
             "kind": "q_table",
             "q": {bytes(k).hex(): row.tolist() for k, row in sorted(result_policy.values.items())},
             "action_count": result_policy.action_count,
         }
-        action_count = result_policy.action_count
     elif isinstance(result_policy, DqnNet):
-        arrays = chain.from_iterable(result_policy.layers)
         data = {
             "kind": "dqn",
             "hidden_sizes": list(result_policy.hidden_sizes),
@@ -284,17 +282,16 @@ def save_policy(result_policy, path, *, fingerprint: str, obs_dim: int, train_co
                 {"w": w.tolist(), "b": b.tolist()} for w, b in result_policy.layers
             ],
         }
-        action_count = result_policy.action_count
     else:
         raise PolicyError(f"cannot serialise policy of type {type(result_policy).__name__}")
-    _check_finite(arrays)  # load_policy would reject the file
     payload = {
         "fingerprint": fingerprint,
         "obs_dim": obs_dim,
-        "action_count": action_count,
+        "action_count": result_policy.action_count,
         "train_config": asdict(train_config),
         "data": data,
     }
+    _loaded_policy(payload)
     artifacts.write_artifact(path, POLICY_FORMAT, payload)
 
 
@@ -329,29 +326,28 @@ def _check_finite(arrays) -> None:
 def load_policy(path) -> LoadedPolicy:
     """The policy a file holds; a malformed or out-of-range payload raises PolicyError.
 
-    ``obs_dim`` and ``action_count`` must be positive ints, ``fingerprint``
-    a string (it is required: a policy says which environment it was
-    trained in) and ``train_config`` an object.  Q-table keys must be
+    ``envapi.read_network`` reads its network (the fingerprint is required:
+    a policy says which environment it was trained in), and
+    ``train_config`` must be an object.  Q-table keys must be
     lower-case hex, as ``save_policy`` writes them, of ``obs_dim`` values
     and rows must hold ``action_count`` values; DQN layer shapes must chain
     from ``obs_dim`` to ``action_count``.  Every Q-value, weight and bias
     must be a JSON number: an int or a float, not a bool, string or null,
     and finite: not ``NaN`` or ``Infinity``, which json also reads.
     """
+    return _loaded_policy(artifacts.read_artifact(path, POLICY_FORMAT))
+
+
+def _loaded_policy(payload) -> LoadedPolicy:
+    """The policy a payload holds, checked as ``load_policy`` documents."""
     from .dqn import DqnNet
 
-    payload = artifacts.read_artifact(path, POLICY_FORMAT)
     try:
         data = payload["data"]
-        obs_dim, action_count = payload["obs_dim"], payload["action_count"]
-        if not all(n.__class__ is int and n >= 1 for n in (obs_dim, action_count)):
-            raise PolicyError(f"obs_dim {obs_dim!r} and action_count {action_count!r} must be positive ints")
-        fingerprint, train_config = payload["fingerprint"], payload.get("train_config", {})
-        if fingerprint.__class__ is not str or train_config.__class__ is not dict:
-            raise PolicyError(
-                f"fingerprint of type {type(fingerprint).__name__} must be a string and "
-                f"train_config of type {type(train_config).__name__} an object"
-            )
+        fingerprint, obs_dim, action_count = read_network(payload, PolicyError)
+        train_config = payload.get("train_config", {})
+        if train_config.__class__ is not dict:
+            raise PolicyError(f"train_config of type {type(train_config).__name__} must be an object")
         if data["kind"] == "q_table":
             if data["action_count"] != action_count:
                 raise PolicyError(f"q-table action_count {data['action_count']!r}, policy {action_count}")

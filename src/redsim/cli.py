@@ -7,11 +7,11 @@ distinct exit codes so shell harnesses can assert them:
 
     0  success
     1  unexpected error
-    2  usage error (unknown flag / bad argument)
+    2  usage error (unknown flag / bad argument), or a run its flags cannot complete
     3  missing or unreadable file
     4  invalid scenario
     5  invalid or corrupt dataset
-    6  incompatible artifacts (fingerprint or dimension mismatch)
+    6  incompatible artifacts (another network: fingerprint or dimension mismatch)
     7  damaged artifact container (version or checksum)
 """
 
@@ -26,7 +26,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, agents, artifacts, collect, dqn, empirical, evaluate, world
+from . import __version__, agents, artifacts, collect, dqn, empirical, envapi, evaluate, world
 from .artifacts import ArtifactChecksumError, ArtifactVersionError, sniff_format
 from .dqn import train_dqn
 
@@ -131,7 +131,7 @@ def _cmd_scenario_validate(args) -> int:
     scenario = world.load_scenario(args.scenario)
     print(
         f"ok name={scenario.name!r} hosts={len(scenario.hosts)} "
-        f"actions={len(scenario.actions)} obs_dim={scenario.obs_dim} "
+        f"actions={scenario.action_count} obs_dim={scenario.obs_dim} "
         f"shortest_path={world.shortest_success_path(scenario)} "
         f"fingerprint={scenario.fingerprint[:16]}"
     )
@@ -300,33 +300,33 @@ def _cmd_study_max_steps(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    lines, fingerprints = [], set()
+    lines, networks = [], []
     for path in args.artifacts:
         tag = sniff_format(path)
         if tag == empirical.MODEL_FORMAT:
-            model = empirical.load_model(path)
-            kind, fingerprint, seed = "model", model.fingerprint, model.metadata.get("source_seed")
+            source = model = empirical.load_model(path)
+            kind, seed = "model", model.metadata.get("source_seed")
             extra = f" pairs={model.pair_support} transitions={model.total_transitions} obs={len(model.observations())}"
         elif tag == agents.POLICY_FORMAT:
-            loaded = agents.load_policy(path)
-            kind, fingerprint, seed = "policy", loaded.fingerprint, loaded.train_config.get("seed")
-            extra = f" algorithm={loaded.algorithm}"
-        else:  # a transition log
-            _, report, manifest = collect.read_clean_log(path)
-            kind, fingerprint, seed = "log", manifest["fingerprint"], manifest.get("seed")
+            source = agents.load_policy(path)
+            kind, seed = "policy", source.train_config.get("seed")
+            extra = f" algorithm={source.algorithm}"
+        else:  # a transition log; its manifest names its network
+            _, report, source = collect.read_clean_log(path)
+            kind, seed = "log", source.get("seed")
             extra = f" steps={report.total_steps} episodes={report.episodes}"
-        lines.append(f"{path}: {kind} fingerprint={fingerprint[:16]} seed={seed}{extra}")
-        fingerprints.add(fingerprint)
+        networks.append(envapi.network(source))
+        lines.append(f"{path}: {kind} fingerprint={networks[-1][0][:16]} seed={seed}{extra}")
     for line in lines:  # only once every artifact has loaded, so a bad one prints nothing
         print(line)
-    if len(fingerprints) > 1:
+    if len(set(networks)) > 1:  # one fingerprint with other dims is another network too
         raise CliError(
             EXIT_INCOMPATIBLE,
             "fingerprint-mismatch",
-            f"artifacts span {len(fingerprints)} different environments",
+            f"artifacts span {len(set(networks))} different environments",
         )
     if len(lines) > 1:
-        print(f"chain ok: {len(lines)} artifacts share fingerprint {fingerprint[:16]}")
+        print(f"chain ok: {len(lines)} artifacts share fingerprint {networks[0][0][:16]}")
     return EXIT_OK
 
 
@@ -434,6 +434,7 @@ _ERROR_MAP = (
     (evaluate.IncompatiblePolicyError, EXIT_INCOMPATIBLE, "incompatible-policy"),
     (ArtifactVersionError, EXIT_ARTIFACT, "artifact-version"),
     (ArtifactChecksumError, EXIT_ARTIFACT, "artifact-checksum"),
+    (empirical.NoDataError, EXIT_USAGE, "no-data"),
     (empirical.ModelError, EXIT_DATA, "invalid-dataset"),
     (agents.PolicyError, EXIT_ARTIFACT, "invalid-policy"),
     (dqn.TrainingDivergedError, EXIT_USAGE, "training-diverged"),

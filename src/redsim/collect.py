@@ -18,7 +18,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import artifacts
-from .envapi import Env, Observation, derive_seed, rollout
+from .envapi import Env, Observation, derive_seed, read_network, require_same_network, rollout
 
 import numpy as np
 
@@ -134,8 +134,9 @@ def write_manifest(manifest: dict, log_path) -> Path:
 def read_manifest(log_path) -> dict:
     """The manifest of a log; one that is not an object, or of another format, raises.
 
-    Its ``fingerprint`` must be a string and its ``obs_dim`` and
-    ``action_count`` positive ints, or LogValidationError is raised.
+    ``envapi.read_network`` reads its network: a fingerprint that is not a
+    string, or an ``obs_dim`` or ``action_count`` that is not a positive int,
+    raises LogValidationError.
     """
     path = manifest_path(log_path)
     raw = path.read_bytes()
@@ -149,12 +150,7 @@ def read_manifest(log_path) -> dict:
         raise IncompatibleDatasetError(
             f"{path}: unexpected manifest format {manifest.get('format')!r}"
         )
-    fingerprint, obs_dim, action_count = (manifest.get(k) for k in ("fingerprint", "obs_dim", "action_count"))
-    if fingerprint.__class__ is not str or not all(n.__class__ is int and n >= 1 for n in (obs_dim, action_count)):
-        raise LogValidationError(
-            f"{path}: manifest fingerprint {fingerprint!r} must be a string and "
-            f"obs_dim {obs_dim!r} and action_count {action_count!r} positive ints"
-        )
+    read_network(manifest, lambda message: LogValidationError(f"{path}: manifest {message}"))
     return manifest
 
 
@@ -294,11 +290,9 @@ def _dataset(records: list, source: dict, policy: str, seed, out_path, **extra) 
 def _require_compatible(manifests) -> None:
     first = manifests[0]
     for m in manifests[1:]:
-        for key in ("fingerprint", "obs_dim", "action_count", "o0"):
-            if m.get(key) != first.get(key):
-                raise IncompatibleDatasetError(
-                    f"manifest field {key!r} differs: {first.get(key)!r} vs {m.get(key)!r}"
-                )
+        require_same_network(m, first, IncompatibleDatasetError, "a log to merge was collected in")
+        if m.get("o0") != first.get("o0"):
+            raise IncompatibleDatasetError(f"manifest field 'o0' differs: {first.get('o0')!r} vs {m.get('o0')!r}")
 
 
 def merge_logs(log_paths, out_path) -> CollectionResult:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import artifacts, collect
 from .envapi import INDEX, NON_NEGATIVE, POSITIVE, STEPS, UNIT, Env, GameConfig, Observation, TabularMDP
-from .envapi import game_number
+from .envapi import game_number, network, read_network, require_same_network
 
 # The benchmark's per-layer tracer (perfbench/layers.py) wraps this name here too.
 from .envapi import compute_reward  # noqa: F401, E402
@@ -118,12 +118,8 @@ class EmpiricalModel:
         and observation.
         """
         try:
-            x0, obs_dim, action_count = payload.get("x0"), payload["obs_dim"], payload["action_count"]
-            if not all(n.__class__ is int and n >= 1 for n in (obs_dim, action_count)):
-                raise ModelError(f"obs_dim {obs_dim!r} and action_count {action_count!r} must be positive ints")
-            fingerprint, metadata = payload.get("fingerprint", ""), payload.get("metadata", {})
-            if fingerprint.__class__ is not str:
-                raise ModelError(f"fingerprint of type {type(fingerprint).__name__} must be a string")
+            fingerprint, obs_dim, action_count = read_network(payload, ModelError)
+            x0, metadata = payload.get("x0"), payload.get("metadata", {})
             if metadata.__class__ is not dict:
                 raise ModelError(f"metadata of type {type(metadata).__name__} must be an object")
             x0 = tuple(bytes(list(x0))) if x0 is not None else None  # bytes() rejects values outside 0..255
@@ -215,11 +211,7 @@ def merge_models(a: EmpiricalModel, b: EmpiricalModel) -> EmpiricalModel:
     Of the metadata, only the ``reward`` and ``game`` of the first source that has any are kept,
     as ``collect.merge_logs`` keeps its first manifest's.
     """
-    for attr in ("obs_dim", "action_count", "fingerprint"):
-        if getattr(a, attr) != getattr(b, attr):
-            raise IncompatibleModelError(
-                f"{attr} differs: {getattr(a, attr)!r} vs {getattr(b, attr)!r}"
-            )
+    require_same_network(b, a, IncompatibleModelError, "the second model was counted in")
     if a.x0 is not None and b.x0 is not None and a.x0 != b.x0:
         raise IncompatibleModelError(f"start observations differ: {a.x0} vs {b.x0}")
     counts: dict[tuple[Observation, int], dict[Observation, int]] = {}
@@ -452,9 +444,7 @@ class EmpiricalSim(Env):
         super().__init__(config.game, seed)
         self.model = model
         self.config = config
-        self.obs_dim = model.obs_dim
-        self.action_count = model.action_count
-        self.fingerprint = model.fingerprint
+        self.fingerprint, self.obs_dim, self.action_count = network(model)
         self.flag_worths = config.flag_worths
         self.action_costs = config.action_costs
         self._states = mdp.states

@@ -8,6 +8,11 @@ Q-tables in memory; only the model and policy file codecs turn them into
 hex strings.  The transition law itself, of the world or of a count model,
 compiles to one ``TabularMDP`` over integer state ids, which the planners,
 the fidelity audit and the sim read.
+
+Every environment, scenario, log, model and policy names the network it
+belongs to by three values: its fingerprint, ``obs_dim`` and action count.
+``network`` reads them, ``read_network`` is the one check of them in a
+file, and ``require_same_network`` is the one comparison.
 """
 
 from __future__ import annotations
@@ -101,6 +106,36 @@ def game_number(value, name: str, rule: tuple):
     if number is None or not ok(number):
         raise ValueError(f"{name} must be {expected}, got {value!r}")
     return number
+
+
+def network(source) -> tuple[str, int, int]:
+    """The ``(fingerprint, obs_dim, action_count)`` naming the network of an env, scenario, model, policy, manifest."""
+    if isinstance(source, dict):
+        return source["fingerprint"], source["obs_dim"], source["action_count"]
+    return source.fingerprint, source.obs_dim, source.action_count
+
+
+def read_network(doc: dict, error) -> tuple[str, int, int]:
+    """The network a file's ``doc`` names, or ``error(message)`` unless its fingerprint is a string and
+    its ``obs_dim`` and ``action_count`` positive ints; a missing key reads as null and fails too."""
+    fingerprint, obs_dim, action_count = (doc.get(key) for key in ("fingerprint", "obs_dim", "action_count"))
+    if fingerprint.__class__ is not str or not all(n.__class__ is int and n >= 1 for n in (obs_dim, action_count)):
+        raise error(
+            f"fingerprint of type {type(fingerprint).__name__} must be a string and "
+            f"obs_dim {obs_dim!r} and action_count {action_count!r} positive ints"
+        )
+    return fingerprint, obs_dim, action_count
+
+
+def require_same_network(source, target, error, what: str) -> None:
+    """Raise ``error`` unless ``source`` names ``target``'s network; ``what`` leads the message, as in
+    ``"policy was trained against"``.  Fingerprints are compared exactly, so an empty one matches only another."""
+    mine, theirs = network(source), network(target)
+    if mine != theirs:
+        raise error(
+            f"{what} a different environment (fingerprint {mine[0][:12]}, dims {mine[1:]} "
+            f"vs fingerprint {theirs[0][:12]}, dims {theirs[1:]})"
+        )
 
 
 def compute_reward(flag_worths, obs, next_obs, cost: float) -> float:

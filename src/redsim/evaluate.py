@@ -2,7 +2,9 @@
 
 Everything here is read-only with respect to policies and models: rollouts
 are greedy (no exploration, no learning) and reports are plain values that
-the CLI exports to JSON and CSV for external plotting.
+the CLI exports to JSON and CSV for external plotting.  A model, sim or
+loaded policy must name the network of the scenario or world it meets, as
+``envapi.require_same_network`` compares them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .agents import LoadedPolicy, TrainConfig, greedy_action, train_q_learning, value_iteration
 from .empirical import EmpiricalModel, EmpiricalSim, IncompatibleModelError, SimConfig
-from .envapi import Env, Observation, rollout
+from .envapi import Env, Observation, require_same_network, rollout
 from .world import Scenario, shortest_success_path
 
 # The benchmark's per-layer tracer (perfbench/layers.py) wraps these names here too.
@@ -44,32 +46,8 @@ class EvalReport:
 
 def check_compat(env: Env, policy) -> None:
     """Raise IncompatiblePolicyError unless a ``LoadedPolicy`` fits ``env``; a bare policy has none to check."""
-    if not isinstance(policy, LoadedPolicy):
-        return
-    if (policy.obs_dim, policy.action_count) != (env.obs_dim, env.action_count):
-        raise IncompatiblePolicyError(
-            f"policy dims ({policy.obs_dim}, {policy.action_count}) do not "
-            f"match environment ({env.obs_dim}, {env.action_count})"
-        )
-    if policy.fingerprint != env.fingerprint:  # exact, as ``_check_source`` compares a model's
-        raise IncompatiblePolicyError(
-            "policy was trained against a different environment "
-            f"(fingerprint {policy.fingerprint[:12]} vs {env.fingerprint[:12]})"
-        )
-
-
-def _check_source(source, fingerprint: str, obs_dim: int, action_count: int) -> None:
-    """Raise IncompatibleModelError unless a model or sim ``source`` has this environment's fingerprint and dims."""
-    if source.fingerprint != fingerprint:
-        raise IncompatibleModelError(
-            f"model was generated from another environment "
-            f"(fingerprint {source.fingerprint[:12]} vs {fingerprint[:12]})"
-        )
-    if (source.obs_dim, source.action_count) != (obs_dim, action_count):
-        raise IncompatibleModelError(
-            f"model dims ({source.obs_dim}, {source.action_count}) do not match "
-            f"environment ({obs_dim}, {action_count})"
-        )
+    if isinstance(policy, LoadedPolicy):
+        require_same_network(policy, env, IncompatiblePolicyError, "policy was trained against")
 
 
 def evaluate_policy(
@@ -177,7 +155,7 @@ def transfer_eval(
     """
     check_compat(world_env, policy)
     if sim_env is not None:
-        _check_source(sim_env, world_env.fingerprint, world_env.obs_dim, world_env.action_count)
+        require_same_network(sim_env, world_env, IncompatibleModelError, "model was generated from")
     world_pairs: list[tuple[Observation, int]] = []
 
     def choose(obs):
@@ -267,7 +245,7 @@ def fidelity_report(
     observation; a pair's TV adds its per-outcome differences in the order
     of the model's state ids, outcomes the model never saw last.
     """
-    _check_source(model, scenario.fingerprint, scenario.obs_dim, len(scenario.actions))
+    require_same_network(model, scenario, IncompatibleModelError, "model was generated from")
     law, table = scenario.law, model.table
     actions, n_model = law.action_count, len(table.states)
     # each world state's model id, or n_model + its world id where the model never saw it
@@ -357,7 +335,7 @@ def max_steps_study(
     is reported as non-converged even though its (purely negative) optimum
     is trivially matched.
     """
-    _check_source(model, scenario.fingerprint, scenario.obs_dim, len(scenario.actions))
+    require_same_network(model, scenario, IncompatibleModelError, "model was generated from")
     rows = []
     for max_steps in max_steps_values:
         config = SimConfig.from_model(model, max_steps=max_steps)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .envapi import NON_NEGATIVE, POSITIVE, STEPS, UNIT, Env, GameConfig, Observation, TabularMDP
-from .envapi import compute_reward, game_number
+from .envapi import compute_reward, game_number, network
 
 ACTION_KINDS = ("scan", "exploit_user", "escalate_root", "objective")
 
@@ -135,6 +135,10 @@ class Scenario:
     @property
     def obs_dim(self) -> int:
         return 3 * len(self.hosts) + 1
+
+    @property
+    def action_count(self) -> int:
+        return len(self.actions)
 
     @property
     def objective_flag(self) -> int:
@@ -401,9 +405,7 @@ class AttackWorld(Env):
     def __init__(self, scenario: Scenario, seed: int = 0):
         super().__init__(scenario.game, seed)
         self.scenario = scenario
-        self.obs_dim = scenario.obs_dim
-        self.action_count = len(scenario.actions)
-        self.fingerprint = scenario.fingerprint
+        self.fingerprint, self.obs_dim, self.action_count = network(scenario)
         self.flag_worths = scenario.flag_worths()
         self.action_costs = scenario.action_costs()
         self._latency_s = scenario.step_latency_ms / 1000.0

@@ -414,12 +414,27 @@ def _non_finite_dqn() -> DqnNet:
     return net
 
 
-@pytest.mark.parametrize("make", [_non_finite_q_table, _non_finite_dqn], ids=["q-table-inf", "dqn-weight-nan"])
-def test_save_policy_refuses_what_load_policy_rejects(tmp_path, make):
-    """A NaN or an infinity raises PolicyError before any file is written."""
+def _q_table_of_4_values() -> QTable:
+    q = QTable(3)
+    q.values[(0, 0, 0, 1)] = np.array([1.0, 3.0, 2.0])
+    return q
+
+
+@pytest.mark.parametrize(
+    "make, obs_dim, match",
+    [
+        (_non_finite_q_table, 2, "finite"),
+        (_non_finite_dqn, 2, "finite"),
+        (lambda: DqnNet(16, 13, (8,), seed=0), 5, "do not chain"),
+        (_q_table_of_4_values, 2, "out of range"),
+    ],
+    ids=["q-table-inf", "dqn-weight-nan", "dqn-obs-dim", "q-table-obs-dim"],
+)
+def test_save_policy_refuses_what_load_policy_rejects(tmp_path, make, obs_dim, match):
+    """A NaN or an infinity, or a policy that does not fit ``obs_dim``, raises PolicyError; no file is written."""
     path = tmp_path / "p.policy"
-    with pytest.raises(agents.PolicyError, match="finite"):
-        agents.save_policy(make(), path, fingerprint="toy", obs_dim=2, train_config=TrainConfig())
+    with pytest.raises(agents.PolicyError, match=match):
+        agents.save_policy(make(), path, fingerprint="toy", obs_dim=obs_dim, train_config=TrainConfig())
     assert list(tmp_path.iterdir()) == []
 
 

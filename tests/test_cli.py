@@ -5,7 +5,9 @@ import warnings
 
 import pytest
 
-from redsim import agents, artifacts, cli, collect, presets
+import numpy as np
+
+from redsim import agents, artifacts, cli, collect, empirical, presets
 from redsim.cli import (
     EXIT_ARTIFACT,
     EXIT_DATA,
@@ -546,8 +548,10 @@ def test_file_argument_exit_codes(pipeline, tmp_path, capsys, target, not_utf8_c
         lambda d, m, out: ["study-max-steps", "--model", str(_with_more_actions(d["model"], out.parent)),
                            "--scenario", str(d["scenario"]), "--values", "5", "--episodes", "1",
                            "--eval-episodes", "1", "--out", str(out)],
+        lambda d, m, out: ["stats", str(d["log"]), str(_with_more_actions(d["model"], out.parent))],
     ],
-    ids=["fidelity", "study", "transfer-model", "collect-policy", "eval-policy", "fidelity-dims", "study-dims"],
+    ids=["fidelity", "study", "transfer-model", "collect-policy", "eval-policy", "fidelity-dims", "study-dims",
+         "stats-dims"],
 )
 def test_artifact_from_another_network_is_incompatible(pipeline, tmp_path, command):
     argv = command(pipeline["desk5"], pipeline["mesh"], tmp_path / "out")
@@ -561,6 +565,37 @@ def _with_more_actions(model, tmp_path, extra=3):
         payload["action_count"] += extra
         payload["metadata"]["reward"]["action_costs"] += [1.0] * extra
     return _rewritten(model, tmp_path, grow)
+
+
+def _sparse_model(files, tmp_path):
+    """The model of a 5-episode desk5 log (seed 3), which never saw some pairs on the way to the goal."""
+    log = _collect(files["scenario"], tmp_path, name="sparse.jsonl", episodes=5, seed=3)
+    return _build(log, tmp_path, name="sparse.model")
+
+
+def _policy_into_an_unseen_pair(model_path, path):
+    """A Q-table policy that gains a flag at each step until it meets an action the model never saw, then takes it."""
+    model = empirical.load_model(model_path)
+    q = agents.QTable(model.action_count)
+    for obs in model.observations():
+        actions = range(model.action_count)
+        unseen = [a for a in actions if not model.has_pair(obs, a)]
+        onward = [a for a in actions if any(sum(n) > sum(obs) for n in model.counts.get((obs, a), ()))]
+        q.values[obs] = np.eye(model.action_count)[(unseen or onward)[0]]
+    agents.save_policy(q, path, fingerprint=model.fingerprint, obs_dim=model.obs_dim, train_config=agents.TrainConfig())
+    return path
+
+
+def test_a_reject_action_run_onto_an_unseen_pair_exits_usage(pipeline, tmp_path, capsys):
+    """``train`` and ``eval`` under reject-action exit 2 as ``no-data`` when a step meets a pair the data never saw."""
+    model = _sparse_model(pipeline["desk5"], tmp_path)
+    policy = _policy_into_an_unseen_pair(model, tmp_path / "unseen.policy")
+    sim = ["--env", f"sim:{model}", "--fallback", "reject-action", "--out", str(tmp_path / "out")]
+    for argv in (["train", *sim, "--episodes", "50"], ["eval", *sim, "--policy", str(policy)]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE, argv
+        assert capsys.readouterr().err.startswith("error: no-data: ")
+        assert not list(tmp_path.glob("out*"))
 
 
 def _copy_log(files, tmp_path, manifest=None):
@@ -647,6 +682,11 @@ _EXIT_TABLE = {
         EXIT_USAGE,
         lambda d, m, t: ["train", "--env", f"sim:{d['model']}", "--algo", "dqn", "--learning-rate", "1e200",
                          "--hidden", "16", "--batch-size", "8", "--episodes", "30", "--out", str(t / "p.policy")],
+    ),
+    "no-data": (
+        EXIT_USAGE,
+        lambda d, m, t: ["train", "--env", f"sim:{_sparse_model(d, t)}", "--fallback", "reject-action",
+                         "--episodes", "50", "--out", str(t / "p.policy")],
     ),
     "invalid-json": (EXIT_DATA, lambda d, m, t: _build_sim(_copy_log(d, t, manifest="{not json"), t)),
     "missing-file": (EXIT_IO, lambda d, m, t: ["scenario-validate", "--scenario", str(t / "missing.json")]),

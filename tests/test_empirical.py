@@ -489,6 +489,7 @@ def _short_obs(doc):
         lambda doc: doc["counts"].update({"zz": {"0": {}}}),
         lambda doc: doc.pop("obs_dim"),
         lambda doc: doc.update(fingerprint=5),
+        lambda doc: doc.pop("fingerprint"),
         lambda doc: doc.update(obs_dim=str(doc["obs_dim"])),
         lambda doc: doc.update(obs_dim=float(doc["obs_dim"])),
         lambda doc: doc.update(action_count=doc["action_count"] + 0.9),
@@ -500,8 +501,9 @@ def _short_obs(doc):
     ],
     ids=["action-99", "action--1", "next-obs-17-bytes", "obs-15-bytes", "x0-17", "count--4", "count-0",
          "count-2.5", "count-str", "count-bool", "obs-dim-0", "action-count-0", "no-outcomes", "action-not-int",
-         "obs-not-hex", "no-obs-dim", "fingerprint-int", "obs-dim-str", "obs-dim-float", "action-count-fraction",
-         "action-space", "action-underscore", "action-plus", "action-leading-zero", "obs-two-spellings"],
+         "obs-not-hex", "no-obs-dim", "fingerprint-int", "no-fingerprint", "obs-dim-str", "obs-dim-float",
+         "action-count-fraction", "action-space", "action-underscore", "action-plus", "action-leading-zero",
+         "obs-two-spellings"],
 )
 def test_out_of_range_model_payload_rejected(desk5_model, edit):
     payload = desk5_model.to_payload()

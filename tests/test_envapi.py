@@ -9,6 +9,8 @@ from redsim.envapi import (
     InvalidActionError,
     compute_reward,
     derive_seed,
+    network,
+    require_same_network,
     rollout,
 )
 
@@ -206,3 +208,16 @@ def test_rollout_resets_only_when_resumed(desk5):
     assert resets == 1
     list(rollout(env, _random_choice(3, env.action_count), 5, 1))
     assert resets == 1 + 5
+
+
+def test_a_scenario_its_world_log_model_and_sim_name_one_network(desk5, mesh):
+    """``network`` reads one triple from every kind of source; ``require_same_network`` raises the caller's error."""
+    env = world.AttackWorld(desk5, seed=1)
+    data = collect.run_collection(env, collect.uniform_random_policy(desk5.action_count), 3, 1)
+    model = empirical.build_model(data.records, desk5.obs_dim, desk5.action_count, desk5.fingerprint, data.manifest)
+    expected = (desk5.fingerprint, desk5.obs_dim, len(desk5.actions))
+    for source in (desk5, env, data.manifest, model, empirical.EmpiricalSim(model)):
+        assert network(source) == expected
+        require_same_network(source, env, KeyError, "x")
+    with pytest.raises(KeyError, match="source was made in a different environment"):
+        require_same_network(mesh, desk5, KeyError, "source was made in")
