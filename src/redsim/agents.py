@@ -17,7 +17,7 @@ import numpy as np
 
 from . import artifacts
 from .empirical import FALLBACK_SELF, compile_model
-from .envapi import Env, Observation, TabularMDP, derive_seed, read_network, rollout
+from .envapi import Draws, Env, Observation, TabularMDP, derive_seed, read_network, rollout
 from .world import Scenario
 
 # The benchmark's per-layer tracer (perfbench/layers.py) wraps these names here too.
@@ -31,6 +31,14 @@ CURVE_COLUMNS = ("step", "episode_return", "episode_length", "epsilon")
 
 class PolicyError(Exception):
     """Policy files or policy/environment combinations that cannot work."""
+
+
+class TrainingDivergedError(Exception):
+    """A loss, Q-value or weight became non-finite during training."""
+
+    def __init__(self, message: str, step: int):
+        super().__init__(f"{message} (training step {step})")
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -78,22 +86,24 @@ class TrainConfig:
 
 
 class QTable:
-    """Action values keyed by observation; unseen observations read as zeros."""
+    """Action values keyed by observation; unseen observations read as zeros.
+
+    A row of ``values`` is a list of ``action_count`` floats, which Q-learning
+    and ``greedy_action`` use without numpy's per-call cost; ``action_values``
+    hands it out as a float64 array, as every other policy does."""
 
     def __init__(self, action_count: int):
         self.action_count = int(action_count)
-        self.values: dict[Observation, np.ndarray] = {}
+        self.values: dict[Observation, list[float]] = {}
 
     def action_values(self, obs: Observation) -> np.ndarray:
         row = self.values.get(obs)
-        if row is None:
-            return np.zeros(self.action_count)
-        return row
+        return np.zeros(self.action_count) if row is None else np.array(row)
 
-    def row(self, obs: Observation) -> np.ndarray:
+    def row(self, obs: Observation) -> list[float]:
         row = self.values.get(obs)
         if row is None:
-            row = self.values[obs] = np.zeros(self.action_count)
+            row = self.values[obs] = [0.0] * self.action_count
         return row
 
     def __len__(self) -> int:
@@ -101,7 +111,12 @@ class QTable:
 
 
 def greedy_action(policy, obs) -> int:
-    """Argmax over ``policy.action_values(obs)``; ties break to the lowest action index."""
+    """The first action of greatest value, as ``np.argmax`` picks it: ties break to the lowest action index.
+    A Q-table's row holds finite floats (training stops at the first non-finite value and loading rejects one),
+    so ``row.index(max(row))`` makes that pick."""
+    if isinstance(policy, QTable):
+        row = policy.values.get(obs)
+        return 0 if row is None else row.index(max(row))
     return int(np.argmax(policy.action_values(obs)))
 
 
@@ -166,17 +181,22 @@ def train_q_learning(env: Env, config: TrainConfig, eval_env: Env | None = None)
 
     Bootstrapping is cut only on goal termination; horizon truncation keeps
     the bootstrap so the learned values approximate the stationary optimum
-    rather than an artifact of the training horizon.
+    rather than an artifact of the training horizon.  The first update that
+    leaves a Q-value non-finite raises TrainingDivergedError.
     """
-    rng = np.random.default_rng(derive_seed(config.seed, "q-learning"))
+    rng = Draws(derive_seed(config.seed, "q-learning"))
     q = QTable(env.action_count)
     gamma = config.gamma if config.gamma is not None else env.game.gamma
     alpha = config.learning_rate
     result = TrainResult(policy=q)
-    for _, obs, action, res in epsilon_greedy_steps(env, config, rng, result, eval_env):
-        bootstrap = 0.0 if res.info["goal"] else float(np.max(q.action_values(res.observation)))
+    for global_step, obs, action, res in epsilon_greedy_steps(env, config, rng, result, eval_env):
+        onward = None if res.info["goal"] else q.values.get(res.observation)
+        # np.max's float: an update q + d is -0.0 only when q is, so no row holds the -0.0 np.max might prefer
+        bootstrap = 0.0 if onward is None else max(onward)
         row = q.row(obs)
-        row[action] += alpha * (res.reward + gamma * bootstrap - row[action])
+        row[action] = value = row[action] + alpha * (res.reward + gamma * bootstrap - row[action])
+        if not math.isfinite(value):
+            raise TrainingDivergedError(f"non-finite Q-value {value!r}", global_step)
     return result
 
 
@@ -271,7 +291,7 @@ def save_policy(result_policy, path, *, fingerprint: str, obs_dim: int, train_co
     if isinstance(result_policy, QTable):
         data = {
             "kind": "q_table",
-            "q": {bytes(k).hex(): row.tolist() for k, row in sorted(result_policy.values.items())},
+            "q": {bytes(k).hex(): list(row) for k, row in sorted(result_policy.values.items())},
             "action_count": result_policy.action_count,
         }
     elif isinstance(result_policy, DqnNet):
@@ -362,7 +382,7 @@ def _loaded_policy(payload) -> LoadedPolicy:
                         f"q-table row {obs_hex!r} of shape {values.shape} out of range for "
                         f"obs_dim={obs_dim}, action_count={action_count}"
                     )
-                policy.values[tuple(obs)] = values
+                policy.values[tuple(obs)] = values.tolist()
             _check_finite(policy.values.values())
         elif data["kind"] == "dqn":
             for layer in data["layers"]:

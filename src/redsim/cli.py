@@ -26,7 +26,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, agents, artifacts, collect, dqn, empirical, envapi, evaluate, world
+from . import __version__, agents, artifacts, collect, empirical, envapi, evaluate, world
 from .artifacts import ArtifactChecksumError, ArtifactVersionError, sniff_format
 from .dqn import train_dqn
 
@@ -437,7 +437,7 @@ _ERROR_MAP = (
     (empirical.NoDataError, EXIT_USAGE, "no-data"),
     (empirical.ModelError, EXIT_DATA, "invalid-dataset"),
     (agents.PolicyError, EXIT_ARTIFACT, "invalid-policy"),
-    (dqn.TrainingDivergedError, EXIT_USAGE, "training-diverged"),
+    (agents.TrainingDivergedError, EXIT_USAGE, "training-diverged"),
     (json.JSONDecodeError, EXIT_DATA, "invalid-json"),
     (FileNotFoundError, EXIT_IO, "missing-file"),
     (OSError, EXIT_IO, "io-error"),

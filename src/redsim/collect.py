@@ -18,9 +18,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import artifacts
-from .envapi import Env, Observation, derive_seed, read_network, require_same_network, rollout
-
-import numpy as np
+from .envapi import Draws, Env, Observation, derive_seed, read_network, require_same_network, rollout
 
 LOG_FORMAT = "redsim-log-v1"
 
@@ -206,7 +204,7 @@ def read_log(log_path):
 
 def uniform_random_policy(action_count: int):
     def pick(obs, rng) -> int:
-        return int(rng.integers(action_count))
+        return rng.integers(action_count)
 
     pick.descriptor = "uniform-random"
     return pick
@@ -217,7 +215,7 @@ def epsilon_greedy_policy(greedy_fn, epsilon: float, action_count: int):
 
     def pick(obs, rng) -> int:
         if rng.random() < epsilon:
-            return int(rng.integers(action_count))
+            return rng.integers(action_count)
         return int(greedy_fn(obs))
 
     pick.descriptor = f"epsilon-greedy(epsilon={epsilon})"
@@ -242,10 +240,12 @@ def run_collection(
 
     Deterministic given the seed: the environment consumes per-episode
     streams derived from it and the policy gets its own derived stream.
+    ``policy(obs, rng)`` picks each action; its ``rng``, an ``envapi.Draws``,
+    offers ``random()`` and ``integers(n)``.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    policy_rng = np.random.default_rng(derive_seed(seed, "collection-policy"))
+    policy_rng = Draws(derive_seed(seed, "collection-policy"))
     steps = rollout(env, lambda obs: policy(obs, policy_rng), episodes, seed)
     records = [
         TransitionRecord(ep, step, obs, action, res.observation, res.reward, res.done, res.info["action_success"])

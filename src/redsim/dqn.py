@@ -12,19 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import TrainConfig, TrainResult, epsilon_greedy_steps
+from .agents import TrainConfig, TrainingDivergedError, TrainResult, epsilon_greedy_steps
 from .envapi import Env, derive_seed
 
 # The benchmark's per-layer tracer (perfbench/layers.py) wraps this name here too.
 from .agents import greedy_action  # noqa: F401, E402
-
-
-class TrainingDivergedError(Exception):
-    """Loss or weights became non-finite during training."""
-
-    def __init__(self, message: str, step: int):
-        super().__init__(f"{message} (training step {step})")
-        self.step = step
 
 
 def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -470,7 +470,7 @@ class EmpiricalSim(Env):
             )
         cumulative = self._cumulative
         base = cumulative[lo]
-        draw = int(self._rng.integers(cumulative[hi] - base))
+        draw = self._rng.integers(cumulative[hi] - base)
         entry = bisect_right(cumulative, base + draw, lo + 1, hi + 1) - 1
         self._state = next_state = self._next_state[entry]
         return self._states[next_state], self._reward[entry], next_state != state

@@ -9,6 +9,10 @@ hex strings.  The transition law itself, of the world or of a count model,
 compiles to one ``TabularMDP`` over integer state ids, which the planners,
 the fidelity audit and the sim read.
 
+Each episode's random stream, Q-learning's and the collection policy's are
+``Draws``: ``Generator(PCG64(derive_seed(...)))``'s scalar ``random()`` and
+``integers(n)``, replayed bit for bit at a fraction of numpy's per-call cost.
+
 Every environment, scenario, log, model and policy names the network it
 belongs to by three values: its fingerprint, ``obs_dim`` and action count.
 ``network`` reads them, ``read_network`` is the one check of them in a
@@ -21,6 +25,7 @@ import hashlib
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from operator import index
 from typing import Any
 
 import numpy as np
@@ -48,6 +53,58 @@ def derive_seed(*parts) -> int:
     """
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+class Draws:
+    """The scalar ``random()`` and ``integers(n)`` of ``np.random.Generator(np.random.PCG64(seed))``, bit for bit.
+
+    numpy's rules on raw 64-bit outputs, read in chunks: ``random()`` is an output's top 53 bits over 2**53, and
+    ``integers(n)`` draws nothing for ``n == 1``, else it is Lemire's bounded draw on 32-bit words up to
+    ``n == 2**32`` (an output's low half, then its high half, which ``random()`` leaves pending), on outputs above."""
+
+    __slots__ = ("_bits", "_raw", "_half")
+    _CHUNK = 32  # raw outputs read at a time: an episode's stream is often short
+
+    def __init__(self, seed: int):
+        self._bits, self._raw, self._half = np.random.PCG64(seed), iter(()), None
+
+    def _next64(self) -> int:
+        raw = next(self._raw, None)
+        if raw is None:
+            self._raw = iter(self._bits.random_raw(self._CHUNK).tolist())
+            raw = next(self._raw)
+        return raw
+
+    def _next32(self) -> int:
+        if self._half is None:
+            raw = self._next64()
+            self._half = raw >> 32
+            return raw & 0xFFFFFFFF
+        half, self._half = self._half, None
+        return half
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, n: int) -> int:
+        n = index(n)  # a numpy int would overflow the products below
+        if 1 < n <= 2**32:  # the common case, written out: a call per draw costs more than the draw
+            m = self._next32() * n
+            if m & 0xFFFFFFFF < n:  # only then can the low word fall below the threshold 2**32 % n
+                threshold = 2**32 % n
+                while m & 0xFFFFFFFF < threshold:
+                    m = self._next32() * n
+            return m >> 32
+        if n == 1:
+            return 0
+        if not 2**32 < n <= 2**63:  # numpy's int64 range
+            raise ValueError(f"integers(n) needs 1 <= n <= 2**63, got {n}")
+        m = self._next64() * n
+        if m & 0xFFFFFFFFFFFFFFFF < n:
+            threshold = 2**64 % n
+            while m & 0xFFFFFFFFFFFFFFFF < threshold:
+                m = self._next64() * n
+        return m >> 64
 
 
 @dataclass
@@ -187,9 +244,10 @@ class Env(ABC):
 
     Seeding: ``reset(seed=s)`` pins the master seed and restarts the episode
     counter at zero; a bare ``reset()`` advances the counter and derives the
-    next episode stream from ``(master seed, episode index)``.  The same
-    master seed and action sequence therefore reproduce a run bit for bit,
-    and parallel workers get independent streams from derived seeds.
+    next episode stream, the ``Draws`` of ``derive_seed(master seed, episode
+    index)``.  The same master seed and action sequence therefore reproduce a
+    run bit for bit, and parallel workers get independent streams from
+    derived seeds.
 
     One instance is single-threaded; run one instance per worker.
     """
@@ -204,7 +262,7 @@ class Env(ABC):
         self.game = game
         self._master_seed = seed
         self._episode = 0
-        self._rng = np.random.default_rng(derive_seed(seed, 0))
+        self._rng = Draws(derive_seed(seed, 0))
         self._steps = 0
         self._done = True
 
@@ -214,7 +272,7 @@ class Env(ABC):
             self._episode = 0
         else:
             self._episode += 1
-        self._rng = np.random.default_rng(derive_seed(self._master_seed, self._episode))
+        self._rng = Draws(derive_seed(self._master_seed, self._episode))
         self._steps = 0
         self._done = False
         return self._reset_state()

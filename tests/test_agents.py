@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -54,9 +55,9 @@ def test_training_is_deterministic(desk5_model):
 
 def test_greedy_action_examples():
     q = QTable(3)
-    q.values[(0, 0)] = np.array([1.0, 3.0, 2.0])
+    q.values[(0, 0)] = [1.0, 3.0, 2.0]
     assert greedy_action(q, (0, 0)) == 1
-    q.values[(0, 1)] = np.array([2.0, 2.0, 1.0])
+    q.values[(0, 1)] = [2.0, 2.0, 1.0]
     assert greedy_action(q, (0, 1)) == 0
     # unseen observation: all-zero values, tie-break to action 0
     assert greedy_action(q, (1, 1)) == 0
@@ -68,11 +69,31 @@ def test_greedy_action_invariant_under_positive_scaling():
     for _ in range(200):
         obs = tuple(int(v) for v in rng.integers(0, 2, size=4))
         values = rng.normal(size=5)
-        q.values[obs] = values
+        q.values[obs] = values.tolist()
         scale = float(rng.uniform(0.1, 50.0))
         scaled = QTable(5)
-        scaled.values[obs] = values * scale
+        scaled.values[obs] = (values * scale).tolist()
         assert greedy_action(q, obs) == greedy_action(scaled, obs) == int(np.argmax(values))
+
+
+# Values that tie, signed zeros and infinities often, among any other finite floats.
+_Q_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]), st.floats(allow_nan=False))
+
+
+@given(st.lists(_Q_VALUE, min_size=1, max_size=64))
+def test_a_q_rows_list_rule_is_numpys(row):
+    """``max(row)`` is ``np.max``, and ``row.index(max(row))`` and ``greedy_action`` are ``np.argmax``.
+
+    The maximum is the same float bit for bit unless the row holds -0.0: of two zeros ``max`` keeps the first and
+    ``np.max`` may return either.  No Q-learning row holds one, since an update ``q + d`` is -0.0 only when ``q`` is.
+    """
+    values = np.array(row)
+    assert max(row) == np.max(values)
+    if all(math.copysign(1.0, value) > 0 for value in row if value == 0.0):
+        assert max(row).hex() == float(np.max(values)).hex()
+    q = QTable(len(row))
+    q.values[(0,)] = row
+    assert row.index(max(row)) == greedy_action(q, (0,)) == int(np.argmax(values))
 
 
 def test_value_iteration_deterministic_chain_arithmetic(det3):
@@ -262,8 +283,8 @@ def _saved(tmp_path, policy):
 
 def _toy_q_table() -> QTable:
     q = QTable(3)
-    q.values[(0, 0)] = np.array([1.0, 3.0, 2.0])
-    q.values[(0, 1)] = np.array([2.0, 2.0, 1.0])
+    q.values[(0, 0)] = [1.0, 3.0, 2.0]
+    q.values[(0, 1)] = [2.0, 2.0, 1.0]
     return q
 
 
@@ -404,7 +425,7 @@ def _check_policy_edit_rejected(tmp_path, policy, edit):
 
 def _non_finite_q_table() -> QTable:
     q = _toy_q_table()
-    q.values[(0, 0)] = np.array([1.0, np.inf, 2.0])
+    q.values[(0, 0)] = [1.0, np.inf, 2.0]
     return q
 
 
@@ -416,7 +437,7 @@ def _non_finite_dqn() -> DqnNet:
 
 def _q_table_of_4_values() -> QTable:
     q = QTable(3)
-    q.values[(0, 0, 0, 1)] = np.array([1.0, 3.0, 2.0])
+    q.values[(0, 0, 0, 1)] = [1.0, 3.0, 2.0]
     return q
 
 
@@ -447,8 +468,8 @@ def test_a_q_table_of_json_ints_loads_as_floats(tmp_path):
     ints(payload)
     artifacts.write_artifact(path, agents.POLICY_FORMAT, payload)
     values = agents.load_policy(path).policy.values
-    assert {obs: row.tolist() for obs, row in values.items()} == {(0, 0): [1.0, 3.0, 2.0], (0, 1): [2.0, -2.0, 1.5]}
-    assert all(row.dtype == np.float64 for row in values.values())
+    assert values == {(0, 0): [1.0, 3.0, 2.0], (0, 1): [2.0, -2.0, 1.5]}
+    assert all(value.__class__ is float for row in values.values() for value in row)
 
 
 @pytest.mark.parametrize(
@@ -501,7 +522,7 @@ def test_mistyped_policy_provenance_stats_exits_artifact(tmp_path, edit):
 def test_q_table_policy_round_trip_property(tmp_path_factory, rows):
     q = QTable(3)
     for obs, row in rows.items():
-        q.values[obs] = np.array(row)
+        q.values[obs] = row
     path = _saved(tmp_path_factory.mktemp("q"), q)
     loaded = agents.load_policy(path).policy
     assert set(loaded.values) == set(q.values)

@@ -581,7 +581,7 @@ def _policy_into_an_unseen_pair(model_path, path):
         actions = range(model.action_count)
         unseen = [a for a in actions if not model.has_pair(obs, a)]
         onward = [a for a in actions if any(sum(n) > sum(obs) for n in model.counts.get((obs, a), ()))]
-        q.values[obs] = np.eye(model.action_count)[(unseen or onward)[0]]
+        q.values[obs] = np.eye(model.action_count)[(unseen or onward)[0]].tolist()
     agents.save_policy(q, path, fingerprint=model.fingerprint, obs_dim=model.obs_dim, train_config=agents.TrainConfig())
     return path
 
@@ -808,6 +808,21 @@ def test_diverging_dqn_warns_nothing_before_its_error(pipeline, tmp_path, capsys
         warnings.simplefilter("error")
         assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: training-diverged: ")
+
+
+def test_diverging_q_learning_exits_usage_with_only_its_error(pipeline, tmp_path, capsys):
+    """A Q-value that overflows stops training at that update as ``training-diverged``: exit 2, no numpy warning
+    before the error line and no policy file, not a saved policy that fails its own finiteness check."""
+    out = tmp_path / "p.policy"
+    argv = ["train", "--env", f"sim:{pipeline['desk5']['model']}", "--learning-rate", "1e200",
+            "--episodes", "300", "--out", str(out)]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would end the run as "unexpected"
+        assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: training-diverged: non-finite Q-value ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_batch_larger_than_replay_buffer_is_a_usage_error(pipeline, tmp_path, capsys):

@@ -25,7 +25,7 @@ from redsim.empirical import (
     merge_models,
     model_stats,
 )
-from redsim.envapi import GameConfig
+from redsim.envapi import GameConfig, derive_seed
 
 from conftest import count_transitions, table_distribution
 
@@ -207,7 +207,7 @@ def test_sim_sampling_matches_counts_with_binomial_oracle():
 
 
 class _FixedDraw:
-    """Stands in for the sim's per-episode Generator: ``integers(total)`` returns one chosen value."""
+    """Stands in for the sim's per-episode Draws: ``integers(total)`` returns one chosen value."""
 
     def __init__(self, value: int, total: int):
         self.value, self.total = value, total
@@ -276,9 +276,9 @@ def test_sim_fallback_step_draws_nothing_and_reject_rows_stay_empty():
     )
     sim = EmpiricalSim(model, config, seed=0)
     sim.reset(seed=0)
-    state = sim._rng.bit_generator.state
     assert sim.step(1).reward == -2.5  # action 1 never observed
-    assert sim._rng.bit_generator.state == state
+    # the episode's stream is untouched: its next draw is a fresh stream's first
+    assert sim._rng.random() == np.random.default_rng(derive_seed(0, 0)).random()
     # rows in (observation, action) order over the sorted observations O, A
     assert np.diff(empirical.compile_model(model, config).row_start).tolist() == [1, 1, 1, 1]
     reject = SimConfig(config.game, config.flag_worths, config.action_costs, fallback=empirical.FALLBACK_REJECT)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redsim import collect, empirical, world
 from redsim.envapi import (
+    Draws,
     EpisodeFinishedError,
     InvalidActionError,
     compute_reward,
@@ -221,3 +223,48 @@ def test_a_scenario_its_world_log_model_and_sim_name_one_network(desk5, mesh):
         require_same_network(source, env, KeyError, "x")
     with pytest.raises(KeyError, match="source was made in a different environment"):
         require_same_network(mesh, desk5, KeyError, "source was made in")
+
+
+# Bounds where Lemire's draw rejects often (3 * 2**30 + 7 rejects about a quarter of its 32-bit words),
+# where it takes a whole 32-bit word (2**32) and where it switches to whole 64-bit outputs (2**32 + 1).
+_EDGE_BOUNDS = (1, 2, 3, 19, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**61 + 5, 2**63)
+_DRAW = st.one_of(
+    st.just(None),  # random()
+    st.integers(1, 2**32),
+    st.sampled_from(_EDGE_BOUNDS),
+    st.integers(2**32 + 1, 2**63),
+)
+
+
+def _same_draws(seed: int, bounds) -> None:
+    """``Draws(seed)`` gives what ``Generator(PCG64(seed))`` gives, bit for bit, for each ``random()`` (None) or
+    ``integers(n)`` in ``bounds``."""
+    ours, numpy = Draws(seed), np.random.Generator(np.random.PCG64(seed))
+    for n in bounds:
+        if n is None:
+            assert ours.random().hex() == numpy.random().hex()
+        else:
+            assert ours.integers(n) == int(numpy.integers(n)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(_DRAW, max_size=150))
+def test_draws_replay_numpys_generator(seed, bounds):
+    """Any seed and any mix of ``random()`` and ``integers(n)``, 1 <= n <= 2**63, read past several chunks of raw
+    outputs.  numpy does not promise to keep ``Generator``'s streams (NEP 19): if an upgrade moves them, this names it."""
+    _same_draws(seed, bounds)
+
+
+def test_draws_cross_chunk_boundaries_in_every_phase():
+    """240 draws mixing a pending 32-bit half, a rejection-prone bound and whole-output draws, started at four
+    offsets, read across every kind of chunk boundary."""
+    for offset in range(4):
+        _same_draws(derive_seed(offset), [None] * offset + [3 * 2**30 + 7, None, 2**32 + 1, 17] * 60)
+
+
+def test_draws_reject_what_numpy_rejects():
+    for n in (0, -1, 2**63 + 1):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).integers(n)
+        with pytest.raises(ValueError):
+            Draws(0).integers(n)
