@@ -112,8 +112,10 @@ class QTable:
 
 def greedy_action(policy, obs) -> int:
     """The first action of greatest value, as ``np.argmax`` picks it: ties break to the lowest action index.
-    A Q-table's row holds finite floats (training stops at the first non-finite value and loading rejects one),
-    so ``row.index(max(row))`` makes that pick."""
+    A ``LoadedPolicy`` plays the policy it holds.  A Q-table's row holds finite floats (training stops at the
+    first non-finite value and loading rejects one), so ``row.index(max(row))`` makes that pick."""
+    if isinstance(policy, LoadedPolicy):
+        policy = policy.policy
     if isinstance(policy, QTable):
         row = policy.values.get(obs)
         return 0 if row is None else row.index(max(row))
@@ -190,7 +192,7 @@ def train_q_learning(env: Env, config: TrainConfig, eval_env: Env | None = None)
     alpha = config.learning_rate
     result = TrainResult(policy=q)
     for global_step, obs, action, res in epsilon_greedy_steps(env, config, rng, result, eval_env):
-        onward = None if res.info["goal"] else q.values.get(res.observation)
+        onward = None if res.goal else q.values.get(res.observation)
         # np.max's float: an update q + d is -0.0 only when q is, so no row holds the -0.0 np.max might prefer
         bootstrap = 0.0 if onward is None else max(onward)
         row = q.row(obs)
@@ -325,9 +327,6 @@ class LoadedPolicy:
     obs_dim: int
     action_count: int
     train_config: dict
-
-    def action_values(self, obs) -> np.ndarray:
-        return self.policy.action_values(obs)
 
 
 def _check_numbers(values) -> None:

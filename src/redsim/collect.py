@@ -248,7 +248,7 @@ def run_collection(
     policy_rng = Draws(derive_seed(seed, "collection-policy"))
     steps = rollout(env, lambda obs: policy(obs, policy_rng), episodes, seed)
     records = [
-        TransitionRecord(ep, step, obs, action, res.observation, res.reward, res.done, res.info["action_success"])
+        TransitionRecord(ep, step, obs, action, res.observation, res.reward, res.done, res.action_success)
         for ep, step, obs, action, res in steps
     ]
     return _dataset(records, env.metadata(), getattr(policy, "descriptor", "custom"), seed, out_path)

@@ -217,7 +217,7 @@ def train_dqn(env: Env, config: TrainConfig, eval_env: Env | None = None) -> Tra
     learn_steps = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for global_step, obs, action, res in epsilon_greedy_steps(env, config, rng, result, eval_env):
-            replay.push(obs, action, res.reward, res.observation, res.info["goal"])
+            replay.push(obs, action, res.reward, res.observation, res.goal)
             if replay.size >= config.batch_size:
                 b_obs, b_act, b_rew, b_next, b_goal = replay.sample(config.batch_size, rng)
                 next_q = target.forward(b_next).max(axis=1)

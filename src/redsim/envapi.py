@@ -24,9 +24,8 @@ from __future__ import annotations
 import hashlib
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import index
-from typing import Any
 
 import numpy as np
 
@@ -42,7 +41,7 @@ class EpisodeFinishedError(EnvError):
 
 
 class InvalidActionError(EnvError):
-    """Action index outside the declared action space."""
+    """No index into the action space: not an int or numpy int (a bool or a float is none), or out of range."""
 
 
 def derive_seed(*parts) -> int:
@@ -107,14 +106,17 @@ class Draws:
         return m >> 64
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
-    """One environment transition as seen by the agent."""
+    """One environment transition as seen by the agent.  ``goal``, the one end that cuts a learner's bootstrap,
+    marks the goal state; ``done and not goal`` is truncation at ``max_steps``.  ``action_success`` is the
+    world's success draw, taken when the action's preconditions hold, or the sim's changed observation."""
 
     observation: Observation
     reward: float
     done: bool
-    info: dict[str, Any] = field(default_factory=dict)
+    goal: bool
+    action_success: bool
 
 
 @dataclass(frozen=True)
@@ -240,7 +242,7 @@ class TabularMDP:
 
 
 class Env(ABC):
-    """Reset/step contract implemented by the world and the generated sim.
+    """Reset/step contract of the world and the generated sim: ``step(action)`` returns a ``StepResult``.
 
     Seeding: ``reset(seed=s)`` pins the master seed and restarts the episode
     counter at zero; a bare ``reset()`` advances the counter and derives the
@@ -280,18 +282,17 @@ class Env(ABC):
     def step(self, action: int) -> StepResult:
         if self._done:
             raise EpisodeFinishedError("episode is over; call reset() first")
-        action = int(action)
+        try:  # a numpy int passes; a bool is sent to the TypeError, since operator.index takes True as 1
+            action = index(action if action.__class__ is not bool else None)
+        except TypeError:
+            raise InvalidActionError(f"action {action!r} of type {type(action).__name__} is not an int index") from None
         if not 0 <= action < self.action_count:
-            raise InvalidActionError(
-                f"action {action} outside [0, {self.action_count})"
-            )
+            raise InvalidActionError(f"action {action} outside [0, {self.action_count})")
         next_obs, reward, action_success = self._apply_action(action)
         self._steps += 1
         goal = self.game.is_goal(next_obs)
-        truncated = not goal and self._steps >= self.game.max_steps
-        self._done = goal or truncated
-        info = {"action_success": action_success, "goal": goal, "truncated": truncated}
-        return StepResult(next_obs, float(reward), self._done, info)
+        self._done = goal or self._steps >= self.game.max_steps
+        return StepResult(next_obs, float(reward), self._done, goal, action_success)
 
     @abstractmethod
     def _reset_state(self) -> Observation:

@@ -85,7 +85,7 @@ def _greedy_eval(env: Env, choose, episodes: int, seed: int, environment_tag: st
         if res.done:
             returns[ep] = total
             lengths[ep] = step + 1
-            successes += 1 if res.info["goal"] else 0
+            successes += 1 if res.goal else 0
             total = 0.0
     return EvalReport(
         environment=environment_tag,

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from redsim import agents, artifacts, collect, presets, world
 from redsim.cli import EXIT_ARTIFACT, main
-from redsim.agents import QTable, TrainConfig, greedy_action, train_q_learning, value_iteration
+from redsim.agents import LoadedPolicy, QTable, TrainConfig, greedy_action, train_q_learning, value_iteration
 from redsim.collect import TransitionRecord
 from redsim.dqn import DqnNet, train_dqn
 from redsim.empirical import EmpiricalSim, SimConfig, build_model
@@ -82,7 +82,8 @@ _Q_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]
 
 @given(st.lists(_Q_VALUE, min_size=1, max_size=64))
 def test_a_q_rows_list_rule_is_numpys(row):
-    """``max(row)`` is ``np.max``, and ``row.index(max(row))`` and ``greedy_action`` are ``np.argmax``.
+    """``max(row)`` is ``np.max``, and ``row.index(max(row))`` and ``greedy_action``, of the bare table and of the
+    table held in a ``LoadedPolicy``, are ``np.argmax``.
 
     The maximum is the same float bit for bit unless the row holds -0.0: of two zeros ``max`` keeps the first and
     ``np.max`` may return either.  No Q-learning row holds one, since an update ``q + d`` is -0.0 only when ``q`` is.
@@ -93,7 +94,8 @@ def test_a_q_rows_list_rule_is_numpys(row):
         assert max(row).hex() == float(np.max(values)).hex()
     q = QTable(len(row))
     q.values[(0,)] = row
-    assert row.index(max(row)) == greedy_action(q, (0,)) == int(np.argmax(values))
+    loaded = LoadedPolicy(q, "q_table", "", 1, len(row), {})
+    assert row.index(max(row)) == greedy_action(q, (0,)) == greedy_action(loaded, (0,)) == int(np.argmax(values))
 
 
 def test_value_iteration_deterministic_chain_arithmetic(det3):

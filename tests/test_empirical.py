@@ -262,7 +262,7 @@ def test_sim_unseen_pair_self_transition_fallback():
     assert res.observation == obs
     assert res.reward == -2.5
     assert res.done is False
-    assert res.info["action_success"] is False
+    assert res.action_success is False
 
 
 def test_sim_fallback_step_draws_nothing_and_reject_rows_stay_empty():

@@ -1,5 +1,7 @@
 """Environment contract: seeding, episode mechanics, reward function."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from redsim.envapi import (
     Draws,
     EpisodeFinishedError,
     InvalidActionError,
+    StepResult,
     compute_reward,
     derive_seed,
     network,
@@ -46,7 +49,7 @@ def test_same_seed_same_actions_bitwise_identical_trajectory(desk5):
         done = False
         while not done:
             res = env.step(int(rng.integers(env.action_count)))
-            out.append((res.observation, res.reward, res.done, res.info["action_success"]))
+            out.append((res.observation, res.reward, res.done, res.action_success))
             done = res.done
         return out
 
@@ -72,6 +75,25 @@ def test_out_of_range_action_raises(desk5):
         env.step(-1)
 
 
+def test_a_non_int_action_raises_and_collects_nothing(det3, tmp_path):
+    """A float, even a whole one, or a bool is no action index: it raises rather than playing as the int it reads
+    as, so a collection policy that returns one writes no log that ``read_clean_log`` would reject.  A numpy int
+    is an index."""
+    env = world.AttackWorld(det3, seed=1)
+    env.reset(seed=1)
+    for action in (1.7, 1.0, np.float64(1.0), True, np.True_, np.array(1.5), np.array([1]), "1", None):
+        with pytest.raises(InvalidActionError):
+            env.step(action)
+    plain = world.AttackWorld(det3, seed=1)
+    plain.reset(seed=1)
+    assert env.step(np.int64(1)) == plain.step(1)
+    n = env.action_count
+    for policy in (lambda obs, rng: 0.0 + rng.integers(n), lambda obs, rng: True):
+        with pytest.raises(InvalidActionError):
+            collect.run_collection(world.AttackWorld(det3, seed=4), policy, 20, 4, out_path=tmp_path / "log.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_episode_length_never_exceeds_max_steps(desk5):
     env = world.AttackWorld(desk5, seed=9)
     rng = np.random.default_rng(9)
@@ -83,6 +105,24 @@ def test_episode_length_never_exceeds_max_steps(desk5):
             done = env.step(int(rng.integers(env.action_count))).done
             steps += 1
         assert steps <= desk5.game.max_steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**63 - 1), st.lists(st.integers(0, 9), min_size=80, max_size=240))  # desk5 has 10 actions
+def test_a_step_reports_goal_done_and_success_as_its_observation_says(desk5, desk5_model, seed, actions):
+    """In the world and in the sim, ``goal`` is the observation's goal flag and ``done`` is the goal or the
+    ``max_steps``-th step of the episode; in the sim, ``action_success`` is a changed observation."""
+    assert [f.name for f in fields(StepResult)] == ["observation", "reward", "done", "goal", "action_success"]
+    for env in (world.AttackWorld(desk5, seed), empirical.EmpiricalSim(desk5_model, seed=seed)):
+        game = env.game
+        obs, step = env.reset(seed=seed), 0
+        for action in actions:
+            res = env.step(action)
+            assert res.goal == (res.observation[game.goal_index] == 1)
+            assert res.done == (res.goal or step + 1 == game.max_steps)
+            if isinstance(env, empirical.EmpiricalSim):
+                assert res.action_success == (res.observation != obs)
+            obs, step = (env.reset(), 0) if res.done else (res.observation, step + 1)
 
 
 def test_spaces_constant_for_lifetime(desk5):

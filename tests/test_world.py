@@ -370,7 +370,7 @@ def test_scan_step_reveals_host_and_pays_delta_worth(mesh):
     web = mesh.host_index["web"]
     assert obs[3 * web] == 0
     assert res.observation[3 * web] == 1
-    assert res.info["action_success"] is True
+    assert res.action_success is True
     assert res.reward == 2.0 - scan_web.cost
 
 
