@@ -78,7 +78,7 @@ def _float_text(value: float) -> str:
 
 
 # How json writes a value of each of these exact types.
-_SCALARS = {
+SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     float: _float_text,
@@ -93,8 +93,9 @@ def _indented_json(doc) -> str:
     Plain dicts with string keys, lists, tuples and scalars are written
     here; any other value (a subclass, a non-string key, an unknown type) is
     handed to ``json.dumps`` itself, so it is written, or rejected, as json
-    would.  A document nested too deeply to recurse through goes to json
-    whole.
+    would.  A list of same-shaped rows, such as a report's per-pair rows, is
+    written through one row template (``_rows_text``).  A document nested
+    too deeply to recurse through goes to json whole.
     """
     chunks: list[str] = []
     append = chunks.append
@@ -102,7 +103,7 @@ def _indented_json(doc) -> str:
 
     def encode(value, depth):
         cls = value.__class__
-        scalar = _SCALARS.get(cls)
+        scalar = SCALAR_TEXT.get(cls)
         if scalar is not None:
             append(scalar(value))
             return
@@ -118,7 +119,7 @@ def _indented_json(doc) -> str:
         if cls is dict:
             separator = "{" + inner
             for key, item in sorted(value.items()):
-                scalar = _SCALARS.get(item.__class__)
+                scalar = SCALAR_TEXT.get(item.__class__)
                 if scalar is None:
                     append(f"{separator}{encode_basestring_ascii(key)}: ")
                     encode(item, depth + 1)
@@ -128,6 +129,8 @@ def _indented_json(doc) -> str:
             append(outer + "}")
         elif {*map(type, value)} == {int}:
             append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + outer + "]")
+        elif (rows := _rows_text(value, depth, breaks)) is not None:
+            append(rows)
         else:
             separator = "[" + inner
             for item in value:
@@ -141,6 +144,36 @@ def _indented_json(doc) -> str:
     except RecursionError:
         return json.dumps(doc, sort_keys=True, indent=2)
     return "".join(chunks)
+
+
+def _rows_text(rows, depth: int, breaks: list[str]) -> str | None:
+    """The text of ``rows`` through one row template, or None if they are not rows.
+
+    Rows are plain dicts sharing one non-empty set of string keys, each key holding only
+    ``SCALAR_TEXT`` scalars or only lists and tuples of exact ints, each distinct one's text built once.
+    """
+    first = rows[0]
+    shaped = first.__class__ is dict and first and {*map(type, first)} == {str} and {*map(type, rows)} == {dict}
+    if not (shaped and all(map(first.keys().__eq__, map(dict.keys, rows)))):
+        return None
+    while len(breaks) < depth + 4:
+        breaks.append(breaks[-1] + "  ")
+    keys, columns = sorted(first), []
+    row_break, key_break, int_break = breaks[depth + 1 : depth + 4]
+    for key in keys:
+        column = [row[key] for row in rows]
+        kinds = {*map(type, column)}
+        if kinds <= SCALAR_TEXT.keys():
+            columns.append([SCALAR_TEXT[value.__class__](value) for value in column])
+        elif kinds <= {list, tuple} and {*map(type, chain.from_iterable(column))} <= {int}:
+            column, join = [*map(tuple, column)], ("," + int_break).join
+            texts = {ints: f"[{int_break}{join(map(int.__repr__, ints))}{key_break}]" for ints in {*column} if ints}
+            columns.append([texts.get(ints, "[]") for ints in column])
+        else:
+            return None
+    fields = ("," + key_break).join(encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+    template = "{" + key_break + fields + row_break + "}"
+    return "[" + row_break + ("," + row_break).join(map(template.__mod__, zip(*columns))) + breaks[depth] + "]"
 
 
 def write_csv(path, columns, rows) -> None:

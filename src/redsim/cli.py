@@ -265,8 +265,10 @@ def _cmd_fidelity(args) -> int:
     scenario = world.load_scenario(args.scenario)
     model = empirical.load_model(args.model)
     report = evaluate.fidelity_report(model, scenario, visit_threshold=args.visit_threshold)
+    # each distinct observation's text once; keyed by value, as they are the world's int tuples
+    obs_text = {obs: "".join(map(str, obs)) for obs in {p.obs for p in report.pairs}}
     rows = [
-        {"obs": "".join(map(str, p.obs)), "action": p.action, "visits": p.visits, "tv_distance": p.tv_distance}
+        {"obs": obs_text[p.obs], "action": p.action, "visits": p.visits, "tv_distance": p.tv_distance}
         for p in report.pairs
     ]
     _write_report(args, report.to_dict(), ("obs", "action", "visits", "tv_distance"), rows)

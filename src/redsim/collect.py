@@ -33,20 +33,29 @@ RECORD_FIELDS = (
     "action_success",
 )
 
-_INF = float("inf")
-
 # How ``TransitionRecord.to_json`` starts a line whose episode and step are not negative.
 _CANONICAL_PREFIX = re.compile(rb'\{"episode":(0|[1-9][0-9]*),"step":(0|[1-9][0-9]*)')
-# Distinct tails ``read_log`` keeps.  A desk5 log has about 230 and the mesh's
-# about 10k, most lines on the first few thousand; the bound keeps a log
-# whose tails never repeat near the plain parser's time and memory.
+# Distinct tails ``read_log`` parses and ``write_log`` formats once.  A desk5 log has
+# about 230 and the mesh's about 10k, most lines on the first few thousand; the
+# bound keeps a log whose tails never repeat near the plain codec's time and memory.
 _MAX_TAILS = 4096
+
+
+def _json_value(value, other=str) -> str:
+    """json's text of an int, bool, float, string or None; ``other``'s of any other value."""
+    return artifacts.SCALAR_TEXT.get(value.__class__, other)(value)
+
+
+def _json_values(values) -> str:
+    """The comma-joined ``_json_value`` texts of an observation's values."""
+    exact = values.__class__ is tuple and {*map(type, values)} == {int}
+    return _json_ints(values) if exact else ",".join(map(_json_value, values))
 
 
 @lru_cache(maxsize=4096)
 def _json_ints(values: tuple) -> str:
-    """Comma-joined JSON text of a tuple of ints; a log repeats few observations."""
-    return ",".join(map(str, values))
+    """Comma-joined text of a tuple of exact ints, the only kind memoised: no bool or float meets an equal int's text."""
+    return ",".join(map(int.__repr__, values))
 
 
 class LogValidationError(Exception):
@@ -76,16 +85,15 @@ class TransitionRecord:
     action_success: bool
 
     def to_json(self) -> str:
-        """One log line, byte-identical to ``json.dumps`` of the record's fields."""
-        reward = self.reward
-        if reward.__class__ is float and -_INF < reward < _INF:
-            reward = float.__repr__(reward)
-        else:
-            reward = json.dumps(reward)
+        """One log line: the compact ``json.dumps`` text of the record's fields, each value from its own type.
+
+        A line depends on its record alone.  A numpy int in ``obs`` or ``action``
+        is written as its digits, and the two flags as their truth.
+        """
         return (
             f'{{"episode":{self.episode},"step":{self.step},'
-            f'"obs":[{_json_ints(self.obs)}],"action":{self.action},'
-            f'"next_obs":[{_json_ints(self.next_obs)}],"reward":{reward},'
+            f'"obs":[{_json_values(self.obs)}],"action":{_json_value(self.action)},'
+            f'"next_obs":[{_json_values(self.next_obs)}],"reward":{_json_value(self.reward, json.dumps)},'
             f'"done":{"true" if self.done else "false"},'
             f'"action_success":{"true" if self.action_success else "false"}}}'
         )
@@ -153,8 +161,24 @@ def read_manifest(log_path) -> dict:
 
 
 def write_log(records, log_path) -> None:
+    """Write each record's ``to_json`` line, formatting each distinct tail once as ``read_log`` parses it once.
+
+    A record whose fields after ``"step":S`` are the very objects of an earlier record's
+    (a world, a sim and ``read_log`` share them) reuses its text, up to ``_MAX_TAILS``
+    tails; equal values of other types or signs (1, 1.0, True; 0.0, -0.0) are other objects.
+    """
+    tails: dict[tuple, tuple] = {}  # ids of those fields -> (the fields, kept so no id is reused; the tail)
     with open(log_path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{rec.to_json()}\n" for rec in records)
+        for rec in records:
+            head = f'{{"episode":{rec.episode},"step":{rec.step}'
+            fields = (rec.obs, rec.action, rec.next_obs, rec.reward, rec.done, rec.action_success)
+            key = tuple(map(id, fields))
+            kept = tails.get(key)
+            if kept is None:
+                kept = fields, rec.to_json()[len(head):] + "\n"
+                if len(tails) < _MAX_TAILS:
+                    tails[key] = kept
+            fh.write(head + kept[1])
 
 
 def read_log(log_path):

@@ -83,6 +83,47 @@ def test_write_json_writes_or_rejects_odd_values_as_json_does(tmp_path_factory, 
     _check_write_json(tmp_path_factory, doc)
 
 
+# Keys json escapes, and keys a row template would misread if it did not escape them.
+_row_keys = st.text(max_size=4) | st.sampled_from(
+    ["%", "%s", "%%d", "{", "{0}", "}", '"', "\\", "\x00\x1f", "é", "\ud800", "naïve"]
+)
+_row_columns = st.sampled_from([
+    _scalars,
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+    st.lists(st.integers(), max_size=4),
+    st.lists(st.integers(), max_size=4).map(tuple),
+    st.lists(st.integers(-2, 2) | st.booleans(), max_size=4),
+    st.lists(st.integers(-2, 2) | st.floats(-2, 2), max_size=3).map(tuple),
+])
+
+
+@st.composite
+def row_documents(draw):
+    """A list of dicts sharing one key set, each column drawn from a few values, maybe one row edited."""
+    keys = draw(st.lists(_row_keys, min_size=1, max_size=4, unique=True))
+    pools = {key: draw(st.lists(draw(_row_columns), min_size=1, max_size=3)) for key in keys}
+    rows = [{key: draw(st.sampled_from(pool)) for key, pool in pools.items()} for _ in range(draw(st.integers(1, 8)))]
+    edit = draw(st.sampled_from([None, "ordered-dict", "extra-key", "missing-key", "renamed-key", "nested-value"]))
+    at = draw(st.sampled_from([0, len(rows) // 2, len(rows) - 1]))
+    if edit == "ordered-dict":
+        rows[at] = OrderedDict(rows[at])
+    elif edit == "extra-key":
+        rows[at][draw(_row_keys.filter(lambda key: key not in rows[at]))] = 0
+    elif edit in ("missing-key", "renamed-key"):
+        value = rows[at].pop(draw(st.sampled_from(keys)))
+        if edit == "renamed-key":
+            rows[at][draw(_row_keys.filter(lambda key: key not in keys))] = value
+    elif edit == "nested-value":
+        rows[at][draw(st.sampled_from(keys))] = draw(st.sampled_from([{"n": [1]}, [[1]], [{"a": 1}]]))
+    return draw(st.sampled_from([rows, tuple(rows), {"n": len(rows), "pairs": rows}, [{"rows": rows}]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_documents())
+def test_write_json_writes_lists_of_rows_as_json_dumps_does(tmp_path_factory, doc):
+    _check_write_json(tmp_path_factory, doc)
+
+
 def _circular():
     doc = {"pairs": []}
     doc["pairs"].append(doc)

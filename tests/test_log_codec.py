@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from dataclasses import astuple, replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -62,6 +66,20 @@ def test_from_obj_round_trips_to_json(rec):
         assert math.isnan(back.reward)
         back.reward = rec.reward
     assert back == rec
+
+
+def test_a_line_depends_on_its_record_alone(tmp_path):
+    """A record of bools and floats is written as in a fresh process, after an equal record of ints."""
+    ints = TransitionRecord(0, 0, (1, 0), 1, (1, 1), 1, True, False)
+    other = TransitionRecord(0, 1, (True, False), True, (1.0, True), True, True, False)
+    script = f"from redsim.collect import TransitionRecord as T; print(T(*{astuple(other)!r}).to_json())"
+    env = {**os.environ, "PYTHONPATH": str(Path(collect.__file__).parents[1])}
+    fresh = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    assert ints.to_json() == _dumps_reference(ints)
+    assert other.to_json() + "\n" == fresh
+    collect.write_log([ints, other], tmp_path / "d.jsonl")
+    assert (tmp_path / "d.jsonl").read_text(encoding="utf-8") == _dumps_reference(ints) + "\n" + fresh
+    assert fresh == _dumps_reference(other) + "\n"
 
 
 def _read_log_reference(path):
@@ -178,6 +196,37 @@ def test_read_log_matches_json_loads_per_line(tmp_path_factory, lines, newline, 
     path.write_bytes(b"".join(line + newline for line in lines))
     with mock.patch.object(collect, "_MAX_TAILS", max_tails):
         _check_read_log_matches_reference(path)
+
+
+# Values equal as numbers but written otherwise; no two may share a tail.
+_twin_tails = st.builds(
+    TransitionRecord,
+    episode=st.just(0),
+    step=st.just(0),
+    obs=st.sampled_from([(1, 0), (True, False), (1.0, 0), (1, False)]) | observations,
+    action=st.sampled_from([1, 1.0, True, 0, False, -0.0]) | st.integers(-1, 3),
+    next_obs=st.sampled_from([(0,), (False,), (0.0,), (-0.0,)]) | observations,
+    reward=st.sampled_from([0.0, -0.0, 0, False, 1, 1.0, True, math.nan, -math.nan]) | rewards,
+    done=st.booleans(),
+    action_success=st.booleans(),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(_twin_tails, min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 120), st.integers(0, 12)), min_size=1, max_size=40),
+    st.sampled_from([0, 1, 3, collect._MAX_TAILS]),
+)
+def test_write_log_writes_each_records_to_json_line(tmp_path_factory, tails, picks, max_tails):
+    """Records sharing a few tails' objects, beyond the cache bound too, are written as ``json.dumps`` writes them."""
+    records = [replace(tails[i % len(tails)], episode=episode, step=step) for i, episode, step in picks]
+    path = tmp_path_factory.mktemp("log") / "d.jsonl"
+    with mock.patch.object(collect, "_MAX_TAILS", max_tails):
+        collect.write_log(records, path)
+    text = path.read_bytes().decode("utf-8")
+    assert text == "".join(rec.to_json() + "\n" for rec in records)
+    assert text == "".join(_dumps_reference(rec) + "\n" for rec in records)
 
 
 def test_read_log_parses_each_distinct_tail_once(tmp_path, monkeypatch):
