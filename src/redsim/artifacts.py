@@ -4,7 +4,9 @@ Models and policies are artifacts: a single JSON document with a format
 tag, a sha256 checksum over the canonical payload encoding and the
 payload itself.  Canonical encoding (sorted keys, no whitespace) also
 makes re-runs byte-identical.  Reports, log manifests, run snapshots and
-curves are plain JSON (``write_json``) or CSV (``write_csv``).
+curves are plain JSON (``write_json``) or CSV (``write_csv``).  json
+writes every JSON document but a top-level key's list of rows, such as a
+report's per-pair rows, which goes through one row template.
 """
 
 from __future__ import annotations
@@ -88,66 +90,27 @@ SCALAR_TEXT = {
 
 
 def _indented_json(doc) -> str:
-    """What ``json.dumps(doc, sort_keys=True, indent=2)`` returns, without json's pure-Python indenting encoder.
+    """What ``json.dumps(doc, sort_keys=True, indent=2)`` returns, a top-level key's rows written through one template.
 
-    Plain dicts with string keys, lists, tuples and scalars are written
-    here; any other value (a subclass, a non-string key, an unknown type) is
-    handed to ``json.dumps`` itself, so it is written, or rejected, as json
-    would.  A list of same-shaped rows, such as a report's per-pair rows, is
-    written through one row template (``_rows_text``).  A document nested
-    too deeply to recurse through goes to json whole.
+    A non-empty plain dict with string keys is written one key at a time: a
+    non-empty list of rows (``_rows_text``) through the row template, any
+    other value by ``json.dumps``, its lines indented one level.  Any other
+    document goes to ``json.dumps`` whole, so it is written, or rejected, as
+    json would.
     """
-    chunks: list[str] = []
-    append = chunks.append
-    breaks = ["\n"]  # a line break and the indent of each depth, built once per depth
-
-    def encode(value, depth):
-        cls = value.__class__
-        scalar = SCALAR_TEXT.get(cls)
-        if scalar is not None:
-            append(scalar(value))
-            return
-        if not (cls is list or cls is tuple or cls is dict and {*map(type, value)} <= {str}):
-            append(json.dumps(value, sort_keys=True, indent=2).replace("\n", breaks[depth]))
-            return
-        if not value:
-            append("{}" if cls is dict else "[]")
-            return
-        if len(breaks) == depth + 1:
-            breaks.append(breaks[depth] + "  ")
-        inner, outer = breaks[depth + 1], breaks[depth]
-        if cls is dict:
-            separator = "{" + inner
-            for key, item in sorted(value.items()):
-                scalar = SCALAR_TEXT.get(item.__class__)
-                if scalar is None:
-                    append(f"{separator}{encode_basestring_ascii(key)}: ")
-                    encode(item, depth + 1)
-                else:
-                    append(f"{separator}{encode_basestring_ascii(key)}: {scalar(item)}")
-                separator = "," + inner
-            append(outer + "}")
-        elif {*map(type, value)} == {int}:
-            append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + outer + "]")
-        elif (rows := _rows_text(value, depth, breaks)) is not None:
-            append(rows)
-        else:
-            separator = "[" + inner
-            for item in value:
-                append(separator)
-                encode(item, depth + 1)
-                separator = "," + inner
-            append(outer + "]")
-
-    try:
-        encode(doc, 0)
-    except RecursionError:
+    if not (doc.__class__ is dict and doc and {*map(type, doc)} == {str}):
         return json.dumps(doc, sort_keys=True, indent=2)
-    return "".join(chunks)
+    chunks = []  # joined once, so the text is copied once
+    for key, value in sorted(doc.items()):
+        text = _rows_text(value) if value.__class__ is list and value else None
+        if text is None:
+            text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+        chunks += ",\n  ", encode_basestring_ascii(key), ": ", text
+    return "".join(("{\n  ", *chunks[1:], "\n}"))
 
 
-def _rows_text(rows, depth: int, breaks: list[str]) -> str | None:
-    """The text of ``rows`` through one row template, or None if they are not rows.
+def _rows_text(rows) -> str | None:
+    """The text of ``rows`` as a top-level key's value through one row template, or None if they are not rows.
 
     Rows are plain dicts sharing one non-empty set of string keys, each key holding only
     ``SCALAR_TEXT`` scalars or only lists and tuples of exact ints, each distinct one's text built once.
@@ -156,24 +119,21 @@ def _rows_text(rows, depth: int, breaks: list[str]) -> str | None:
     shaped = first.__class__ is dict and first and {*map(type, first)} == {str} and {*map(type, rows)} == {dict}
     if not (shaped and all(map(first.keys().__eq__, map(dict.keys, rows)))):
         return None
-    while len(breaks) < depth + 4:
-        breaks.append(breaks[-1] + "  ")
     keys, columns = sorted(first), []
-    row_break, key_break, int_break = breaks[depth + 1 : depth + 4]
     for key in keys:
         column = [row[key] for row in rows]
         kinds = {*map(type, column)}
         if kinds <= SCALAR_TEXT.keys():
             columns.append([SCALAR_TEXT[value.__class__](value) for value in column])
         elif kinds <= {list, tuple} and {*map(type, chain.from_iterable(column))} <= {int}:
-            column, join = [*map(tuple, column)], ("," + int_break).join
-            texts = {ints: f"[{int_break}{join(map(int.__repr__, ints))}{key_break}]" for ints in {*column} if ints}
+            column, join = [*map(tuple, column)], ",\n        ".join
+            texts = {ints: "[\n        " + join(map(int.__repr__, ints)) + "\n      ]" for ints in {*column} if ints}
             columns.append([texts.get(ints, "[]") for ints in column])
         else:
             return None
-    fields = ("," + key_break).join(encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
-    template = "{" + key_break + fields + row_break + "}"
-    return "[" + row_break + ("," + row_break).join(map(template.__mod__, zip(*columns))) + breaks[depth] + "]"
+    fields = ",\n      ".join(encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+    template = "{\n      " + fields + "\n    }"
+    return "[\n    " + ",\n    ".join(map(template.__mod__, zip(*columns))) + "\n  ]"
 
 
 def write_csv(path, columns, rows) -> None:

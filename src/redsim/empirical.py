@@ -27,6 +27,8 @@ from .envapi import compute_reward  # noqa: F401, E402
 
 MODEL_FORMAT = "redsim-model-v1"
 
+_MAX_PAIR_VISITS = 2**53  # the most visits a pair may hold: count_table sums them in float64, exact up to here
+
 FALLBACK_SELF = "self-transition"
 FALLBACK_REJECT = "reject-action"
 
@@ -113,9 +115,9 @@ class EmpiricalModel:
         keys must be written as ``str`` writes an int and lie in
         ``0..action_count-1``, observation keys as ``save_model`` writes
         them, in lower-case hex, observations (``x0`` included) must hold
-        ``obs_dim`` values in ``0..255``, and every count must be a positive
-        int.  Keys and ranges are checked once per distinct action
-        and observation.
+        ``obs_dim`` values in ``0..255``, every count must be a positive
+        int and a pair's counts may sum to at most ``_MAX_PAIR_VISITS``.
+        Keys and ranges are checked once per distinct action and observation.
         """
         try:
             fingerprint, obs_dim, action_count = read_network(payload, ModelError)
@@ -139,6 +141,8 @@ class EmpiricalModel:
                             raise ModelError(f"count {count!r} is not a positive integer")
                         next_obs = decoded.get(next_hex) or decoded.setdefault(next_hex, tuple(bytes.fromhex(next_hex)))
                         pair[next_obs] = count
+                    if sum(pair.values()) > _MAX_PAIR_VISITS:
+                        raise ModelError(f"counts of observation {obs_hex} action {action_str} sum past 2**53")
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ModelError(f"malformed model payload: {exc!r}") from None
         bad_keys = sorted(key for key, obs in decoded.items() if bytes(obs).hex() != key)
@@ -173,7 +177,10 @@ def build_model(
 
 
 def build_model_from_log(log_path) -> EmpiricalModel:
-    """The model of a log ``collect.read_clean_log`` accepts: its audit's counts, its manifest's dimensions and game."""
+    """The model of a log ``collect.read_clean_log`` accepts: its audit's counts, its manifest's dimensions and game.
+
+    A recorded ``reward`` and ``game`` the sim rejects, or that do not fit the model, raise ModelError.
+    """
     _, report, manifest = collect.read_clean_log(log_path)
     metadata = {
         "reward": manifest.get("reward"),
@@ -189,7 +196,10 @@ def build_model_from_log(log_path) -> EmpiricalModel:
             "observations_seen": report.unique_observations,
         },
     }
-    return _model_from_audit(report, manifest["obs_dim"], manifest["action_count"], manifest["fingerprint"], metadata)
+    model = _model_from_audit(report, manifest["obs_dim"], manifest["action_count"], manifest["fingerprint"], metadata)
+    if metadata["reward"] is not None:
+        compile_model(model, SimConfig.from_model(model))
+    return model
 
 
 def _model_from_audit(report: collect.CoverageReport, obs_dim, action_count, fingerprint, metadata) -> EmpiricalModel:
@@ -209,7 +219,7 @@ def merge_models(a: EmpiricalModel, b: EmpiricalModel) -> EmpiricalModel:
     """Pointwise count addition.  Counts form a commutative monoid under merge.
 
     Of the metadata, only the ``reward`` and ``game`` of the first source that has any are kept,
-    as ``collect.merge_logs`` keeps its first manifest's.
+    as ``collect.merge_logs`` keeps its first manifest's.  A pair summed past ``_MAX_PAIR_VISITS`` raises ModelError.
     """
     require_same_network(b, a, IncompatibleModelError, "the second model was counted in")
     if a.x0 is not None and b.x0 is not None and a.x0 != b.x0:
@@ -220,6 +230,9 @@ def merge_models(a: EmpiricalModel, b: EmpiricalModel) -> EmpiricalModel:
             summed = counts.setdefault(pair, {})
             for next_obs, count in outcomes.items():
                 summed[next_obs] = summed.get(next_obs, 0) + count
+    past = [pair for pair, outcomes in counts.items() if sum(outcomes.values()) > _MAX_PAIR_VISITS]
+    if past:
+        raise ModelError(f"merged counts of (observation, action) {past[0]} sum past 2**53")
     x0 = a.x0 if a.x0 is not None else b.x0
     source = a.metadata or b.metadata
     metadata = {key: source[key] for key in ("reward", "game") if key in source}
@@ -354,7 +367,7 @@ def count_table(model: EmpiricalModel) -> CountTable:
     next_state = np.fromiter(map(index.__getitem__, chain.from_iterable(outcomes)), dtype=np.int64)
     weight = np.fromiter(chain.from_iterable(map(dict.values, outcomes)), dtype=np.int64)
     row_state = np.repeat(np.arange(len(states)), actions)
-    visits = np.bincount(row, weight, n_rows).astype(np.int64)  # exact: a float holds any count below 2**53
+    visits = np.bincount(row, weight, n_rows).astype(np.int64)  # exact: no pair holds more than _MAX_PAIR_VISITS
     unseen = np.ones(n_rows, dtype=bool)
     unseen[row] = False
     unseen = np.flatnonzero(unseen)

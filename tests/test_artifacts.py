@@ -99,7 +99,11 @@ _row_columns = st.sampled_from([
 
 @st.composite
 def row_documents(draw):
-    """A list of dicts sharing one key set, each column drawn from a few values, maybe one row edited."""
+    """A list of dicts sharing one key set, each column drawn from a few values, maybe one row edited, in a wrapper.
+
+    The wrappers put the rows at the top or under a top-level key, beside escaped keys, nested values,
+    a second row list or an empty list.
+    """
     keys = draw(st.lists(_row_keys, min_size=1, max_size=4, unique=True))
     pools = {key: draw(st.lists(draw(_row_columns), min_size=1, max_size=3)) for key in keys}
     rows = [{key: draw(st.sampled_from(pool)) for key, pool in pools.items()} for _ in range(draw(st.integers(1, 8)))]
@@ -115,7 +119,18 @@ def row_documents(draw):
             rows[at][draw(_row_keys.filter(lambda key: key not in keys))] = value
     elif edit == "nested-value":
         rows[at][draw(st.sampled_from(keys))] = draw(st.sampled_from([{"n": [1]}, [[1]], [{"a": 1}]]))
-    return draw(st.sampled_from([rows, tuple(rows), {"n": len(rows), "pairs": rows}, [{"rows": rows}]]))
+    return draw(st.sampled_from([
+        rows,
+        tuple(rows),
+        {"n": len(rows), "pairs": rows},
+        [{"rows": rows}],
+        {draw(_row_keys): len(rows), "pairs": rows},
+        {"meta": {"z": [1, {"b": None}], "a": 0.5}, "pairs": rows},
+        {"curve": [[1, 2], {"b": -0.0}], "pairs": rows},
+        {"pairs": rows, "rows": rows[::-1]},
+        {"empty": [], "pairs": rows},
+        OrderedDict([("pairs", rows), ("n", len(rows))]),
+    ]))
 
 
 @settings(max_examples=300, deadline=None)

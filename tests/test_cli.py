@@ -725,7 +725,8 @@ def _set_first(key, value):
     return edit
 
 
-@pytest.mark.parametrize(
+# Edits of a recorded reward or game that the sim rejects, as payload edits of ``metadata``.
+_BAD_GAMES = pytest.mark.parametrize(
     "edit",
     [
         _set_meta("reward", None, "abc"),
@@ -743,6 +744,9 @@ def _set_first(key, value):
     ids=["reward-str", "game-str", "worths-str", "worth-nan-str", "worth-400-digits", "costs-0",
          "max-steps-0", "max-steps-bool", "gamma-2", "goal-index-99", "goal-index-float"],
 )
+
+
+@_BAD_GAMES
 def test_a_model_with_a_malformed_or_unfitting_game_exits_data(pipeline, tmp_path, capsys, edit):
     """A re-checksummed desk5 model whose recorded reward or game is wrong exits 5, never 0 or 1."""
     model = _rewritten(pipeline["desk5"]["model"], tmp_path, edit)
@@ -751,6 +755,55 @@ def test_a_model_with_a_malformed_or_unfitting_game_exits_data(pipeline, tmp_pat
     assert main(argv) == EXIT_DATA
     assert capsys.readouterr().err.startswith("error: invalid-dataset: ")
     assert not (tmp_path / "p.policy").exists()
+
+
+@_BAD_GAMES
+def test_a_log_with_a_malformed_or_unfitting_game_builds_no_model(pipeline, tmp_path, capsys, edit):
+    """``build-sim`` checks a recorded reward and game as ``train`` would, and exits 5 before writing."""
+    manifest = json.loads(collect.manifest_path(pipeline["desk5"]["log"]).read_text())
+    edit({"metadata": manifest})
+    log = _copy_log(pipeline["desk5"], tmp_path, manifest=json.dumps(manifest))
+    capsys.readouterr()
+    assert main(_build_sim(log, tmp_path)) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: invalid-dataset: ")
+    assert not (tmp_path / "m.model").exists()
+
+
+def _set_counts(value, times=1):
+    """A payload edit that sets ``times`` counts of the first pair with that many outcomes to ``value``."""
+    def edit(payload):
+        outcomes = next(o for row in payload["counts"].values() for o in row.values() if len(o) >= times)
+        for next_hex in [*outcomes][:times]:
+            outcomes[next_hex] = value
+    return edit
+
+
+def _model_command(command, files, model, tmp_path):
+    if command == "train":
+        return ["train", "--env", f"sim:{model}", "--episodes", "1", "--out", str(tmp_path / "p.policy")]
+    if command == "fidelity":
+        return _fidelity(model, files["scenario"], tmp_path)
+    return ["stats", str(model)]
+
+
+@pytest.mark.parametrize(
+    "edit, command",
+    [(_set_counts(2**63), "train"), (_set_counts(2**63), "fidelity"), (_set_counts(2**63), "stats"),
+     (_set_counts(2**52 + 1, times=2), "train")],
+    ids=["2**63-train", "2**63-fidelity", "2**63-stats", "two-2**52+1-train"],
+)
+def test_a_model_whose_pair_counts_sum_past_2_53_exits_data(pipeline, tmp_path, capsys, edit, command):
+    """A pair's visits are summed in float64, exact only up to 2**53: a model past that is rejected, not misread."""
+    model = _rewritten(pipeline["desk5"]["model"], tmp_path, edit)
+    capsys.readouterr()
+    assert main(_model_command(command, pipeline["desk5"], model, tmp_path)) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: invalid-dataset: ")
+
+
+def test_a_model_with_a_count_of_2_53_trains(pipeline, tmp_path):
+    model = _rewritten(pipeline["desk5"]["model"], tmp_path, _set_counts(2**53))
+    assert main(_model_command("train", pipeline["desk5"], model, tmp_path)) == EXIT_OK
+    assert 2**53 in empirical.load_model(model).table.visits.tolist()
 
 
 def test_a_policy_without_a_fingerprint_exits_artifact(pipeline, tmp_path):

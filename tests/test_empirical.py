@@ -152,6 +152,14 @@ def test_merged_model_keeps_only_the_reward_and_game_of_its_first_source(desk5, 
     assert " seed=None " in capsys.readouterr().out
 
 
+def test_merge_rejects_a_pair_whose_counts_sum_past_2_53():
+    """``load_model`` would reject such a model, so ``merge_models`` does not build it."""
+    half = EmpiricalModel(2, 1, x0=O, counts={(O, 0): {A: 2**52}})
+    assert merge_models(half, dataclasses.replace(half, counts={(O, 0): {B: 2**52}})).table.visits.tolist()[0] == 2**53
+    with pytest.raises(ModelError, match=r"sum past 2\*\*53"):
+        merge_models(half, dataclasses.replace(half, counts={(O, 0): {B: 2**52 + 1}}))
+
+
 def test_merge_rejects_mismatched_models(desk5_model, mesh):
     other = EmpiricalModel(mesh.obs_dim, len(mesh.actions), mesh.fingerprint)
     with pytest.raises(empirical.IncompatibleModelError):
