@@ -6,7 +6,8 @@ payload itself.  Canonical encoding (sorted keys, no whitespace) also
 makes re-runs byte-identical.  Reports, log manifests, run snapshots and
 curves are plain JSON (``write_json``) or CSV (``write_csv``).  json
 writes every JSON document but a top-level key's list of rows, such as a
-report's per-pair rows, which goes through one row template.
+report's per-pair rows, which goes through one row template and is
+written a row at a time.
 """
 
 from __future__ import annotations
@@ -67,8 +68,15 @@ def _check_string_keys(payload) -> None:
 
 
 def write_json(path, doc) -> None:
-    """``doc`` as JSON with sorted keys, two-space indent and a trailing newline."""
-    Path(path).write_text(_indented_json(doc) + "\n", encoding="utf-8")
+    """``doc`` as JSON with sorted keys, two-space indent and a trailing newline.
+
+    The text is written piece by piece, a report's rows one at a time, so no
+    copy of the whole document is held.  What json cannot write raises before
+    the file is opened.
+    """
+    pieces = _json_pieces(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
 
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -89,28 +97,30 @@ SCALAR_TEXT = {
 }
 
 
-def _indented_json(doc) -> str:
-    """What ``json.dumps(doc, sort_keys=True, indent=2)`` returns, a top-level key's rows written through one template.
+def _json_pieces(doc):
+    """The pieces of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, a top-level key's rows through one template.
 
     A non-empty plain dict with string keys is written one key at a time: a
-    non-empty list of rows (``_rows_text``) through the row template, any
+    non-empty list of rows (``_rows_pieces``) through the row template, any
     other value by ``json.dumps``, its lines indented one level.  Any other
     document goes to ``json.dumps`` whole, so it is written, or rejected, as
-    json would.
+    json would.  Only the rows are formatted as the pieces are read.
     """
     if not (doc.__class__ is dict and doc and {*map(type, doc)} == {str}):
-        return json.dumps(doc, sort_keys=True, indent=2)
-    chunks = []  # joined once, so the text is copied once
+        return json.dumps(doc, sort_keys=True, indent=2), "\n"
+    parts, separator = [], "{\n  "
     for key, value in sorted(doc.items()):
-        text = _rows_text(value) if value.__class__ is list and value else None
-        if text is None:
-            text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-        chunks += ",\n  ", encode_basestring_ascii(key), ": ", text
-    return "".join(("{\n  ", *chunks[1:], "\n}"))
+        rows = _rows_pieces(value) if value.__class__ is list and value else None
+        if rows is None:
+            rows = (json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "),)
+        parts += (separator, encode_basestring_ascii(key), ": "), rows
+        separator = ",\n  "
+    parts.append(("\n}\n",))
+    return chain.from_iterable(parts)
 
 
-def _rows_text(rows) -> str | None:
-    """The text of ``rows`` as a top-level key's value through one row template, or None if they are not rows.
+def _rows_pieces(rows):
+    """The text of ``rows`` as a top-level key's value, one piece per row from one template; None if they are not rows.
 
     Rows are plain dicts sharing one non-empty set of string keys, each key holding only
     ``SCALAR_TEXT`` scalars or only lists and tuples of exact ints, each distinct one's text built once.
@@ -133,7 +143,8 @@ def _rows_text(rows) -> str | None:
             return None
     fields = ",\n      ".join(encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
     template = "{\n      " + fields + "\n    }"
-    return "[\n    " + ",\n    ".join(map(template.__mod__, zip(*columns))) + "\n  ]"
+    values = zip(*columns)
+    return chain(("[\n    " + template % next(values),), map((",\n    " + template).__mod__, values), ("\n  ]",))
 
 
 def write_csv(path, columns, rows) -> None:

@@ -314,7 +314,7 @@ def _cmd_stats(args) -> int:
             kind, seed = "policy", source.train_config.get("seed")
             extra = f" algorithm={source.algorithm}"
         else:  # a transition log; its manifest names its network
-            _, report, source = collect.read_clean_log(path)
+            report, source = collect.read_clean_log(path)
             kind, seed = "log", source.get("seed")
             extra = f" steps={report.total_steps} episodes={report.episodes}"
         networks.append(envapi.network(source))

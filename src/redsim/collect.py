@@ -7,14 +7,20 @@ environment fingerprint, dimensions, totals and default reward/game
 parameters.  Logs are append-only and corruption-localizing; merging
 renumbers episodes.  Collection and merging write a dataset alike, the
 totals and start observations derived from its records.
+
+One scanner reads a log: it parses each distinct line tail once and yields
+each line's episode, step and tail.  The audit reads that stream and
+tallies counts per tail, so auditing a log, as ``build-sim`` does, builds
+no record per line; ``read_log`` builds the records from the same stream.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import re
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from pathlib import Path
 
 from . import artifacts
@@ -33,12 +39,14 @@ RECORD_FIELDS = (
     "action_success",
 )
 
-# How ``TransitionRecord.to_json`` starts a line whose episode and step are not negative.
-_CANONICAL_PREFIX = re.compile(rb'\{"episode":(0|[1-9][0-9]*),"step":(0|[1-9][0-9]*)')
-# Distinct tails ``read_log`` parses and ``write_log`` formats once.  A desk5 log has
-# about 230 and the mesh's about 10k, most lines on the first few thousand; the
-# bound keeps a log whose tails never repeat near the plain codec's time and memory.
-_MAX_TAILS = 4096
+# How ``TransitionRecord.to_json`` starts a line whose episode and step are not negative, then its tail.
+_CANONICAL_LINE = re.compile(rb'\{"episode":(0|[1-9][0-9]*),"step":(0|[1-9][0-9]*)(.*)', re.DOTALL)
+# Distinct tails ``_scan`` parses and ``write_log`` formats once.  A desk5 log has
+# 228; random mesh logs of 300 and 1,000 episodes have 6,039 and 10,332.  A kept
+# tail holds its text and its fields, about 0.75 KB for a mesh line's 160-byte
+# tail, so a full cache holds about 12 MB, more in proportion for longer lines.
+# The bound keeps a log whose tails never repeat near the plain codec's time.
+_MAX_TAILS = 16384
 
 
 def _json_value(value, other=str) -> str:
@@ -87,9 +95,14 @@ class TransitionRecord:
     def to_json(self) -> str:
         """One log line: the compact ``json.dumps`` text of the record's fields, each value from its own type.
 
-        A line depends on its record alone.  A numpy int in ``obs`` or ``action``
-        is written as its digits, and the two flags as their truth.
+        A line depends on its record alone.  A numpy int in ``episode``, ``step``,
+        ``obs`` or ``action`` is written as its digits.  A bool or float ``episode``
+        or ``step``, or a flag that is not a bool, raises TypeError: ``read_log``
+        would reject or misread its line.
         """
+        _require_indices(self.episode, self.step)
+        if self.done.__class__ is not bool or self.action_success.__class__ is not bool:
+            raise TypeError(f"done {self.done!r} and action_success {self.action_success!r} must be bools")
         return (
             f'{{"episode":{self.episode},"step":{self.step},'
             f'"obs":[{_json_values(self.obs)}],"action":{_json_value(self.action)},'
@@ -125,6 +138,13 @@ class TransitionRecord:
         except OverflowError:
             raise ValueError(f"reward {reward} is too large for a float") from None
         return cls(episode, step, tuple(obs), action, tuple(next_obs), reward, done, success)
+
+
+def _require_indices(episode, step) -> None:
+    """Raise TypeError unless ``episode`` and ``step`` are ints or numpy ints, the values a line writes as digits."""
+    for name, value in (("episode", episode), ("step", step)):
+        if value.__class__ is bool or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} {value!r} must be an int")
 
 
 def manifest_path(log_path) -> Path:
@@ -166,11 +186,15 @@ def write_log(records, log_path) -> None:
     A record whose fields after ``"step":S`` are the very objects of an earlier record's
     (a world, a sim and ``read_log`` share them) reuses its text, up to ``_MAX_TAILS``
     tails; equal values of other types or signs (1, 1.0, True; 0.0, -0.0) are other objects.
+    A record ``to_json`` rejects raises its TypeError.
     """
     tails: dict[tuple, tuple] = {}  # ids of those fields -> (the fields, kept so no id is reused; the tail)
     with open(log_path, "w", encoding="utf-8") as fh:
         for rec in records:
-            head = f'{{"episode":{rec.episode},"step":{rec.step}'
+            episode, step = rec.episode, rec.step
+            if episode.__class__ is not int or step.__class__ is not int:
+                _require_indices(episode, step)
+            head = f'{{"episode":{episode},"step":{step}'
             fields = (rec.obs, rec.action, rec.next_obs, rec.reward, rec.done, rec.action_success)
             key = tuple(map(id, fields))
             kept = tails.get(key)
@@ -181,47 +205,53 @@ def write_log(records, log_path) -> None:
             fh.write(head + kept[1])
 
 
-def read_log(log_path):
-    """Parse a JSONL log strictly; corrupt lines, also lines that are not UTF-8, raise LogValidationError.
+def read_log(log_path) -> list:
+    """Parse a JSONL log strictly, one record per ``_scan`` row; corrupt lines raise LogValidationError."""
+    return [TransitionRecord(episode, step, *fields) for episode, step, _, fields in _scan(log_path)]
 
-    A log repeats few texts after the ``{"episode":E,"step":S`` prefix of
-    its lines.  Once a line that is exactly what ``TransitionRecord.to_json``
-    writes has been parsed, its tail's fields are kept, and later such lines
-    with that tail skip ``json.loads``.  Every other line is parsed in full,
-    so records, errors and line numbers are those of ``json.loads`` plus
-    ``TransitionRecord.from_obj``.
+
+def _scan(log_path):
+    """Yield ``(episode, step, key, fields)`` for each non-blank line of a log, then raise for corrupt lines.
+
+    ``fields`` is ``(obs, action, next_obs, reward, done, action_success)``.
+    A log repeats few texts after the ``{"episode":E,"step":S`` prefix of its
+    lines.  Once a line exactly as ``TransitionRecord.to_json`` writes it has
+    been parsed, its tail's fields are kept, up to ``_MAX_TAILS`` tails, and
+    later lines with that tail skip ``json.loads``: their key is the tail,
+    their fields the kept objects.  Any other line is parsed in full, also
+    one not UTF-8, and keyed by its ``(obs, action, next_obs)``.
     """
-    records = []
     bad: list[tuple[int, str]] = []
-    tails: dict[bytes, tuple] = {}  # canonical tail -> (obs, action, next_obs, reward, done, action_success)
+    tails: dict[bytes, tuple] = {}  # canonical tail -> its fields
+    match, kept = _CANONICAL_LINE.match, tails.get
     with open(log_path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+        for lineno, line in enumerate(map(bytes.strip, fh), start=1):
             if not line:
                 continue
-            prefix = _CANONICAL_PREFIX.match(line)
-            tail = line[prefix.end():] if prefix else None
-            fields = tails.get(tail)
-            try:
+            canonical = match(line)
+            if canonical:
+                episode, step, tail = canonical.groups()
+                fields = kept(tail)
                 if fields is not None:
-                    rec = TransitionRecord(int(prefix[1]), int(prefix[2]), *fields)
-                else:
-                    rec = TransitionRecord.from_obj(json.loads(line.decode("utf-8")))
-                    if tail is not None and len(tails) < _MAX_TAILS and rec.to_json().encode() == line:
-                        tails[tail] = (
-                            rec.obs, rec.action, rec.next_obs, rec.reward, rec.done, rec.action_success
-                        )
+                    yield int(episode), int(step), tail, fields
+                    continue
+            try:
+                rec = TransitionRecord.from_obj(json.loads(line.decode("utf-8")))
             except (ValueError, TypeError) as exc:  # UnicodeDecodeError and JSONDecodeError too
                 bad.append((lineno, str(exc)))
                 continue
-            records.append(rec)
+            fields = rec.obs, rec.action, rec.next_obs, rec.reward, rec.done, rec.action_success
+            key = fields[:3]
+            if canonical and len(tails) < _MAX_TAILS and rec.to_json().encode() == line:
+                tails[tail] = fields
+                key = tail
+            yield rec.episode, rec.step, key, fields
     if bad:
         lines = [ln for ln, _ in bad]
         detail = "; ".join(f"line {ln}: {msg}" for ln, msg in bad[:5])
         raise LogValidationError(
             f"{len(bad)} corrupt record(s) in {log_path} ({detail})", lines=lines
         )
-    return records
 
 
 # --- collection policies ---------------------------------------------------
@@ -322,20 +352,26 @@ def _require_compatible(manifests) -> None:
 def merge_logs(log_paths, out_path) -> CollectionResult:
     """Concatenate logs from the same environment, renumbering episodes.
 
-    Each source is read by ``read_clean_log``, so one that fails its audit
-    raises LogValidationError and nothing is written.
+    Each source is scanned once and audited as ``read_clean_log`` audits it,
+    so one that fails its audit raises LogValidationError and nothing is written.
     """
     if not log_paths:
         raise ValueError("need at least one log to merge")
-    sources = [read_clean_log(p) for p in log_paths]
-    manifests = [manifest for _, _, manifest in sources]
+    sources = []
+    for path in log_paths:
+        rows = list(_scan(path))
+        sources.append((rows, _clean(path, rows.__iter__)[1]))
+    manifests = [manifest for _, manifest in sources]
     _require_compatible(manifests)
 
     merged: list[TransitionRecord] = []
     offset = 0
-    for records, _, _ in sources:  # each source's episodes in order of first appearance, after those merged so far
+    for rows, _ in sources:  # each source's episodes in order of first appearance, after those merged so far
         remap: dict[int, int] = {}
-        merged += [replace(rec, episode=remap.setdefault(rec.episode, offset + len(remap))) for rec in records]
+        merged += [
+            TransitionRecord(remap.setdefault(episode, offset + len(remap)), step, *fields)
+            for episode, step, _, fields in rows
+        ]
         offset += len(remap)
 
     policy = "merged(" + ", ".join(m.get("policy", "?") for m in manifests) + ")"
@@ -378,20 +414,24 @@ def validate_log(log_path) -> CoverageReport:
     (broken observation chains, step numbering gaps) are reported, not
     raised, so a tampered line is pinpointed rather than fatal.
     """
-    return audit_records(read_log(log_path), log_path, _manifest_or_error(log_path)[0])
+    return _audit_log(log_path, partial(_scan, log_path))[0]
 
 
-def read_clean_log(log_path) -> tuple[list, CoverageReport, dict]:
-    """The records, audit and manifest of a log that passes its audit.
+def read_clean_log(log_path) -> tuple[CoverageReport, dict]:
+    """The audit and manifest of a log that passes its audit.
 
-    The log is parsed once and audited as ``validate_log`` audits it: a
-    log that fails raises LogValidationError, even when its manifest is
-    missing or not JSON.  Only a clean log without a readable manifest
-    raises the manifest's own error.  The manifest is read once.
+    The log is scanned once and audited as ``validate_log`` audits it, and
+    no record is built: a log that fails raises LogValidationError, even when
+    its manifest is missing or not JSON.  Only a clean log without a
+    readable manifest raises the manifest's own error.  The manifest is
+    read once, after the scan, so a corrupt line outranks it.
     """
-    records = read_log(log_path)
-    manifest, error = _manifest_or_error(log_path)
-    report = audit_records(records, log_path, manifest)
+    return _clean(log_path, partial(_scan, log_path))
+
+
+def _clean(log_path, rows) -> tuple[CoverageReport, dict]:
+    """``read_clean_log`` on the ``_scan`` rows of ``log_path`` that ``rows()`` yields."""
+    report, manifest, error = _audit_log(log_path, rows)
     if not report.clean:
         raise LogValidationError(
             f"log failed validation: {len(report.chain_violations)} chain violations, "
@@ -399,7 +439,18 @@ def read_clean_log(log_path) -> tuple[list, CoverageReport, dict]:
         )
     if error is not None:
         raise error
-    return records, report, manifest
+    return report, manifest
+
+
+def _audit_log(log_path, rows) -> tuple[CoverageReport, dict | None, Exception | None]:
+    """The audit of the ``_scan`` rows of ``log_path`` that ``rows()`` yields, and the log's manifest.
+
+    The manifest is read after the rows, and returned with None, or as None with its error.
+    """
+    report = _audit(rows())
+    manifest, error = _manifest_or_error(log_path)
+    _check_manifest(report, manifest, log_path, rows)
+    return report, manifest, error
 
 
 def _manifest_or_error(log_path) -> tuple[dict | None, Exception | None]:
@@ -413,8 +464,9 @@ def _manifest_or_error(log_path) -> tuple[dict | None, Exception | None]:
 def audit_records(records, log_path, manifest: dict | None) -> CoverageReport:
     """The audit behind ``validate_log``, on records already parsed from ``log_path``.
 
-    The one pass that checks chains and steps also tallies ``counts``.
-    ``manifest`` is the log's manifest, or None when it is missing,
+    The records go through the audit of a log's lines, each keyed by its
+    ``(obs, action, next_obs)``, so they give the report their log's lines
+    give.  ``manifest`` is the log's manifest, or None when it is missing,
     unreadable or not JSON, which leaves only the manifest checks out, so
     chain and step errors outrank it, and lets ``records`` be any iterable.
     With a manifest, ``records`` is a list, and records whose action lies
@@ -422,43 +474,71 @@ def audit_records(records, log_path, manifest: dict | None) -> CoverageReport:
     ``obs_dim`` in length or hold values outside ``0..255``, raise
     LogValidationError naming their 1-based line numbers in ``log_path``.
     """
-    counts: dict[tuple[Observation, int], dict[Observation, int]] = {}
+    rows = partial(_record_rows, records)
+    report = _audit(rows())
+    _check_manifest(report, manifest, log_path, rows)
+    return report
+
+
+def _record_rows(records):
+    """The rows ``_scan`` would yield for ``records``, each keyed by its ``(obs, action, next_obs)``."""
+    for rec in records:
+        key = rec.obs, rec.action, rec.next_obs
+        yield rec.episode, rec.step, key, key
+
+
+def _audit(rows) -> CoverageReport:
+    """The one pass over ``(episode, step, key, fields)`` rows that checks chains and steps and tallies ``counts``.
+
+    A key stands for the ``(obs, action, next_obs)`` of its fields' first
+    three values; lines are tallied per key, and the current episode's last
+    step and next observation are kept in locals.  The tallies are then
+    folded into ``counts`` in order of first appearance.
+    """
+    tally: dict = {}  # key -> [its lines, the fields of its first]
     starts: set[Observation] = set()
     chain_violations: list[tuple[int, int]] = []
     step_gaps: list[tuple[int, int]] = []
-    last: dict[int, TransitionRecord] = {}
+    last: dict = {}  # episode -> (step, next_obs) of its last line; the current episode's is in locals
+    nothing = object()
+    episode_now, step_now, next_now = nothing, nothing, None
 
-    for rec in records:
-        outcomes = counts.setdefault((rec.obs, rec.action), {})
-        outcomes[rec.next_obs] = outcomes.get(rec.next_obs, 0) + 1
-        prev = last.get(rec.episode)
-        if rec.step == 0:
-            starts.add(rec.obs)
-            if prev is not None:
-                step_gaps.append((rec.episode, rec.step))
+    for episode, step, key, fields in rows:
+        seen = tally.get(key)
+        if seen is None:
+            tally[key] = [1, fields]
         else:
-            if prev is None or prev.step != rec.step - 1:
-                step_gaps.append((rec.episode, rec.step))
-            elif prev.next_obs != rec.obs:
-                chain_violations.append((rec.episode, rec.step))
-        last[rec.episode] = rec
+            seen[0] += 1
+        if episode != episode_now:
+            if episode_now is not nothing:
+                last[episode_now] = step_now, next_now
+            episode_now = episode
+            step_now, next_now = last.get(episode, (nothing, None))
+        obs = fields[0]
+        if step == 0:
+            starts.add(obs)
+            if step_now is not nothing:
+                step_gaps.append((episode, step))
+        elif step_now != step - 1:
+            step_gaps.append((episode, step))
+        elif next_now != obs:
+            chain_violations.append((episode, step))
+        step_now, next_now = step, fields[2]
+    if episode_now is not nothing:
+        last[episode_now] = step_now, next_now
 
-    report = CoverageReport(
-        total_steps=sum(sum(outcomes.values()) for outcomes in counts.values()),
+    counts: dict[tuple[Observation, int], dict[Observation, int]] = {}
+    for n, fields in tally.values():
+        outcomes = counts.setdefault((fields[0], fields[1]), {})
+        outcomes[fields[2]] = outcomes.get(fields[2], 0) + n
+    return CoverageReport(
+        total_steps=sum(n for n, _ in tally.values()),
         episodes=len(last),
         counts=counts,
         start_observations=sorted(starts),
         chain_violations=chain_violations,
         step_gaps=step_gaps,
     )
-    if manifest is not None:
-        _check_ranges(records, manifest, counts, log_path)
-        report.manifest_consistent = (
-            manifest.get("total_steps") == report.total_steps
-            and manifest.get("episodes") == report.episodes
-            and manifest.get("o0") == [list(o) for o in report.start_observations]
-        )
-    return report
 
 
 def observations_in(counts: dict) -> set[Observation]:
@@ -466,35 +546,43 @@ def observations_in(counts: dict) -> set[Observation]:
     return {obs for obs, _ in counts}.union(*counts.values())
 
 
-def _check_ranges(records: list, manifest: dict, counts: dict, log_path) -> None:
-    """Raise LogValidationError for records the manifest's dimensions cannot hold.
+def _check_manifest(report: CoverageReport, manifest: dict | None, log_path, rows) -> None:
+    """Check the audit of the rows ``rows()`` yields against ``manifest``, if there is one.
 
-    Checks the distinct actions and observations of ``counts``, and walks the records
-    (and the log, for its blank lines) again only to number the bad ones.
+    Records the manifest's dimensions cannot hold raise LogValidationError:
+    the distinct actions and observations of the counts are checked, and the
+    rows walked again (and the log, for its blank lines) only to number the
+    bad ones.  The totals set ``manifest_consistent``.
     """
+    if manifest is None:
+        return
     obs_dim = manifest["obs_dim"]
     valid_actions = range(manifest["action_count"])
-    bad_actions = {a for _, a in counts if a not in valid_actions}
+    bad_actions = {a for _, a in report.counts if a not in valid_actions}
     bad_obs = {
-        o for o in observations_in(counts) if len(o) != obs_dim or not all(0 <= v <= 255 for v in o)
+        o for o in observations_in(report.counts) if len(o) != obs_dim or not all(0 <= v <= 255 for v in o)
     }
-    if not bad_actions and not bad_obs:
-        return
-    positions = [
-        n
-        for n, rec in enumerate(records, start=1)
-        if rec.action in bad_actions or rec.obs in bad_obs or rec.next_obs in bad_obs
-    ]
-    lines = _record_line_numbers(log_path, positions)
-    raise LogValidationError(
-        f"{len(lines)} record(s) out of range for obs_dim={obs_dim}, "
-        f"action_count={manifest['action_count']} (first at line {lines[0]})",
-        lines=lines,
+    if bad_actions or bad_obs:
+        positions = [
+            n
+            for n, (_, _, _, fields) in enumerate(rows(), start=1)
+            if fields[1] in bad_actions or fields[0] in bad_obs or fields[2] in bad_obs
+        ]
+        lines = _record_line_numbers(log_path, positions)
+        raise LogValidationError(
+            f"{len(lines)} record(s) out of range for obs_dim={obs_dim}, "
+            f"action_count={manifest['action_count']} (first at line {lines[0]})",
+            lines=lines,
+        )
+    report.manifest_consistent = (
+        manifest.get("total_steps") == report.total_steps
+        and manifest.get("episodes") == report.episodes
+        and manifest.get("o0") == [list(o) for o in report.start_observations]
     )
 
 
 def _record_line_numbers(log_path, positions: list) -> list:
-    """File line numbers of the records at 1-based ``positions``; ``read_log`` skips blank lines."""
+    """File line numbers of the records at 1-based ``positions``; ``_scan`` skips blank lines."""
     with open(log_path, "rb") as fh:
         record_lines = [n for n, line in enumerate(fh, start=1) if line.strip()]
     return [record_lines[p - 1] for p in positions]

@@ -181,7 +181,7 @@ def build_model_from_log(log_path) -> EmpiricalModel:
 
     A recorded ``reward`` and ``game`` the sim rejects, or that do not fit the model, raise ModelError.
     """
-    _, report, manifest = collect.read_clean_log(log_path)
+    report, manifest = collect.read_clean_log(log_path)
     metadata = {
         "reward": manifest.get("reward"),
         "game": manifest.get("game"),

@@ -372,17 +372,18 @@ def test_float_arguments_accept_their_bounds():
 
 
 def test_build_sim_parses_the_log_once(scenario_file, tmp_path, monkeypatch):
+    """build-sim scans the log once, through one audit, and builds no list of records."""
     data = _collect(scenario_file, tmp_path, episodes=20)
     calls = []
-    read_log = collect.read_log
 
-    def counting_read_log(path):
-        calls.append(path)
-        return read_log(path)
+    def counting(name):
+        original = getattr(collect, name)
+        monkeypatch.setattr(collect, name, lambda *args: calls.append(name) or original(*args))
 
-    monkeypatch.setattr(collect, "read_log", counting_read_log)
+    for name in ("_scan", "_audit", "read_log"):
+        counting(name)
     _build(data, tmp_path)
-    assert len(calls) == 1
+    assert calls == ["_scan", "_audit"]
 
 
 def _drop_line(index):

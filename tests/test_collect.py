@@ -43,7 +43,7 @@ def test_read_clean_log_reads_the_manifest_once(desk5, tmp_path, monkeypatch):
     result = _collect(desk5, 5, 1, out=tmp_path / "d.jsonl")
     read_manifest, paths = collect.read_manifest, []
     monkeypatch.setattr(collect, "read_manifest", lambda path: paths.append(path) or read_manifest(path))
-    assert collect.read_clean_log(result.log_path)[2] == result.manifest
+    assert collect.read_clean_log(result.log_path)[1] == result.manifest
     assert paths == [result.log_path]
 
 

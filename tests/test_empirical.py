@@ -683,16 +683,15 @@ def test_audit_counts_are_the_models_counts(records):
 
 
 def test_build_model_from_log_counts_in_the_audits_pass(desk5_dataset, monkeypatch):
-    audits = []
-    audit_records = collect.audit_records
-
-    def counting_audit(records, log_path, manifest):
-        audits.append(log_path)
-        return audit_records(records, log_path, manifest)
-
-    monkeypatch.setattr(collect, "audit_records", counting_audit)
+    """One scan of the log feeds one audit, whose counts the model keeps."""
+    scans, audits = [], []
+    scan, audit = collect._scan, collect._audit
+    monkeypatch.setattr(collect, "_scan", lambda log_path: scans.append(log_path) or scan(log_path))
+    monkeypatch.setattr(collect, "_audit", lambda rows: audits.append(rows) or audit(rows))
     model = empirical.build_model_from_log(desk5_dataset.log_path)
-    assert audits == [desk5_dataset.log_path]
+    assert scans == [desk5_dataset.log_path]
+    assert len(audits) == 1
+    assert model.counts == collect.validate_log(desk5_dataset.log_path).counts
     assert model.total_transitions == desk5_dataset.manifest["total_steps"]
     stats = model_stats(model)
     assert model.metadata["build_stats"] == {

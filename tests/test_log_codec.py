@@ -4,18 +4,20 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import astuple, replace
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from redsim import collect, presets
 from redsim.cli import EXIT_OK, main
-from redsim.collect import LogValidationError, TransitionRecord, manifest_path, read_log
+from redsim.collect import LOG_FORMAT, LogValidationError, TransitionRecord, manifest_path, read_log, validate_log
 
 observations = st.lists(st.integers(0, 255), min_size=0, max_size=20).map(tuple)
 rewards = st.one_of(
@@ -80,6 +82,29 @@ def test_a_line_depends_on_its_record_alone(tmp_path):
     collect.write_log([ints, other], tmp_path / "d.jsonl")
     assert (tmp_path / "d.jsonl").read_text(encoding="utf-8") == _dumps_reference(ints) + "\n" + fresh
     assert fresh == _dumps_reference(other) + "\n"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("episode", True), ("step", 1.0), ("done", 1), ("action_success", np.True_)],
+    ids=["bool-episode", "float-step", "int-done", "numpy-bool-action-success"],
+)
+def test_a_record_that_no_line_can_hold_raises_type_error(tmp_path, field, value):
+    """``{"episode":True``, ``"step":1.0`` and ``"done":true`` for 1 are lines ``read_log`` rejects or misreads."""
+    rec = replace(TransitionRecord(0, 0, (1, 0), 1, (1, 1), -1.0, False, True), **{field: value})
+    with pytest.raises(TypeError, match=field):
+        rec.to_json()
+    good = TransitionRecord(0, 0, (1, 0), 1, (1, 1), -1.0, False, True)
+    with pytest.raises(TypeError, match=field):
+        collect.write_log([good, rec], tmp_path / "d.jsonl")
+
+
+def test_numpy_int_episode_and_step_are_written_as_digits(tmp_path):
+    rec = TransitionRecord(np.int64(3), np.uint8(7), (1, 0), np.int32(1), (1, 1), -1.0, False, True)
+    collect.write_log([rec], tmp_path / "d.jsonl")
+    assert (tmp_path / "d.jsonl").read_text(encoding="utf-8") == rec.to_json() + "\n" == _dumps_reference(
+        replace(rec, episode=3, step=7, action=1)
+    ) + "\n"
 
 
 def _read_log_reference(path):
@@ -171,8 +196,12 @@ def _check_read_log_matches_reference(path):
     if not bad:
         assert [repr(rec) for rec in read_log(path)] == [repr(rec) for rec in expected]
         return
+    _check_raises_reference_error(read_log, path, bad)
+
+
+def _check_raises_reference_error(read, path, bad):
     with pytest.raises(LogValidationError) as excinfo:
-        read_log(path)
+        read(path)
     assert excinfo.value.lines == [lineno for lineno, _ in bad]
     for lineno, message in bad[:5]:
         assert f"line {lineno}: {message}" in str(excinfo.value)
@@ -196,6 +225,99 @@ def test_read_log_matches_json_loads_per_line(tmp_path_factory, lines, newline, 
     path.write_bytes(b"".join(line + newline for line in lines))
     with mock.patch.object(collect, "_MAX_TAILS", max_tails):
         _check_read_log_matches_reference(path)
+
+
+def _audit_reference(records):
+    """The audit as a plain loop over records: counts in order of first appearance, starts, chain and step checks."""
+    counts, starts, chain_violations, step_gaps, last = {}, set(), [], [], {}
+    for rec in records:
+        outcomes = counts.setdefault((rec.obs, rec.action), {})
+        outcomes[rec.next_obs] = outcomes.get(rec.next_obs, 0) + 1
+        prev = last.get(rec.episode)
+        if rec.step == 0:
+            starts.add(rec.obs)
+            if prev is not None:
+                step_gaps.append((rec.episode, rec.step))
+        elif prev is None or prev.step != rec.step - 1:
+            step_gaps.append((rec.episode, rec.step))
+        elif prev.next_obs != rec.obs:
+            chain_violations.append((rec.episode, rec.step))
+        last[rec.episode] = rec
+    return _ordered(counts), sorted(starts), chain_violations, step_gaps, len(last)
+
+
+def _ordered(counts):
+    """A count table as nested lists, so that comparing two compares their orders too."""
+    return [(pair, list(outcomes.items())) for pair, outcomes in counts.items()]
+
+
+def _renumbered(lines, length):
+    """The lines, their ``{"episode":E,"step":S`` prefixes renumbered to run through episodes of ``length`` steps."""
+    return [
+        re.sub(rb'^\{"episode":[0-9]+,"step":[0-9]+', b'{"episode":%d,"step":%d' % divmod(i, length), line, count=1)
+        for i, line in enumerate(lines)
+    ]
+
+
+# A manifest for a generated log: none, or one whose dimensions may leave some
+# of its actions and observations out of range, with its totals right or not.
+_manifest_specs = st.none() | st.tuples(st.integers(1, 3), st.integers(1, 4), st.booleans())
+
+
+@settings(deadline=None)
+@given(
+    log_lines(),
+    st.sampled_from([None, 1, 3, 8]),
+    st.lists(st.integers(0, 30), max_size=3),
+    st.sampled_from([b"\n", b"\r\n", b" \n"]),
+    st.sampled_from([0, 1, collect._MAX_TAILS]),
+    _manifest_specs,
+)
+def test_validate_log_audits_lines_as_audit_records_audits_their_records(
+    tmp_path_factory, lines, episode_length, blanks, newline, max_tails, spec
+):
+    """The one-pass audit of a log's lines reports what the audit of its records reports, or raises what it raises.
+
+    Renumbered lines run through whole episodes, whose observation chains hold or break.
+    """
+    lines = _renumbered(lines, episode_length) if episode_length else list(lines)
+    for at in blanks:
+        lines.insert(at, b"")
+    path = tmp_path_factory.mktemp("log") / "d.jsonl"
+    path.write_bytes(b"".join(line + newline for line in lines))
+    expected, bad = _read_log_reference(path)
+    manifest = None
+    if spec is not None:
+        obs_dim, action_count, totals_right = spec
+        starts = sorted({rec.obs for rec in expected if rec.step == 0})
+        manifest = {
+            "format": LOG_FORMAT,
+            "fingerprint": "f",
+            "obs_dim": obs_dim,
+            "action_count": action_count,
+            "total_steps": len(expected) if totals_right else -1,
+            "episodes": len({rec.episode for rec in expected}),
+            "o0": [list(o) for o in starts],
+        }
+        manifest_path(path).write_text(json.dumps(manifest), encoding="utf-8")
+    with mock.patch.object(collect, "_MAX_TAILS", max_tails):
+        if bad:
+            _check_raises_reference_error(validate_log, path, bad)
+            return
+        try:
+            want = collect.audit_records(expected, path, manifest)
+        except LogValidationError as exc:
+            with pytest.raises(LogValidationError) as excinfo:
+                validate_log(path)
+            assert (excinfo.value.lines, str(excinfo.value)) == (exc.lines, str(exc))
+            return
+        got = validate_log(path)
+    assert got == want
+    assert _ordered(got.counts) == _ordered(want.counts)
+    assert (_ordered(want.counts), want.start_observations, want.chain_violations, want.step_gaps, want.episodes) == (
+        _audit_reference(expected)
+    )
+    assert want.manifest_consistent == (None if spec is None else spec[2])
 
 
 # Values equal as numbers but written otherwise; no two may share a tail.
@@ -244,6 +366,26 @@ def test_read_log_parses_each_distinct_tail_once(tmp_path, monkeypatch):
     monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
     assert read_log(log) == expected
     assert 0 < len(calls) <= len(tails) < len(lines) // 10
+
+
+def test_a_mesh_log_formats_and_parses_each_distinct_tail_once(tmp_path, monkeypatch):
+    """A 300-episode random mesh log holds more distinct tails than a desk5 log; all of them fit the caches."""
+    scenario = tmp_path / "mesh.json"
+    scenario.write_text(json.dumps(presets.mesh_scenario()), encoding="utf-8")
+    log = tmp_path / "d.jsonl"
+    formatted, to_json = [], TransitionRecord.to_json
+    monkeypatch.setattr(TransitionRecord, "to_json", lambda rec: formatted.append(rec) or to_json(rec))
+    argv = ["collect", "--scenario", str(scenario), "--episodes", "300", "--seed", "1", "--out", str(log)]
+    assert main(argv) == EXIT_OK
+    lines = log.read_bytes().splitlines()
+    tails = {line[line.index(b',"obs":'):] for line in lines}
+    assert len(formatted) == len(tails) > 4096
+    expected = [TransitionRecord.from_obj(json.loads(line)) for line in lines]
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+    assert read_log(log) == expected
+    assert len(calls) == len(tails) < len(lines)
 
 
 # sha256 of a 120-episode log, its manifest and the model built from it, per
