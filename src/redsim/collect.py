@@ -9,9 +9,11 @@ renumbers episodes.  Collection and merging write a dataset alike, the
 totals and start observations derived from its records.
 
 One scanner reads a log: it parses each distinct line tail once and yields
-each line's episode, step and tail.  The audit reads that stream and
-tallies counts per tail, so auditing a log, as ``build-sim`` does, builds
-no record per line; ``read_log`` builds the records from the same stream.
+one flat row per line, ``(lineno, episode, step, key, fields)``.  The audit
+reads that stream and tallies counts per key, so auditing a log, as
+``build-sim`` does, builds no record per line; ``read_log`` and
+``merge_logs`` build the records from the same rows.  ``audit_records``
+runs the same audit on records, with no line numbers and no manifest.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import numbers
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 from . import artifacts
@@ -49,20 +51,9 @@ _CANONICAL_LINE = re.compile(rb'\{"episode":(0|[1-9][0-9]*),"step":(0|[1-9][0-9]
 _MAX_TAILS = 16384
 
 
-def _json_value(value, other=str) -> str:
-    """json's text of an int, bool, float, string or None; ``other``'s of any other value."""
-    return artifacts.SCALAR_TEXT.get(value.__class__, other)(value)
-
-
-def _json_values(values) -> str:
-    """The comma-joined ``_json_value`` texts of an observation's values."""
-    exact = values.__class__ is tuple and {*map(type, values)} == {int}
-    return _json_ints(values) if exact else ",".join(map(_json_value, values))
-
-
 @lru_cache(maxsize=4096)
 def _json_ints(values: tuple) -> str:
-    """Comma-joined text of a tuple of exact ints, the only kind memoised: no bool or float meets an equal int's text."""
+    """Comma-joined text of a tuple of ints; ``_require_ints`` keeps out equal bools and floats, written otherwise."""
     return ",".join(map(int.__repr__, values))
 
 
@@ -93,22 +84,26 @@ class TransitionRecord:
     action_success: bool
 
     def to_json(self) -> str:
-        """One log line: the compact ``json.dumps`` text of the record's fields, each value from its own type.
+        """One log line: the compact ``json.dumps`` text of the record's fields.
 
         A line depends on its record alone.  A numpy int in ``episode``, ``step``,
-        ``obs`` or ``action`` is written as its digits.  A bool or float ``episode``
-        or ``step``, or a flag that is not a bool, raises TypeError: ``read_log``
-        would reject or misread its line.
+        ``action`` or an observation is written as its digits.  Any other value
+        there that is not an int (a bool or float too), a bool ``reward``, or a
+        flag that is not a bool raises TypeError: ``read_log`` would reject or
+        misread its line.
         """
-        _require_indices(self.episode, self.step)
-        if self.done.__class__ is not bool or self.action_success.__class__ is not bool:
-            raise TypeError(f"done {self.done!r} and action_success {self.action_success!r} must be bools")
+        _require_ints(episode=self.episode, step=self.step, obs=self.obs, action=self.action, next_obs=self.next_obs)
+        reward, done, success = self.reward, self.done, self.action_success
+        if reward.__class__ is bool or done.__class__ is not bool or success.__class__ is not bool:
+            raise TypeError(
+                f"reward {reward!r} must not be a bool, and done {done!r} and action_success {success!r} bools"
+            )
         return (
             f'{{"episode":{self.episode},"step":{self.step},'
-            f'"obs":[{_json_values(self.obs)}],"action":{_json_value(self.action)},'
-            f'"next_obs":[{_json_values(self.next_obs)}],"reward":{_json_value(self.reward, json.dumps)},'
-            f'"done":{"true" if self.done else "false"},'
-            f'"action_success":{"true" if self.action_success else "false"}}}'
+            f'"obs":[{_json_ints(tuple(map(int, self.obs)))}],"action":{self.action},'
+            f'"next_obs":[{_json_ints(tuple(map(int, self.next_obs)))}],'
+            f'"reward":{artifacts.SCALAR_TEXT.get(reward.__class__, json.dumps)(reward)},'
+            f'"done":{"true" if done else "false"},"action_success":{"true" if success else "false"}}}'
         )
 
     @classmethod
@@ -140,11 +135,12 @@ class TransitionRecord:
         return cls(episode, step, tuple(obs), action, tuple(next_obs), reward, done, success)
 
 
-def _require_indices(episode, step) -> None:
-    """Raise TypeError unless ``episode`` and ``step`` are ints or numpy ints, the values a line writes as digits."""
-    for name, value in (("episode", episode), ("step", step)):
-        if value.__class__ is bool or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} {value!r} must be an int")
+def _require_ints(**fields) -> None:
+    """Raise TypeError unless each field, or each value of an ``obs`` field, is an int or a numpy int."""
+    for name, field in fields.items():
+        for value in field if name.endswith("obs") else (field,):
+            if value.__class__ is not int and (value.__class__ is bool or not isinstance(value, numbers.Integral)):
+                raise TypeError(f"{name} {field!r} must {'be an int' if value is field else 'hold ints'}")
 
 
 def manifest_path(log_path) -> Path:
@@ -193,7 +189,7 @@ def write_log(records, log_path) -> None:
         for rec in records:
             episode, step = rec.episode, rec.step
             if episode.__class__ is not int or step.__class__ is not int:
-                _require_indices(episode, step)
+                _require_ints(episode=episode, step=step)
             head = f'{{"episode":{episode},"step":{step}'
             fields = (rec.obs, rec.action, rec.next_obs, rec.reward, rec.done, rec.action_success)
             key = tuple(map(id, fields))
@@ -207,12 +203,13 @@ def write_log(records, log_path) -> None:
 
 def read_log(log_path) -> list:
     """Parse a JSONL log strictly, one record per ``_scan`` row; corrupt lines raise LogValidationError."""
-    return [TransitionRecord(episode, step, *fields) for episode, step, _, fields in _scan(log_path)]
+    return [TransitionRecord(episode, step, *fields) for _, episode, step, _, fields in _scan(log_path)]
 
 
 def _scan(log_path):
-    """Yield ``(episode, step, key, fields)`` for each non-blank line of a log, then raise for corrupt lines.
+    """Yield ``(lineno, episode, step, key, fields)`` for each non-blank line of a log, then raise for corrupt lines.
 
+    ``lineno`` is the line's 1-based number in the file, blank lines counted;
     ``fields`` is ``(obs, action, next_obs, reward, done, action_success)``.
     A log repeats few texts after the ``{"episode":E,"step":S`` prefix of its
     lines.  Once a line exactly as ``TransitionRecord.to_json`` writes it has
@@ -233,7 +230,7 @@ def _scan(log_path):
                 episode, step, tail = canonical.groups()
                 fields = kept(tail)
                 if fields is not None:
-                    yield int(episode), int(step), tail, fields
+                    yield lineno, int(episode), int(step), tail, fields
                     continue
             try:
                 rec = TransitionRecord.from_obj(json.loads(line.decode("utf-8")))
@@ -245,7 +242,7 @@ def _scan(log_path):
             if canonical and len(tails) < _MAX_TAILS and rec.to_json().encode() == line:
                 tails[tail] = fields
                 key = tail
-            yield rec.episode, rec.step, key, fields
+            yield lineno, rec.episode, rec.step, key, fields
     if bad:
         lines = [ln for ln, _ in bad]
         detail = "; ".join(f"line {ln}: {msg}" for ln, msg in bad[:5])
@@ -360,7 +357,7 @@ def merge_logs(log_paths, out_path) -> CollectionResult:
     sources = []
     for path in log_paths:
         rows = list(_scan(path))
-        sources.append((rows, _clean(path, rows.__iter__)[1]))
+        sources.append((rows, _clean(path, rows)[1]))
     manifests = [manifest for _, manifest in sources]
     _require_compatible(manifests)
 
@@ -370,7 +367,7 @@ def merge_logs(log_paths, out_path) -> CollectionResult:
         remap: dict[int, int] = {}
         merged += [
             TransitionRecord(remap.setdefault(episode, offset + len(remap)), step, *fields)
-            for episode, step, _, fields in rows
+            for _, episode, step, _, fields in rows
         ]
         offset += len(remap)
 
@@ -414,7 +411,7 @@ def validate_log(log_path) -> CoverageReport:
     (broken observation chains, step numbering gaps) are reported, not
     raised, so a tampered line is pinpointed rather than fatal.
     """
-    return _audit_log(log_path, partial(_scan, log_path))[0]
+    return _audit_log(log_path, _scan(log_path))[0]
 
 
 def read_clean_log(log_path) -> tuple[CoverageReport, dict]:
@@ -426,11 +423,11 @@ def read_clean_log(log_path) -> tuple[CoverageReport, dict]:
     readable manifest raises the manifest's own error.  The manifest is
     read once, after the scan, so a corrupt line outranks it.
     """
-    return _clean(log_path, partial(_scan, log_path))
+    return _clean(log_path, _scan(log_path))
 
 
 def _clean(log_path, rows) -> tuple[CoverageReport, dict]:
-    """``read_clean_log`` on the ``_scan`` rows of ``log_path`` that ``rows()`` yields."""
+    """``read_clean_log`` on the ``_scan`` rows of ``log_path``."""
     report, manifest, error = _audit_log(log_path, rows)
     if not report.clean:
         raise LogValidationError(
@@ -443,52 +440,30 @@ def _clean(log_path, rows) -> tuple[CoverageReport, dict]:
 
 
 def _audit_log(log_path, rows) -> tuple[CoverageReport, dict | None, Exception | None]:
-    """The audit of the ``_scan`` rows of ``log_path`` that ``rows()`` yields, and the log's manifest.
+    """The audit of the ``_scan`` rows of ``log_path``, checked against the log's manifest if it has one.
 
-    The manifest is read after the rows, and returned with None, or as None with its error.
+    The manifest is read after the rows, and returned with None, or as None with
+    its error when it is missing, unreadable or not JSON.
     """
-    report = _audit(rows())
-    manifest, error = _manifest_or_error(log_path)
-    _check_manifest(report, manifest, log_path, rows)
-    return report, manifest, error
-
-
-def _manifest_or_error(log_path) -> tuple[dict | None, Exception | None]:
-    """``(manifest, None)``, or ``(None, error)`` when the manifest is missing, unreadable or not JSON."""
+    report = _audit(rows)
     try:
-        return read_manifest(log_path), None
+        manifest = read_manifest(log_path)
     except (OSError, json.JSONDecodeError) as exc:
-        return None, exc
+        return report, None, exc
+    _check_manifest(report, manifest, log_path)
+    return report, manifest, None
 
 
-def audit_records(records, log_path, manifest: dict | None) -> CoverageReport:
-    """The audit behind ``validate_log``, on records already parsed from ``log_path``.
+def audit_records(records) -> CoverageReport:
+    """The audit behind ``validate_log``, on any iterable of records, each keyed by its ``(obs, action, next_obs)``.
 
-    The records go through the audit of a log's lines, each keyed by its
-    ``(obs, action, next_obs)``, so they give the report their log's lines
-    give.  ``manifest`` is the log's manifest, or None when it is missing,
-    unreadable or not JSON, which leaves only the manifest checks out, so
-    chain and step errors outrank it, and lets ``records`` be any iterable.
-    With a manifest, ``records`` is a list, and records whose action lies
-    outside ``0..action_count-1``, or whose observations differ from
-    ``obs_dim`` in length or hold values outside ``0..255``, raise
-    LogValidationError naming their 1-based line numbers in ``log_path``.
+    The records give the report their log's lines give, less the manifest checks.
     """
-    rows = partial(_record_rows, records)
-    report = _audit(rows())
-    _check_manifest(report, manifest, log_path, rows)
-    return report
-
-
-def _record_rows(records):
-    """The rows ``_scan`` would yield for ``records``, each keyed by its ``(obs, action, next_obs)``."""
-    for rec in records:
-        key = rec.obs, rec.action, rec.next_obs
-        yield rec.episode, rec.step, key, key
+    return _audit((None, rec.episode, rec.step, (key := (rec.obs, rec.action, rec.next_obs)), key) for rec in records)
 
 
 def _audit(rows) -> CoverageReport:
-    """The one pass over ``(episode, step, key, fields)`` rows that checks chains and steps and tallies ``counts``.
+    """The one pass over rows shaped as ``_scan``'s that checks chains and steps and tallies ``counts``.
 
     A key stands for the ``(obs, action, next_obs)`` of its fields' first
     three values; lines are tallied per key, and the current episode's last
@@ -503,7 +478,7 @@ def _audit(rows) -> CoverageReport:
     nothing = object()
     episode_now, step_now, next_now = nothing, nothing, None
 
-    for episode, step, key, fields in rows:
+    for _, episode, step, key, fields in rows:
         seen = tally.get(key)
         if seen is None:
             tally[key] = [1, fields]
@@ -546,16 +521,14 @@ def observations_in(counts: dict) -> set[Observation]:
     return {obs for obs, _ in counts}.union(*counts.values())
 
 
-def _check_manifest(report: CoverageReport, manifest: dict | None, log_path, rows) -> None:
-    """Check the audit of the rows ``rows()`` yields against ``manifest``, if there is one.
+def _check_manifest(report: CoverageReport, manifest: dict, log_path) -> None:
+    """Check the audit of the log at ``log_path`` against its manifest.
 
     Records the manifest's dimensions cannot hold raise LogValidationError:
     the distinct actions and observations of the counts are checked, and the
-    rows walked again (and the log, for its blank lines) only to number the
-    bad ones.  The totals set ``manifest_consistent``.
+    log scanned again only to number the bad lines.  The totals set
+    ``manifest_consistent``.
     """
-    if manifest is None:
-        return
     obs_dim = manifest["obs_dim"]
     valid_actions = range(manifest["action_count"])
     bad_actions = {a for _, a in report.counts if a not in valid_actions}
@@ -563,12 +536,11 @@ def _check_manifest(report: CoverageReport, manifest: dict | None, log_path, row
         o for o in observations_in(report.counts) if len(o) != obs_dim or not all(0 <= v <= 255 for v in o)
     }
     if bad_actions or bad_obs:
-        positions = [
-            n
-            for n, (_, _, _, fields) in enumerate(rows(), start=1)
+        lines = [
+            lineno
+            for lineno, _, _, _, fields in _scan(log_path)
             if fields[1] in bad_actions or fields[0] in bad_obs or fields[2] in bad_obs
         ]
-        lines = _record_line_numbers(log_path, positions)
         raise LogValidationError(
             f"{len(lines)} record(s) out of range for obs_dim={obs_dim}, "
             f"action_count={manifest['action_count']} (first at line {lines[0]})",
@@ -579,10 +551,3 @@ def _check_manifest(report: CoverageReport, manifest: dict | None, log_path, row
         and manifest.get("episodes") == report.episodes
         and manifest.get("o0") == [list(o) for o in report.start_observations]
     )
-
-
-def _record_line_numbers(log_path, positions: list) -> list:
-    """File line numbers of the records at 1-based ``positions``; ``_scan`` skips blank lines."""
-    with open(log_path, "rb") as fh:
-        record_lines = [n for n, line in enumerate(fh, start=1) if line.strip()]
-    return [record_lines[p - 1] for p in positions]

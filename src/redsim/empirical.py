@@ -172,7 +172,7 @@ def build_model(
     multiple starts raise AmbiguousStartError rather than silently becoming a
     start distribution.
     """
-    report = collect.audit_records(records, None, None)
+    report = collect.audit_records(records)
     return _model_from_audit(report, obs_dim, action_count, fingerprint, metadata)
 
 

@@ -225,10 +225,15 @@ def _blank_first_line_log(scenario, tmp_path):
     return result.log_path
 
 
-def test_out_of_range_lines_count_blank_lines(desk5, tmp_path):
+@pytest.mark.parametrize(
+    "read",
+    [collect.validate_log, collect.read_clean_log, lambda log: collect.merge_logs([log], log.with_name("m.jsonl"))],
+    ids=["validate_log", "read_clean_log", "merge_logs"],
+)
+def test_out_of_range_lines_count_blank_lines(desk5, tmp_path, read):
     log = _blank_first_line_log(desk5, tmp_path)
     with pytest.raises(LogValidationError) as err:
-        collect.validate_log(log)
+        read(log)
     assert err.value.lines == [6]
     assert "first at line 6" in str(err.value)
 

@@ -669,7 +669,7 @@ def test_observation_tuples_sort_as_their_bytes(observations):
 @given(_record_lists())
 def test_audit_counts_are_the_models_counts(records):
     """The audit's one pass tallies what an independent recount finds, and the model keeps that table."""
-    report = collect.audit_records(records, None, None)
+    report = collect.audit_records(records)
     tallied = Counter()
     for (obs, action), outcomes in report.counts.items():
         for next_obs, n in outcomes.items():

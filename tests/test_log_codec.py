@@ -3,12 +3,8 @@
 import hashlib
 import json
 import math
-import os
 import re
-import subprocess
-import sys
-from dataclasses import astuple, replace
-from pathlib import Path
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -71,26 +67,46 @@ def test_from_obj_round_trips_to_json(rec):
 
 
 def test_a_line_depends_on_its_record_alone(tmp_path):
-    """A record of bools and floats is written as in a fresh process, after an equal record of ints."""
+    """A record of bools and floats raises TypeError after an equal record of ints was written: no memo hides it."""
     ints = TransitionRecord(0, 0, (1, 0), 1, (1, 1), 1, True, False)
     other = TransitionRecord(0, 1, (True, False), True, (1.0, True), True, True, False)
-    script = f"from redsim.collect import TransitionRecord as T; print(T(*{astuple(other)!r}).to_json())"
-    env = {**os.environ, "PYTHONPATH": str(Path(collect.__file__).parents[1])}
-    fresh = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
     assert ints.to_json() == _dumps_reference(ints)
-    assert other.to_json() + "\n" == fresh
-    collect.write_log([ints, other], tmp_path / "d.jsonl")
-    assert (tmp_path / "d.jsonl").read_text(encoding="utf-8") == _dumps_reference(ints) + "\n" + fresh
-    assert fresh == _dumps_reference(other) + "\n"
+    with pytest.raises(TypeError):
+        other.to_json()
+    with pytest.raises(TypeError):
+        collect.write_log([ints, other], tmp_path / "d.jsonl")
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("episode", True), ("step", 1.0), ("done", 1), ("action_success", np.True_)],
-    ids=["bool-episode", "float-step", "int-done", "numpy-bool-action-success"],
+    [
+        ("episode", True),
+        ("step", 1.0),
+        ("done", 1),
+        ("action_success", np.True_),
+        ("obs", (1.0, 0)),
+        ("obs", (True, False)),
+        ("next_obs", (1, np.True_)),
+        ("action", True),
+        ("action", 2.0),
+        ("reward", True),
+    ],
+    ids=[
+        "bool-episode",
+        "float-step",
+        "int-done",
+        "numpy-bool-action-success",
+        "float-obs",
+        "bool-obs",
+        "numpy-bool-next-obs",
+        "bool-action",
+        "float-action",
+        "bool-reward",
+    ],
 )
 def test_a_record_that_no_line_can_hold_raises_type_error(tmp_path, field, value):
-    """``{"episode":True``, ``"step":1.0`` and ``"done":true`` for 1 are lines ``read_log`` rejects or misreads."""
+    """``{"episode":True``, ``"step":1.0``, ``"obs":[1.0,0]``, ``"action":true`` and ``"done":true`` for 1
+    are lines ``read_log`` rejects or misreads; ``"reward":true`` it rejects."""
     rec = replace(TransitionRecord(0, 0, (1, 0), 1, (1, 1), -1.0, False, True), **{field: value})
     with pytest.raises(TypeError, match=field):
         rec.to_json()
@@ -108,16 +124,20 @@ def test_numpy_int_episode_and_step_are_written_as_digits(tmp_path):
 
 
 def _read_log_reference(path):
-    """``read_log`` as a plain loop: ``json.loads`` plus ``from_obj`` on every non-blank line."""
-    records, bad = [], []
+    """``read_log`` as a plain loop: ``json.loads`` plus ``from_obj`` on every non-blank line.
+
+    Returns the records, the file line number of each, and the ``(lineno, message)`` of each corrupt line.
+    """
+    records, lines, bad = [], [], []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
                     records.append(TransitionRecord.from_obj(json.loads(line.strip().decode("utf-8"))))
+                    lines.append(lineno)
                 except (ValueError, TypeError) as exc:
                     bad.append((lineno, str(exc)))
-    return records, bad
+    return records, lines, bad
 
 
 def _replace_first(old: bytes, new: bytes):
@@ -192,7 +212,7 @@ def log_lines(draw):
 
 
 def _check_read_log_matches_reference(path):
-    expected, bad = _read_log_reference(path)
+    expected, _, bad = _read_log_reference(path)
     if not bad:
         assert [repr(rec) for rec in read_log(path)] == [repr(rec) for rec in expected]
         return
@@ -273,10 +293,11 @@ _manifest_specs = st.none() | st.tuples(st.integers(1, 3), st.integers(1, 4), st
     st.sampled_from([0, 1, collect._MAX_TAILS]),
     _manifest_specs,
 )
-def test_validate_log_audits_lines_as_audit_records_audits_their_records(
+def test_validate_log_audits_lines_as_a_plain_loop_over_their_records(
     tmp_path_factory, lines, episode_length, blanks, newline, max_tails, spec
 ):
-    """The one-pass audit of a log's lines reports what the audit of its records reports, or raises what it raises.
+    """The one-pass audit of a log's lines reports what a plain loop over its records finds, or raises for the
+    file lines a plain check of the manifest's dimensions finds out of range.
 
     Renumbered lines run through whole episodes, whose observation chains hold or break.
     """
@@ -285,10 +306,16 @@ def test_validate_log_audits_lines_as_audit_records_audits_their_records(
         lines.insert(at, b"")
     path = tmp_path_factory.mktemp("log") / "d.jsonl"
     path.write_bytes(b"".join(line + newline for line in lines))
-    expected, bad = _read_log_reference(path)
-    manifest = None
+    expected, linenos, bad = _read_log_reference(path)
+    out_of_range = []
     if spec is not None:
         obs_dim, action_count, totals_right = spec
+        out_of_range = [
+            lineno
+            for lineno, rec in zip(linenos, expected)
+            if rec.action not in range(action_count)
+            or any(len(o) != obs_dim or not all(0 <= v <= 255 for v in o) for o in (rec.obs, rec.next_obs))
+        ]
         starts = sorted({rec.obs for rec in expected if rec.step == 0})
         manifest = {
             "format": LOG_FORMAT,
@@ -304,23 +331,25 @@ def test_validate_log_audits_lines_as_audit_records_audits_their_records(
         if bad:
             _check_raises_reference_error(validate_log, path, bad)
             return
-        try:
-            want = collect.audit_records(expected, path, manifest)
-        except LogValidationError as exc:
+        if out_of_range:
             with pytest.raises(LogValidationError) as excinfo:
                 validate_log(path)
-            assert (excinfo.value.lines, str(excinfo.value)) == (exc.lines, str(exc))
+            assert excinfo.value.lines == out_of_range
+            assert str(excinfo.value) == (
+                f"{len(out_of_range)} record(s) out of range for obs_dim={obs_dim}, "
+                f"action_count={action_count} (first at line {out_of_range[0]})"
+            )
             return
         got = validate_log(path)
-    assert got == want
-    assert _ordered(got.counts) == _ordered(want.counts)
-    assert (_ordered(want.counts), want.start_observations, want.chain_violations, want.step_gaps, want.episodes) == (
+    assert (_ordered(got.counts), got.start_observations, got.chain_violations, got.step_gaps, got.episodes) == (
         _audit_reference(expected)
     )
-    assert want.manifest_consistent == (None if spec is None else spec[2])
+    assert got.total_steps == len(expected)
+    assert got.manifest_consistent == (None if spec is None else totals_right)
 
 
-# Values equal as numbers but written otherwise; no two may share a tail.
+# Values equal as numbers but written otherwise; no two may share a tail.  Only a float
+# reward has an equal int twin that a line can hold; the other bools and floats no line holds.
 _twin_tails = st.builds(
     TransitionRecord,
     episode=st.just(0),
@@ -334,6 +363,15 @@ _twin_tails = st.builds(
 )
 
 
+def _rejected(rec) -> bool:
+    """Whether ``to_json`` raises TypeError for the record, which no line can hold."""
+    try:
+        rec.to_json()
+    except TypeError:
+        return True
+    return False
+
+
 @settings(deadline=None)
 @given(
     st.lists(_twin_tails, min_size=1, max_size=6),
@@ -341,14 +379,38 @@ _twin_tails = st.builds(
     st.sampled_from([0, 1, 3, collect._MAX_TAILS]),
 )
 def test_write_log_writes_each_records_to_json_line(tmp_path_factory, tails, picks, max_tails):
-    """Records sharing a few tails' objects, beyond the cache bound too, are written as ``json.dumps`` writes them."""
+    """Records sharing a few tails' objects, beyond the cache bound too, are written as ``json.dumps`` writes them.
+
+    Records among them that ``to_json`` rejects make ``write_log`` raise, however their twins were cached.
+    """
     records = [replace(tails[i % len(tails)], episode=episode, step=step) for i, episode, step in picks]
     path = tmp_path_factory.mktemp("log") / "d.jsonl"
     with mock.patch.object(collect, "_MAX_TAILS", max_tails):
+        if any(map(_rejected, records)):
+            with pytest.raises(TypeError):
+                collect.write_log(records, path)
+            records = [rec for rec in records if not _rejected(rec)]
         collect.write_log(records, path)
     text = path.read_bytes().decode("utf-8")
     assert text == "".join(rec.to_json() + "\n" for rec in records)
     assert text == "".join(_dumps_reference(rec) + "\n" for rec in records)
+
+
+@settings(deadline=None)
+@given(st.lists(_twin_tails, min_size=1, max_size=6))
+def test_write_log_writes_only_lines_read_log_reads_back(tmp_path_factory, tails):
+    """Each record raises TypeError at ``write_log``, or its line reads back as an equal record."""
+    path = tmp_path_factory.mktemp("log") / "d.jsonl"
+    for rec in tails:
+        try:
+            collect.write_log([rec], path)
+        except TypeError:
+            continue
+        (back,) = read_log(path)
+        if back.reward != back.reward:  # NaN: equal only as NaN
+            assert rec.reward != rec.reward
+            back.reward = rec.reward
+        assert back == rec
 
 
 def test_read_log_parses_each_distinct_tail_once(tmp_path, monkeypatch):
