@@ -8,6 +8,9 @@ curves are plain JSON (``write_json``) or CSV (``write_csv``).  json
 writes every JSON document but a top-level key's list of rows, such as a
 report's per-pair rows, which goes through one row template and is
 written a row at a time.
+
+Each of these files, and the transition log ``collect.write_log`` streams,
+lands by ``replacing``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import stat
+from contextlib import contextmanager
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -30,6 +36,41 @@ class ArtifactVersionError(ArtifactError):
 
 class ArtifactChecksumError(ArtifactError):
     """File is truncated, corrupt, or its checksum does not match."""
+
+
+@contextmanager
+def replacing(path, mode: str = "w", **kwargs):
+    """A handle, opened by ``open(temp, mode, **kwargs)``, on a temp file that replaces ``path`` when the block ends.
+
+    The temp file lies beside the file ``path`` names (a symlink's target,
+    so the link stays), and ``os.replace`` moves it into place whole.  It
+    takes an existing file's permission bits; a new file gets those any new
+    file gets.  If the block raises, the temp file is removed and ``path``
+    left as it was.  A ``path`` that exists but is no regular file, such as
+    ``/dev/null``, is written in place.  Nothing is fsynced: the target is
+    whole if the process dies, not if the machine does.
+    """
+    if os.path.islink(path):
+        path = os.path.realpath(path)
+    try:
+        old_mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        old_mode = None
+    if old_mode is not None and not stat.S_ISREG(old_mode):
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
+    path = Path(path)
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, mode, **kwargs) as fh:
+            if old_mode is not None:
+                os.chmod(temp, stat.S_IMODE(old_mode))
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def canonical_json(payload) -> str:
@@ -50,7 +91,7 @@ def write_artifact(path, format_tag: str, payload) -> None:
     data = canonical_json(payload).encode("utf-8")  # first, so json rejects what it cannot write, cycles included
     _check_string_keys(payload)
     head = f'{{"checksum":"{hashlib.sha256(data).hexdigest()}","format":{canonical_json(format_tag)},"payload":'
-    with open(path, "wb") as fh:  # the container's keys sort in the order written here
+    with replacing(path, "wb") as fh:  # the container's keys sort in the order written here
         fh.writelines((head.encode("utf-8"), data, b"}\n"))
 
 
@@ -75,7 +116,7 @@ def write_json(path, doc) -> None:
     the file is opened.
     """
     pieces = _json_pieces(doc)
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, encoding="utf-8") as fh:
         fh.writelines(pieces)
 
 
@@ -149,7 +190,7 @@ def _rows_pieces(rows):
 
 def write_csv(path, columns, rows) -> None:
     """A header of ``columns``, then one line per dict in ``rows``; a missing key is an empty cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([row.get(c, "") for c in columns] for row in rows)

@@ -8,6 +8,13 @@ parameters.  Logs are append-only and corruption-localizing; merging
 renumbers episodes.  Collection and merging write a dataset alike, the
 totals and start observations derived from its records.
 
+With a path, collection streams: each record is written as it is made,
+and the totals are counted on the way, so no list of records is held.
+Any old manifest is removed first; the log is written to a temp file that
+``os.replace`` puts in its place after the last record, and the manifest
+comes last.  A collection that raises or is cut off leaves no new log and
+no manifest, so ``build-sim`` rejects whatever log is there.
+
 One scanner reads a log: it parses each distinct line tail once and yields
 one flat row per line, ``(lineno, episode, step, key, fields)``.  The audit
 reads that stream and tallies counts per key, so auditing a log, as
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -179,13 +187,16 @@ def read_manifest(log_path) -> dict:
 def write_log(records, log_path) -> None:
     """Write each record's ``to_json`` line, formatting each distinct tail once as ``read_log`` parses it once.
 
-    A record whose fields after ``"step":S`` are the very objects of an earlier record's
-    (a world, a sim and ``read_log`` share them) reuses its text, up to ``_MAX_TAILS``
-    tails; equal values of other types or signs (1, 1.0, True; 0.0, -0.0) are other objects.
-    A record ``to_json`` rejects raises its TypeError.
+    The records are taken one at a time from any iterable, a generator too,
+    and the log lands by ``artifacts.replacing``.  A record whose fields
+    after ``"step":S`` are the very objects of an earlier record's (a world,
+    a sim and ``read_log`` share them) reuses its text, up to ``_MAX_TAILS``
+    tails; equal values of other types or signs (1, 1.0, True; 0.0, -0.0)
+    are other objects.  A record ``to_json`` rejects raises its TypeError,
+    as does anything the iterable raises, and ``log_path`` is left as it was.
     """
     tails: dict[tuple, tuple] = {}  # ids of those fields -> (the fields, kept so no id is reused; the tail)
-    with open(log_path, "w", encoding="utf-8") as fh:
+    with artifacts.replacing(log_path, encoding="utf-8") as fh:
         for rec in records:
             episode, step = rec.episode, rec.step
             if episode.__class__ is not int or step.__class__ is not int:
@@ -273,11 +284,24 @@ def epsilon_greedy_policy(greedy_fn, epsilon: float, action_count: int):
     return pick
 
 
-@dataclass
 class CollectionResult:
-    records: list
-    manifest: dict
-    log_path: Path | None = None
+    """A dataset's manifest and, when it was written, its log's path.
+
+    ``records`` are the ones given, or, when None is given, those of the log
+    at ``log_path``, read by ``read_log`` on first access and kept: they are
+    the file as it is then, found by its absolute path from when the result
+    was made, so a later write over that path changes them.
+    """
+
+    def __init__(self, records: list | None, manifest: dict, log_path: Path | None = None):
+        self._records, self.manifest, self.log_path = records, manifest, log_path
+        self._log = None if log_path is None else os.path.abspath(log_path)
+
+    @property
+    def records(self) -> list:
+        if self._records is None:
+            self._records = read_log(self._log)
+        return self._records
 
 
 def run_collection(
@@ -292,34 +316,54 @@ def run_collection(
     Deterministic given the seed: the environment consumes per-episode
     streams derived from it and the policy gets its own derived stream.
     ``policy(obs, rng)`` picks each action; its ``rng``, an ``envapi.Draws``,
-    offers ``random()`` and ``integers(n)``.
+    offers ``random()`` and ``integers(n)``.  With ``out_path`` the records
+    stream to the log as the episodes are played (see the module's notes),
+    and the result's ``records`` are read back from the log if asked for.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     policy_rng = Draws(derive_seed(seed, "collection-policy"))
     steps = rollout(env, lambda obs: policy(obs, policy_rng), episodes, seed)
-    records = [
+    records = (
         TransitionRecord(ep, step, obs, action, res.observation, res.reward, res.done, res.action_success)
         for ep, step, obs, action, res in steps
-    ]
+    )
     return _dataset(records, env.metadata(), getattr(policy, "descriptor", "custom"), seed, out_path)
 
 
-def _dataset(records: list, source: dict, policy: str, seed, out_path, **extra) -> CollectionResult:
-    """The dataset of ``records``, its log and manifest written when ``out_path`` is given.
+def _dataset(records, source: dict, policy: str, seed, out_path, **extra) -> CollectionResult:
+    """The dataset of the iterable ``records``, its log and manifest written when ``out_path`` is given.
 
     ``source`` (an environment's ``metadata()`` or a source log's manifest)
     gives the fingerprint, dimensions, reward and game.  The records give the
-    rest: ``total_steps`` is their number, and each step-0 record starts one
-    of the ``episodes``, so ``o0`` lists the distinct observations they start from.
+    rest, counted as they pass: ``total_steps`` is their number, and each
+    step-0 record starts one of the ``episodes``, so ``o0`` lists the distinct
+    observations they start from.  Without ``out_path`` they are kept in a
+    list; with it they stream to the log in the order the module's notes give.
     """
-    starts = [rec.obs for rec in records if rec.step == 0]
+    starts: list[Observation] = []
+    total_steps = 0
+
+    def counted():
+        nonlocal total_steps
+        for total_steps, rec in enumerate(records, 1):
+            if rec.step == 0:
+                starts.append(rec.obs)
+            yield rec
+
+    log_path = None if out_path is None else Path(out_path)
+    if log_path is None:
+        records = list(counted())
+    else:
+        manifest_path(log_path).unlink(missing_ok=True)
+        write_log(counted(), log_path)
+        records = None
     manifest = {
         "format": LOG_FORMAT,
         "fingerprint": source["fingerprint"],
         "obs_dim": source["obs_dim"],
         "action_count": source["action_count"],
-        "total_steps": len(records),
+        "total_steps": total_steps,
         "episodes": len(starts),
         "o0": [list(o) for o in sorted(set(starts))],
         "policy": policy,
@@ -328,12 +372,9 @@ def _dataset(records: list, source: dict, policy: str, seed, out_path, **extra) 
         "reward": source.get("reward"),
         "game": source.get("game"),
     }
-    log_path = None
-    if out_path is not None:
-        log_path = Path(out_path)
-        write_log(records, log_path)
+    if log_path is not None:
         write_manifest(manifest, log_path)
-    return CollectionResult(records=records, manifest=manifest, log_path=log_path)
+    return CollectionResult(records, manifest, log_path)
 
 
 # --- merging and validation -------------------------------------------------
@@ -351,6 +392,9 @@ def merge_logs(log_paths, out_path) -> CollectionResult:
 
     Each source is scanned once and audited as ``read_clean_log`` audits it,
     so one that fails its audit raises LogValidationError and nothing is written.
+    The manifest's ``sources`` are the paths relative to the merged log's
+    directory, or to the current one without ``out_path``, so they read the
+    same however the caller spells them.
     """
     if not log_paths:
         raise ValueError("need at least one log to merge")
@@ -361,18 +405,18 @@ def merge_logs(log_paths, out_path) -> CollectionResult:
     manifests = [manifest for _, manifest in sources]
     _require_compatible(manifests)
 
-    merged: list[TransitionRecord] = []
-    offset = 0
-    for rows, _ in sources:  # each source's episodes in order of first appearance, after those merged so far
-        remap: dict[int, int] = {}
-        merged += [
-            TransitionRecord(remap.setdefault(episode, offset + len(remap)), step, *fields)
-            for _, episode, step, _, fields in rows
-        ]
-        offset += len(remap)
+    def merged():
+        offset = 0
+        for rows, _ in sources:  # each source's episodes in order of first appearance, after those merged so far
+            remap: dict[int, int] = {}
+            for _, episode, step, _, fields in rows:
+                yield TransitionRecord(remap.setdefault(episode, offset + len(remap)), step, *fields)
+            offset += len(remap)
 
     policy = "merged(" + ", ".join(m.get("policy", "?") for m in manifests) + ")"
-    return _dataset(merged, manifests[0], policy, None, out_path, sources=[str(p) for p in log_paths])
+    start = os.curdir if out_path is None else Path(out_path).parent
+    names = [os.path.relpath(p, start) for p in log_paths]
+    return _dataset(merged(), manifests[0], policy, None, out_path, sources=names)
 
 
 @dataclass

@@ -3,6 +3,8 @@
 import enum
 import json
 import math
+import os
+import stat
 from collections import OrderedDict
 
 import numpy as np
@@ -216,3 +218,67 @@ def test_an_artifact_with_string_keys_reads_back_as_written(tmp_path):
     assert artifacts.read_artifact(tmp_path / "a.json", "redsim-model-v1") == {
         "x": {"2": 0, "10": 0}, "y": [{"a": 1}, [{"b": [2]}]],
     }
+
+
+class _FailsAfterOnePiece:
+    """A file handle that writes and flushes its first piece, then raises as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh, self.pieces = fh, 0
+
+    def write(self, piece):
+        if self.pieces:
+            raise OSError("No space left on device")
+        self.pieces += 1
+        self.fh.write(piece)
+        self.fh.flush()
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: artifacts.write_json(path, {"rows": [{"a": i} for i in range(50)], "z": 1}),
+        lambda path: artifacts.write_csv(path, ["a", "b"], [{"a": i, "b": -i} for i in range(50)]),
+        lambda path: artifacts.write_artifact(path, "redsim-model-v1", {"x": list(range(50))}),
+    ],
+    ids=["write_json", "write_csv", "write_artifact"],
+)
+def test_a_write_cut_off_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old bytes\n")
+    monkeypatch.setattr(artifacts, "open", lambda *args, **kwargs: _FailsAfterOnePiece(open(*args, **kwargs)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    write(path)
+    assert path.read_bytes() != b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_a_replaced_output_keeps_its_symlink_and_permission_bits(tmp_path):
+    real = tmp_path / "real.json"
+    real.write_text("old\n")
+    real.chmod(0o640)
+    (tmp_path / "link.json").symlink_to("real.json")
+    artifacts.write_json(tmp_path / "link.json", {"a": 1})
+    assert (tmp_path / "link.json").is_symlink()
+    assert json.loads(real.read_text()) == {"a": 1}
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_an_output_that_is_no_regular_file_is_written_in_place():
+    artifacts.write_json(os.devnull, {"a": 1})
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)

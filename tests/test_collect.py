@@ -1,12 +1,15 @@
 """Trajectory logging: round trips, manifests, merging, validation, coverage."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from redsim import collect, empirical, world
+from redsim import collect, empirical, presets, world
 from redsim.cli import EXIT_DATA, main
 from redsim.collect import IncompatibleDatasetError, LogValidationError
+
+from conftest import DATASET_EPISODES, DATASET_SEED
 
 
 def _collect(scenario, episodes, seed, out=None):
@@ -48,8 +51,12 @@ def test_read_clean_log_reads_the_manifest_once(desk5, tmp_path, monkeypatch):
 
 
 def test_log_round_trip_identical_records(desk5, tmp_path):
+    """The streamed log holds exactly the records the same run keeps in a list when given no path."""
+    kept = _collect(desk5, 20, 1)
+    assert kept.log_path is None
     result = _collect(desk5, 20, 1, out=tmp_path / "d.jsonl")
-    assert collect.read_log(result.log_path) == result.records
+    assert collect.read_log(result.log_path) == kept.records
+    assert result.manifest == kept.manifest == collect.read_manifest(result.log_path)
 
 
 def test_record_chain_is_consistent(desk5, tmp_path):
@@ -111,7 +118,7 @@ def test_merge_of_logs_without_records(desk5, tmp_path):
         "total_steps": 0, "episodes": 0, "o0": [], "seed": None
     }
     assert merged.manifest["policy"] == "merged(uniform-random, uniform-random)"
-    assert merged.manifest["sources"] == [str(empty), str(empty)]
+    assert merged.manifest["sources"] == ["empty.jsonl", "empty.jsonl"]
     assert collect.read_manifest(merged.log_path) == merged.manifest
     assert collect.validate_log(merged.log_path).clean
 
@@ -166,6 +173,13 @@ def test_epsilon_greedy_collection_policy_descriptor(desk5):
     result = collect.run_collection(env, policy, 5, 1)
     assert result.manifest["policy"] == "epsilon-greedy(epsilon=0.25)"
     assert result.manifest["total_steps"] == len(result.records)
+
+
+def test_the_shared_dataset_holds_the_records_its_run_made(desk5, desk5_dataset):
+    """The session dataset, read back from its streamed log, equals the same run kept in a list."""
+    kept = _collect(desk5, DATASET_EPISODES, DATASET_SEED)
+    assert desk5_dataset.records == kept.records
+    assert desk5_dataset.manifest == kept.manifest
 
 
 def test_all_reachable_pairs_visited_at_scale(desk5, desk5_dataset):
@@ -277,3 +291,77 @@ def test_mistyped_manifest_exits_data(desk5, tmp_path, capsys, edit):
         assert main(argv) == EXIT_DATA, argv
         assert "unexpected" not in capsys.readouterr().err
     assert not (tmp_path / "m.model").exists()
+
+
+def test_collection_to_a_path_holds_no_record_list(desk5, tmp_path):
+    """The records stream to the log as they are made, so memory stays flat in the number of episodes."""
+    env = world.AttackWorld(desk5, seed=3)
+    policy = collect.uniform_random_policy(env.action_count)
+    tracemalloc.start()
+    try:
+        result = collect.run_collection(env, policy, 300, 3, out_path=tmp_path / "d.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.manifest["episodes"] == 300
+    assert peak < 1_000_000
+
+
+def _fails_once_lines_are_on_disk(env, directory):
+    """A random policy that raises as soon as the log's temp file beside its target holds bytes."""
+    pick = collect.uniform_random_policy(env.action_count)
+
+    def policy(obs, rng):
+        if any(path.stat().st_size for path in directory.glob("*.tmp")):
+            raise RuntimeError("policy failed")
+        return pick(obs, rng)
+
+    return policy
+
+
+def test_a_collection_that_fails_midway_leaves_nothing_on_a_fresh_path(desk5, tmp_path):
+    env = world.AttackWorld(desk5, seed=4)
+    with pytest.raises(RuntimeError, match="policy failed"):
+        collect.run_collection(env, _fails_once_lines_are_on_disk(env, tmp_path), 2000, 4, out_path=tmp_path / "d.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_collection_that_fails_midway_leaves_the_old_log_without_its_manifest(desk5, tmp_path):
+    """The old manifest goes first, so the old log, left whole, no longer passes for the new one."""
+    log = _collect(desk5, 5, 1, out=tmp_path / "d.jsonl").log_path
+    old = log.read_bytes()
+    env = world.AttackWorld(desk5, seed=4)
+    with pytest.raises(RuntimeError, match="policy failed"):
+        collect.run_collection(env, _fails_once_lines_are_on_disk(env, tmp_path), 2000, 4, out_path=log)
+    assert [path.name for path in tmp_path.iterdir()] == ["d.jsonl"]
+    assert log.read_bytes() == old
+    with pytest.raises(FileNotFoundError):
+        collect.read_clean_log(log)
+
+
+def test_cli_collect_reads_nothing_back(tmp_path, monkeypatch):
+    """``redsim collect`` writes its log and never asks for the records, so it neither scans nor reads the log."""
+    scenario = tmp_path / "desk5.json"
+    scenario.write_text(json.dumps(presets.chain_scenario()), encoding="utf-8")
+    calls = []
+    for name in ("_scan", "read_log"):
+        monkeypatch.setattr(collect, name, lambda *args, _name=name, _f=getattr(collect, name): calls.append(_name) or _f(*args))
+    assert main(["collect", "--scenario", str(scenario), "--episodes", "20", "--out", str(tmp_path / "d.jsonl")]) == 0
+    assert calls == []
+    assert collect.validate_log(tmp_path / "d.jsonl").total_steps == collect.read_manifest(tmp_path / "d.jsonl")["total_steps"]
+    assert calls == ["_scan"]
+
+
+def test_merged_manifest_names_its_sources_alike_however_they_are_spelled(desk5, tmp_path, monkeypatch):
+    data, elsewhere = tmp_path / "data", tmp_path / "elsewhere"
+    elsewhere.mkdir(parents=True)
+    data.mkdir()
+    for name, seed in (("a.jsonl", 1), ("b.jsonl", 2)):
+        _collect(desk5, 5, seed, out=data / name)
+    written = []
+    for cwd, spell in ((tmp_path, lambda name: f"data/{name}"), (elsewhere, lambda name: str(data / name))):
+        monkeypatch.chdir(cwd)
+        merged = collect.merge_logs([spell("a.jsonl"), spell("b.jsonl")], spell("m.jsonl")).log_path
+        written.append((merged.read_bytes(), collect.manifest_path(merged).read_bytes()))
+    assert written[0] == written[1]
+    assert json.loads(written[0][1])["sources"] == ["a.jsonl", "b.jsonl"]
