@@ -60,6 +60,8 @@ class TrainConfig:
     eval_episodes: int = 20
 
     def __post_init__(self):
+        if self.algorithm not in ("q_learning", "dqn"):
+            raise ValueError(f"algorithm must be q_learning or dqn, not {self.algorithm!r}")
         for name in ("episodes", "epsilon_decay_steps", "replay_capacity", "batch_size",
                      "target_sync_interval", "eval_episodes"):
             if getattr(self, name) < 1:
@@ -186,6 +188,8 @@ def train_q_learning(env: Env, config: TrainConfig, eval_env: Env | None = None)
     rather than an artifact of the training horizon.  The first update that
     leaves a Q-value non-finite raises TrainingDivergedError.
     """
+    if config.algorithm != "q_learning":
+        raise ValueError(f"a q_learning trainer was given a config for {config.algorithm!r}")
     rng = Draws(derive_seed(config.seed, "q-learning"))
     q = QTable(env.action_count)
     gamma = config.gamma if config.gamma is not None else env.game.gamma

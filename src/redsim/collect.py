@@ -8,19 +8,19 @@ parameters.  Logs are append-only and corruption-localizing; merging
 renumbers episodes.  Collection and merging write a dataset alike, the
 totals and start observations derived from its records.
 
-With a path, collection streams: each record is written as it is made,
-and the totals are counted on the way, so no list of records is held.
-Any old manifest is removed first; the log is written to a temp file that
+With a path, collection and merging stream: each record is written as it
+is made and counted on the way, so no list of records is held.  Any old
+manifest is removed first; the log is written to a temp file that
 ``os.replace`` puts in its place after the last record, and the manifest
-comes last.  A collection that raises or is cut off leaves no new log and
-no manifest, so ``build-sim`` rejects whatever log is there.
+comes last.  A write that raises or is cut off leaves no new log and no
+manifest, so ``build-sim`` rejects whatever log is there.
 
 One scanner reads a log: it parses each distinct line tail once and yields
-one flat row per line, ``(lineno, episode, step, key, fields)``.  The audit
-reads that stream and tallies counts per key, so auditing a log, as
-``build-sim`` does, builds no record per line; ``read_log`` and
-``merge_logs`` build the records from the same rows.  ``audit_records``
-runs the same audit on records, with no line numbers and no manifest.
+one flat row per line, ``(lineno, episode, step, key, fields)``.  One audit
+of that stream, run by ``validate_log`` and ``read_clean_log`` and so on each
+source of a merge, tallies counts per key and builds no record per line;
+``read_log`` and a merge's second scan build records from the same rows.
+``audit_records`` runs the same audit on records, with no lines or manifest.
 """
 
 from __future__ import annotations
@@ -390,26 +390,24 @@ def _require_compatible(manifests) -> None:
 def merge_logs(log_paths, out_path) -> CollectionResult:
     """Concatenate logs from the same environment, renumbering episodes.
 
-    Each source is scanned once and audited as ``read_clean_log`` audits it,
-    so one that fails its audit raises LogValidationError and nothing is written.
-    The manifest's ``sources`` are the paths relative to the merged log's
-    directory, or to the current one without ``out_path``, so they read the
-    same however the caller spells them.
+    Each source of the iterable ``log_paths`` is audited in turn by
+    ``read_clean_log``, then scanned again to stream it.  A source that fails
+    its audit, or a line corrupt on the second scan, raises LogValidationError
+    and nothing lands; a line that still parses is written as read.  The
+    manifest's ``sources`` are the paths relative to the merged log's directory
+    (or the current one), so they read the same however they are spelled.
     """
+    log_paths = list(log_paths)
     if not log_paths:
         raise ValueError("need at least one log to merge")
-    sources = []
-    for path in log_paths:
-        rows = list(_scan(path))
-        sources.append((rows, _clean(path, rows)[1]))
-    manifests = [manifest for _, manifest in sources]
+    manifests = [read_clean_log(path)[1] for path in log_paths]
     _require_compatible(manifests)
 
     def merged():
         offset = 0
-        for rows, _ in sources:  # each source's episodes in order of first appearance, after those merged so far
+        for path in log_paths:  # each source's episodes in order of first appearance, after those merged so far
             remap: dict[int, int] = {}
-            for _, episode, step, _, fields in rows:
+            for _, episode, step, _, fields in _scan(path):
                 yield TransitionRecord(remap.setdefault(episode, offset + len(remap)), step, *fields)
             offset += len(remap)
 
@@ -455,7 +453,7 @@ def validate_log(log_path) -> CoverageReport:
     (broken observation chains, step numbering gaps) are reported, not
     raised, so a tampered line is pinpointed rather than fatal.
     """
-    return _audit_log(log_path, _scan(log_path))[0]
+    return _audit_log(log_path)[0]
 
 
 def read_clean_log(log_path) -> tuple[CoverageReport, dict]:
@@ -467,12 +465,7 @@ def read_clean_log(log_path) -> tuple[CoverageReport, dict]:
     readable manifest raises the manifest's own error.  The manifest is
     read once, after the scan, so a corrupt line outranks it.
     """
-    return _clean(log_path, _scan(log_path))
-
-
-def _clean(log_path, rows) -> tuple[CoverageReport, dict]:
-    """``read_clean_log`` on the ``_scan`` rows of ``log_path``."""
-    report, manifest, error = _audit_log(log_path, rows)
+    report, manifest, error = _audit_log(log_path)
     if not report.clean:
         raise LogValidationError(
             f"log failed validation: {len(report.chain_violations)} chain violations, "
@@ -483,13 +476,13 @@ def _clean(log_path, rows) -> tuple[CoverageReport, dict]:
     return report, manifest
 
 
-def _audit_log(log_path, rows) -> tuple[CoverageReport, dict | None, Exception | None]:
-    """The audit of the ``_scan`` rows of ``log_path``, checked against the log's manifest if it has one.
+def _audit_log(log_path) -> tuple[CoverageReport, dict | None, Exception | None]:
+    """The audit of one ``_scan`` of ``log_path``, checked against the log's manifest if it has one.
 
-    The manifest is read after the rows, and returned with None, or as None with
+    The manifest is read after the scan, and returned with None, or as None with
     its error when it is missing, unreadable or not JSON.
     """
-    report = _audit(rows)
+    report = _audit(_scan(log_path))
     try:
         manifest = read_manifest(log_path)
     except (OSError, json.JSONDecodeError) as exc:

@@ -207,6 +207,8 @@ def train_dqn(env: Env, config: TrainConfig, eval_env: Env | None = None) -> Tra
     returning a broken policy.  numpy's overflow and invalid-value warnings
     are off, so that check alone reports a divergence.
     """
+    if config.algorithm != "dqn":
+        raise ValueError(f"a dqn trainer was given a config for {config.algorithm!r}")
     rng = np.random.default_rng(derive_seed(config.seed, "dqn"))
     net = DqnNet(env.obs_dim, env.action_count, config.hidden_sizes, seed=config.seed)
     target = net.copy()

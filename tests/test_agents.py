@@ -227,7 +227,7 @@ def test_curve_csv_columns(tmp_path, desk5_model):
     assert len(lines) == 6
 
 
-_DQN_SMALL = {"hidden_sizes": (8,), "batch_size": 4, "target_sync_interval": 20}
+_DQN_SMALL = {"algorithm": "dqn", "hidden_sizes": (8,), "batch_size": 4, "target_sync_interval": 20}
 
 
 @pytest.mark.parametrize("trainer, extra", [(train_q_learning, {}), (train_dqn, _DQN_SMALL)], ids=["q", "dqn"])
@@ -250,6 +250,7 @@ def test_q_learning_evaluates_once_at_each_multiple_of_eval_interval(desk5_model
 
 
 _UNUSABLE_CONFIGS = {
+    "unknown-algorithm": {"algorithm": "nonsense"},
     "no-eval-episodes": {"eval_interval": 5, "eval_episodes": 0},
     "negative-eval-interval": {"eval_interval": -7},
     "negative-max-env-steps": {"max_env_steps": -3},
@@ -267,6 +268,13 @@ def test_train_config_rejects_values_training_cannot_use(fields):
     assert TrainConfig(hidden_sizes=()).hidden_sizes == ()  # a linear net stays valid
     with pytest.raises(ValueError):
         TrainConfig(**fields)
+
+
+@pytest.mark.parametrize("trainer, other", [(train_q_learning, "dqn"), (train_dqn, "q_learning")], ids=["q", "dqn"])
+def test_a_trainer_rejects_a_config_for_the_other_algorithm(desk5_model, trainer, other):
+    """A Q-table saved beside ``algorithm = "dqn"`` would misname what trained it."""
+    with pytest.raises(ValueError, match=f"given a config for '{other}'"):
+        trainer(EmpiricalSim(desk5_model, seed=1), TrainConfig(algorithm=other, episodes=5))
 
 
 def test_train_config_rejects_a_batch_the_replay_buffer_cannot_hold():

@@ -365,3 +365,71 @@ def test_merged_manifest_names_its_sources_alike_however_they_are_spelled(desk5,
         written.append((merged.read_bytes(), collect.manifest_path(merged).read_bytes()))
     assert written[0] == written[1]
     assert json.loads(written[0][1])["sources"] == ["a.jsonl", "b.jsonl"]
+
+
+def _two_logs(scenario, directory, episodes):
+    """Logs ``a.jsonl`` and ``b.jsonl`` in ``directory``, collected at seeds 1 and 2."""
+    return [_collect(scenario, episodes, seed, out=directory / f"{name}.jsonl").log_path for name, seed in (("a", 1), ("b", 2))]
+
+
+def _written(log):
+    return log.read_bytes(), collect.manifest_path(log).read_bytes()
+
+
+def test_merge_of_a_generator_of_paths_writes_what_a_list_writes(desk5, tmp_path):
+    """The paths are taken into a list once, so a generator's are both scanned and named in ``sources``."""
+    logs = _two_logs(desk5, tmp_path, 5)
+    from_list = collect.merge_logs(logs, tmp_path / "list.jsonl").log_path
+    from_generator = collect.merge_logs((log for log in logs), tmp_path / "generator.jsonl").log_path
+    assert _written(from_generator) == _written(from_list)
+    assert json.loads(_written(from_list)[1])["sources"] == ["a.jsonl", "b.jsonl"]
+
+
+def test_merge_streams_its_sources(desk5, tmp_path):
+    """No list of scanned rows is held, so a merge's memory stays flat in the size of its sources."""
+    logs = _two_logs(desk5, tmp_path, 300)
+    tracemalloc.start()
+    try:
+        merged = collect.merge_logs(logs, tmp_path / "m.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert merged.manifest["episodes"] == 600
+    assert peak < 2_000_000
+
+
+def test_merge_audits_each_source_by_read_clean_log_then_scans_it_again(desk5, tmp_path, monkeypatch):
+    logs = _two_logs(desk5, tmp_path, 3)
+    audited, scanned = [], []
+    read_clean_log, scan = collect.read_clean_log, collect._scan
+    monkeypatch.setattr(collect, "read_clean_log", lambda path: audited.append(path) or read_clean_log(path))
+    monkeypatch.setattr(collect, "_scan", lambda path: scanned.append(path) or scan(path))
+    collect.merge_logs(logs, tmp_path / "m.jsonl")
+    assert audited == logs
+    assert scanned == logs + logs
+
+
+def test_a_line_corrupt_on_the_second_scan_leaves_no_merged_log(desk5, tmp_path, monkeypatch):
+    logs = _two_logs(desk5, tmp_path, 3)
+    before = sorted(tmp_path.iterdir())
+    scan, scans = collect._scan, []
+
+    def turns_corrupt(path):
+        scans.append(path)
+        rows = scan(path)
+        if scans.count(logs[1]) == 2:  # the second source's stream: one good row, then a line that no longer parses
+            yield next(rows)
+            raise LogValidationError(f"1 corrupt record(s) in {path}", lines=[2])
+        yield from rows
+
+    monkeypatch.setattr(collect, "_scan", turns_corrupt)
+    with pytest.raises(LogValidationError, match="1 corrupt record"):
+        collect.merge_logs(logs, tmp_path / "m.jsonl")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_merge_into_one_of_its_sources_writes_what_a_fresh_path_gets(desk5, tmp_path):
+    """The second scan reads the source while its replacement is written beside it, so it reads the source whole."""
+    logs = _two_logs(desk5, tmp_path, 20)
+    fresh = _written(collect.merge_logs(logs, tmp_path / "m.jsonl").log_path)
+    assert _written(collect.merge_logs(logs, logs[0]).log_path) == fresh

@@ -387,6 +387,12 @@ def test_max_steps_study_rejects_model_from_another_scenario(desk5, mesh):
         evaluate.max_steps_study(_small_model(desk5), mesh, [20], TrainConfig(episodes=5))
 
 
+def test_max_steps_study_rejects_a_dqn_config(desk5):
+    """The study trains Q-learning, so a config for DQN names a run it does not make."""
+    with pytest.raises(ValueError, match="q_learning trainer was given a config for 'dqn'"):
+        evaluate.max_steps_study(_small_model(desk5), desk5, [20], TrainConfig(algorithm="dqn", episodes=5))
+
+
 def test_transfer_rejects_sim_from_another_scenario(desk5, mesh):
     q = QTable(len(desk5.actions))
     with pytest.raises(empirical.IncompatibleModelError):
