@@ -222,8 +222,8 @@ class ValueSolution:
 VALUE_TOL = 1e-9
 
 
-def _solve_tabular(mdp: TabularMDP, prob, gamma, horizon) -> ValueSolution:
-    """Backward induction over ``mdp``'s entries, entry ``e`` taken with probability ``prob[e]``.
+def _solve_tabular(mdp: TabularMDP, gamma, horizon) -> ValueSolution:
+    """Backward induction over ``mdp``'s entries, entry ``e`` taken with probability ``mdp.prob[e]``.
 
     Runs at most ``horizon`` backups and stops early once the backup residual
     drops below ``VALUE_TOL`` (the values have then reached the fixed point, so a
@@ -233,7 +233,7 @@ def _solve_tabular(mdp: TabularMDP, prob, gamma, horizon) -> ValueSolution:
     states, n = mdp.states, len(mdp.states)
     shape = (n, mdp.action_count)
     rows = np.repeat(np.arange(n * mdp.action_count), np.diff(mdp.row_start))
-    next_state, reward = mdp.next_state, mdp.reward
+    next_state, prob, reward = mdp.next_state, mdp.prob, mdp.reward
 
     def backup(values):
         # bincount adds each row's entries in order, as a sequential sum would
@@ -269,39 +269,39 @@ def value_iteration(scenario: Scenario, horizon: int | None = None) -> ValueSolu
     horizon fixed point.
     """
     horizon = scenario.game.max_steps if horizon is None else horizon
-    mdp = scenario.law
-    return _solve_tabular(mdp, mdp.weight, scenario.game.gamma, horizon)
+    return _solve_tabular(scenario.law, scenario.game.gamma, horizon)
 
 
 def value_iteration_model(model, config, horizon: int | None = None) -> ValueSolution:
     """Value iteration on the empirical model itself (not the world).
 
     It plans over the table the sim steps through, unseen pairs' fallback
-    entries included, so the planned MDP is exactly the MDP the sim executes;
-    each entry is taken with the table's ``prob``, whose entries are the
-    compiled ones under the self-transition fallback.
+    entries included, so the planned MDP is exactly the MDP a self-transition
+    sim executes.  A reject-action config raises ValueError: its sim ends a
+    run on an unseen pair, which no plan over the table can price.
     """
     if config.fallback != FALLBACK_SELF:
         raise ValueError("model planning requires the self-transition fallback")
     horizon = config.game.max_steps if horizon is None else horizon
-    return _solve_tabular(compile_model(model, config), model.table.prob, config.game.gamma, horizon)
+    return _solve_tabular(compile_model(model, config), config.game.gamma, horizon)
 
 
 # --- persistence -------------------------------------------------------------
 
 def save_policy(result_policy, path, *, fingerprint: str, obs_dim: int, train_config: TrainConfig) -> None:
-    """Write a ``QTable`` or ``DqnNet`` and its provenance; what ``load_policy`` would reject raises PolicyError,
-    writing nothing: a NaN or an infinity, or a policy that does not fit ``obs_dim``."""
+    """Write a ``QTable`` or ``DqnNet`` and its provenance.  A ``train_config`` whose ``algorithm`` did not train it,
+    or what ``load_policy`` would reject (a NaN or an infinity, a policy that does not fit ``obs_dim``), raises
+    PolicyError and writes nothing."""
     from .dqn import DqnNet
 
     if isinstance(result_policy, QTable):
-        data = {
+        algorithm, data = "q_learning", {
             "kind": "q_table",
             "q": {bytes(k).hex(): list(row) for k, row in sorted(result_policy.values.items())},
             "action_count": result_policy.action_count,
         }
     elif isinstance(result_policy, DqnNet):
-        data = {
+        algorithm, data = "dqn", {
             "kind": "dqn",
             "hidden_sizes": list(result_policy.hidden_sizes),
             "layers": [
@@ -310,6 +310,8 @@ def save_policy(result_policy, path, *, fingerprint: str, obs_dim: int, train_co
         }
     else:
         raise PolicyError(f"cannot serialise policy of type {type(result_policy).__name__}")
+    if train_config.algorithm != algorithm:
+        raise PolicyError(f"a {data['kind']} policy cannot be saved with a train_config for {train_config.algorithm!r}")
     payload = {
         "fingerprint": fingerprint,
         "obs_dim": obs_dim,

@@ -279,7 +279,7 @@ class SimConfig:
 
     Rewards are recomputed from observations, never replayed from the log,
     so the same model supports games the data was not collected under.  The
-    fallback mode decides what an unseen (obs, action) pair does:
+    fallback mode decides what the sim does on an unseen (obs, action) pair:
     ``self-transition`` keeps the episode alive at -cost without inventing
     dynamics, ``reject-action`` raises NoDataError to the caller.
     """
@@ -333,12 +333,11 @@ class CountTable:
     ``row_start[r]:row_start[r + 1]`` name each next-state id in
     ``next_state``, in id order, with its integer count in ``weight``, and
     ``visits[r]`` is the row's total.  A row the data never saw (``visits``
-    0) holds one self-fallback entry back to its own state with weight 1;
-    ``fallback`` lists where those entries sit.  ``prob[e]`` is entry
-    ``e``'s weight over its row's visits, so each row's sum is 1 up to
-    rounding and a fallback entry's is 1.0: the law the planner and the
-    fidelity audit read (the sim draws on ``weight`` itself).  ``rise[i, e]``
-    says entry ``e`` raises flag ``i``.
+    0) holds one self-fallback entry back to its own state with weight 1.
+    ``prob[e]`` is entry ``e``'s weight over its row's visits (a fallback
+    entry's is 1.0): the law ``compile_model`` compiles, which the planner and
+    the fidelity audit read; the sim draws on ``weight`` itself.
+    ``rise[i, e]`` says entry ``e`` raises flag ``i``.
     """
 
     states: list[Observation]
@@ -348,7 +347,6 @@ class CountTable:
     next_state: np.ndarray
     weight: np.ndarray
     visits: np.ndarray
-    fallback: np.ndarray
     prob: np.ndarray
     rise: np.ndarray
 
@@ -389,22 +387,21 @@ def count_table(model: EmpiricalModel) -> CountTable:
         next_state=next_state,
         weight=weight,
         visits=visits,
-        fallback=row_start[unseen],
         prob=weight / np.maximum(visits, 1)[row],
         rise=np.array([column[next_state] > column[source] for column in flags.T], dtype=bool),
     )
-    for array in (flags, row_start, next_state, weight, visits, table.fallback, table.prob, table.rise):
+    for array in (flags, row_start, next_state, weight, visits, table.prob, table.rise):
         array.flags.writeable = False
     return table
 
 
 def compile_model(model: EmpiricalModel, config: SimConfig) -> TabularMDP:
-    """The model's law under ``config``'s rewards, goal and fallback: ``model.table`` priced.
+    """The model's law under ``config``'s rewards and goal: ``model.table`` priced.
 
-    The rows are the table's.  Under the self-transition fallback a pair the
-    data never saw keeps its one entry back to its own state, at ``-cost``;
-    under reject-action its row is empty.  Each entry's reward is what
-    ``compute_reward`` returns for it, summed flag by flag in its order.
+    The rows and each entry's ``prob`` are the table's under either fallback
+    (the sim applies reject-action itself), so a pair the data never saw keeps
+    its one entry back to its own state, at ``-cost``.  Each entry's reward is
+    what ``compute_reward`` returns for it, summed flag by flag in its order.
     This is the one place a config is checked against its model: a model
     without ``x0``, or a config whose worth count, cost count or
     ``goal_index`` does not fit the model's ``obs_dim`` and
@@ -422,16 +419,12 @@ def compile_model(model: EmpiricalModel, config: SimConfig) -> TabularMDP:
     for worth, rises in zip(np.array(worths, dtype=np.float64), table.rise):
         gained += np.where(rises, worth, 0.0)  # compute_reward's flag order; adding 0.0 for an unchanged flag is exact
     reward = gained - np.repeat(np.tile(np.array(costs, dtype=np.float64), len(table.states)), np.diff(table.row_start))
-    row_start, next_state, weight = table.row_start, table.next_state, table.weight
-    if config.fallback == FALLBACK_REJECT:  # each unseen row loses its one entry
-        row_start = row_start - np.concatenate(([0], np.cumsum(table.visits == 0)))
-        next_state, weight, reward = (np.delete(a, table.fallback) for a in (next_state, weight, reward))
     return TabularMDP(
         states=table.states,
         action_count=model.action_count,
-        row_start=row_start,
-        next_state=next_state,
-        weight=weight,
+        row_start=table.row_start,
+        next_state=table.next_state,
+        prob=table.prob,
         reward=reward,
         goal=table.flags[:, goal] == 1,
         start=table.index[model.x0],
@@ -442,9 +435,11 @@ class EmpiricalSim(Env):
     """Environment that replays the estimated transition law.
 
     Sampling is exact in the rational sense: an outcome with count c out of
-    a total of n is drawn with probability c/n via a uniform integer draw,
-    so no floating-point normalisation error ever enters the dynamics.  The
-    sim steps by state id through the model's compiled table.
+    a total of n is drawn with probability c/n via a uniform integer draw on
+    ``model.table.weight``, so no floating-point normalisation error ever
+    enters the dynamics.  The sim steps by state id through the model's
+    compiled table; under reject-action a step on a row with ``visits`` 0
+    raises NoDataError.
 
     A step reports ``action_success`` when the observation changed, which
     is all the model can know about an action's outcome.
@@ -466,7 +461,9 @@ class EmpiricalSim(Env):
         self._next_state = mdp.next_state.tolist()
         self._reward = mdp.reward.tolist()
         # Entry e's outcome owns the draws from _cumulative[e] up to _cumulative[e + 1].
-        self._cumulative = [0, *accumulate(mdp.weight.tolist())]
+        self._cumulative = [0, *accumulate(model.table.weight.tolist())]
+        unseen = np.flatnonzero(model.table.visits == 0).tolist()
+        self._no_data = set(unseen if config.fallback == FALLBACK_REJECT else ())
         self._state = mdp.start
 
     def _reset_state(self) -> Observation:
@@ -476,11 +473,11 @@ class EmpiricalSim(Env):
     def _apply_action(self, action: int):
         state = self._state
         row = state * self.action_count + action
-        lo, hi = self._row_start[row], self._row_start[row + 1]
-        if lo == hi:
+        if row in self._no_data:
             raise NoDataError(
                 f"no data for observation {self._states[state]} action {action} (fallback mode reject-action)"
             )
+        lo, hi = self._row_start[row], self._row_start[row + 1]
         cumulative = self._cumulative
         base = cumulative[lo]
         draw = self._rng.integers(cumulative[hi] - base)

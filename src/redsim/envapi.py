@@ -222,20 +222,19 @@ class TabularMDP:
     ``states[s]`` is the observation of state id ``s``.  Row
     ``r = s * action_count + a`` holds what action ``a`` does in state ``s``:
     its entries ``row_start[r]:row_start[r + 1]`` name each next-state id in
-    ``next_state``, its ``weight`` (a probability for the world law, a
-    positive integer count for a model) and the ``reward`` of that
-    transition, which is what ``compute_reward`` returns for it.  A model row
-    of a pair the data never saw holds, under the self-transition fallback,
-    one entry back to its own state with weight 1 and reward ``-cost``; under
-    reject-action it is empty.  ``goal`` marks the states where an episode
-    ends and ``start`` is the id every episode starts from.
+    ``next_state``, its probability ``prob`` (float64; each row's sum is 1 up
+    to rounding) and the ``reward`` of that transition, which is what
+    ``compute_reward`` returns for it.  A model row of a pair the data never
+    saw holds one entry back to its own state with probability 1 and reward
+    ``-cost``.  ``goal`` marks the states where an episode ends and
+    ``start`` is the id every episode starts from.
     """
 
     states: list[Observation]
     action_count: int
     row_start: np.ndarray
     next_state: np.ndarray
-    weight: np.ndarray
+    prob: np.ndarray
     reward: np.ndarray
     goal: np.ndarray
     start: int

@@ -270,7 +270,7 @@ def fidelity_report(
     )
     p_model, p_world = np.zeros(len(keys)), np.zeros(len(keys))
     p_model[run[: len(model_entry)]] = table.prob[model_entry]
-    p_world[run[len(model_entry):]] = law.weight[world_entry]
+    p_world[run[len(model_entry):]] = law.prob[world_entry]
     tv = 0.5 * np.bincount(keys // width, np.abs(p_model - p_world), len(world_rows))
     confident_tv = tv[visits >= visit_threshold]
     pairs = [

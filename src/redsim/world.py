@@ -128,7 +128,7 @@ class Scenario:
     def law(self) -> TabularMDP:
         """``compile_world(self)``, compiled once per scenario; read-only arrays, as every reader shares them."""
         law = compile_world(self)
-        for array in (law.row_start, law.next_state, law.weight, law.reward, law.goal):
+        for array in (law.row_start, law.next_state, law.prob, law.reward, law.goal):
             array.flags.writeable = False
         return law
 
@@ -455,8 +455,8 @@ def compile_world(scenario: Scenario) -> TabularMDP:
 
     States are numbered in BFS order, ``reachable_observations``' order,
     and include terminal (objective-reached) ones, whose rows are empty.
-    Each row holds ``exact_transition``'s outcomes in its order, weighted by
-    their probabilities.  More than ``MAX_OBS`` states raise
+    Each row holds ``exact_transition``'s outcomes in its order, each with
+    its probability.  More than ``MAX_OBS`` states raise
     EnumerationBudgetError.
     """
     # each effect bit shifted once per rule, not once per (state, action)
@@ -467,7 +467,7 @@ def compile_world(scenario: Scenario) -> TabularMDP:
     order = [start]  # grows while the loop walks it: breadth-first
     row_start = [0]
     next_state: list[int] = []
-    weight: list[float] = []
+    prob: list[float] = []
     reward: list[float] = []
     for s, state in enumerate(order):
         if state & goal_bit:  # episode over: no outgoing transitions
@@ -489,15 +489,15 @@ def compile_world(scenario: Scenario) -> TabularMDP:
                         raise EnumerationBudgetError(f"more than {MAX_OBS} reachable observations")
                 if p >= 1.0:
                     next_state.append(j)
-                    weight.append(1.0)
+                    prob.append(1.0)
                     reward.append(gain)
                 else:
                     next_state += (j, s)
-                    weight += (p, 1.0 - p)
+                    prob += (p, 1.0 - p)
                     reward += (gain, stay)
             else:
                 next_state.append(s)
-                weight.append(1.0)
+                prob.append(1.0)
                 reward.append(stay)
             row_start.append(len(next_state))
     return TabularMDP(
@@ -505,7 +505,7 @@ def compile_world(scenario: Scenario) -> TabularMDP:
         action_count=len(rules),
         row_start=np.array(row_start, dtype=np.int64),
         next_state=np.array(next_state, dtype=np.int64),
-        weight=np.array(weight, dtype=np.float64),
+        prob=np.array(prob, dtype=np.float64),
         reward=np.array(reward, dtype=np.float64),
         goal=np.array([bool(state & goal_bit) for state in order]),
         start=0,

@@ -287,8 +287,13 @@ def test_train_config_rejects_a_batch_the_replay_buffer_cannot_hold():
 def _saved(tmp_path, policy):
     """Where ``save_policy`` wrote ``policy``, a policy on 2-value observations."""
     path = tmp_path / "p.policy"
-    agents.save_policy(policy, path, fingerprint="toy", obs_dim=2, train_config=TrainConfig())
+    agents.save_policy(policy, path, fingerprint="toy", obs_dim=2, train_config=_train_config_of(policy))
     return path
+
+
+def _train_config_of(policy) -> TrainConfig:
+    """The default config of the algorithm that trains ``policy``."""
+    return TrainConfig(algorithm="dqn" if isinstance(policy, DqnNet) else "q_learning")
 
 
 def _toy_q_table() -> QTable:
@@ -463,9 +468,20 @@ def _q_table_of_4_values() -> QTable:
 )
 def test_save_policy_refuses_what_load_policy_rejects(tmp_path, make, obs_dim, match):
     """A NaN or an infinity, or a policy that does not fit ``obs_dim``, raises PolicyError; no file is written."""
-    path = tmp_path / "p.policy"
+    path, policy = tmp_path / "p.policy", make()
     with pytest.raises(agents.PolicyError, match=match):
-        agents.save_policy(make(), path, fingerprint="toy", obs_dim=obs_dim, train_config=TrainConfig())
+        agents.save_policy(policy, path, fingerprint="toy", obs_dim=obs_dim, train_config=_train_config_of(policy))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "policy, algorithm", [(_toy_q_table(), "dqn"), (DqnNet(2, 3, (4,), seed=0), "q_learning")], ids=["q", "dqn"]
+)
+def test_save_policy_refuses_a_train_config_for_the_other_algorithm(tmp_path, policy, algorithm):
+    """A file whose ``train_config.algorithm`` did not train its ``data.kind`` is never written."""
+    with pytest.raises(agents.PolicyError, match=f"train_config for '{algorithm}'"):
+        agents.save_policy(policy, tmp_path / "p.policy", fingerprint="toy", obs_dim=2,
+                           train_config=TrainConfig(algorithm=algorithm))
     assert list(tmp_path.iterdir()) == []
 
 

@@ -69,7 +69,7 @@ def test_missing_pair_is_one_self_fallback_entry():
         row = table.index[obs] * 2 + action
         assert table.visits[row] == 0
         assert table_distribution(model, obs, action) == {obs: 1.0}
-        assert table.row_start[row] in table.fallback
+        assert table.weight[table.row_start[row] : table.row_start[row + 1]].tolist() == [1]
 
 
 def test_distributions_sum_to_one_rationally(desk5_model):
@@ -273,7 +273,7 @@ def test_sim_unseen_pair_self_transition_fallback():
     assert res.action_success is False
 
 
-def test_sim_fallback_step_draws_nothing_and_reject_rows_stay_empty():
+def test_sim_fallback_step_draws_nothing_and_reject_compiles_the_same_rows():
     model = build_model(
         [TransitionRecord(0, 0, O, 0, A, 0.0, True, True)], obs_dim=2, action_count=2
     )
@@ -290,7 +290,7 @@ def test_sim_fallback_step_draws_nothing_and_reject_rows_stay_empty():
     # rows in (observation, action) order over the sorted observations O, A
     assert np.diff(empirical.compile_model(model, config).row_start).tolist() == [1, 1, 1, 1]
     reject = SimConfig(config.game, config.flag_worths, config.action_costs, fallback=empirical.FALLBACK_REJECT)
-    assert np.diff(empirical.compile_model(model, reject).row_start).tolist() == [1, 0, 0, 0]
+    assert np.diff(empirical.compile_model(model, reject).row_start).tolist() == [1, 1, 1, 1]
 
 
 def _fitting_pair():

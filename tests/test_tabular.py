@@ -76,10 +76,10 @@ def _reference_bfs(scenario):
 
 
 def _rows(mdp):
-    """Each row's entries as ``(next observation, weight, reward)`` lists, row by row."""
+    """Each row's entries as ``(next observation, probability, reward)`` lists, row by row."""
     start = mdp.row_start.tolist()
     entries = list(zip(
-        (mdp.states[j] for j in mdp.next_state.tolist()), mdp.weight.tolist(), mdp.reward.tolist()
+        (mdp.states[j] for j in mdp.next_state.tolist()), mdp.prob.tolist(), mdp.reward.tolist()
     ))
     return [entries[lo:hi] for lo, hi in zip(start, start[1:])]
 
@@ -130,33 +130,37 @@ def test_compiled_model_rows_are_the_sorted_counts(doc, episodes, seed):
     assert mdp.states == sorted(model.observations())
     assert mdp.states[mdp.start] == model.x0
     assert mdp.goal.tolist() == [config.game.is_goal(obs) for obs in mdp.states]
-    assert mdp.weight.dtype == np.int64
+    assert mdp.prob.dtype == np.float64
     rows = iter(_rows(mdp))
     for obs in mdp.states:
         for action in range(model.action_count):
             row = next(rows)
             counts = model.counts.get((obs, action), {obs: 1})
-            assert [(nxt, c) for nxt, c, _ in row] == sorted(counts.items())
+            visits = sum(counts.values())
+            assert [(nxt, p) for nxt, p, _ in row] == [(nxt, c / visits) for nxt, c in sorted(counts.items())]
             assert [r for nxt, _, r in row] == [
                 compute_reward(config.flag_worths, obs, nxt, config.action_costs[action]) for nxt, _, _ in row
             ]
 
 
 def _compile_model_reference(model, config):
-    """``compile_model`` as a loop over every (observation, action) row, each entry priced by ``compute_reward``."""
+    """``compile_model`` as a loop over every (observation, action) row, each entry priced by ``compute_reward``.
+
+    An unseen pair's row is one entry back to its own state under either fallback."""
     states = sorted(model.observations())
     index = {obs: i for i, obs in enumerate(states)}
-    row_start, next_state, weight, reward = [0], [], [], []
+    row_start, next_state, prob, reward = [0], [], [], []
     for obs in states:
         for action in range(model.action_count):
-            outcomes = model.counts.get((obs, action)) or ({obs: 1} if config.fallback == FALLBACK_SELF else {})
+            outcomes = model.counts.get((obs, action)) or {obs: 1}
+            visits = sum(outcomes.values())
             for next_obs, count in sorted(outcomes.items()):
                 next_state.append(index[next_obs])
-                weight.append(count)
+                prob.append(count / visits)
                 reward.append(compute_reward(config.flag_worths, obs, next_obs, config.action_costs[action]))
             row_start.append(len(next_state))
     goal = [config.game.is_goal(obs) for obs in states]
-    return states, row_start, next_state, weight, reward, goal, index[model.x0]
+    return states, row_start, next_state, prob, reward, goal, index[model.x0]
 
 
 _table_worths = st.sampled_from((0.0, -0.0, 0.1, 0.5, 2.0, 1e-300, 1e16)) | st.floats(0.0, 1e6)
@@ -185,12 +189,12 @@ def _count_tables(draw):
 def test_compiled_model_is_the_row_by_row_table_bit_for_bit(table):
     model, config = table
     mdp = compile_model(model, config)
-    states, row_start, next_state, weight, reward, goal, start = _compile_model_reference(model, config)
+    states, row_start, next_state, prob, reward, goal, start = _compile_model_reference(model, config)
     assert (mdp.states, mdp.start, mdp.action_count) == (states, start, model.action_count)
     for array, expected, dtype in (
         (mdp.row_start, row_start, np.int64),
         (mdp.next_state, next_state, np.int64),
-        (mdp.weight, weight, np.int64),
+        (mdp.prob, prob, np.float64),
         (mdp.reward, reward, np.float64),
         (mdp.goal, goal, bool),
     ):
@@ -198,20 +202,48 @@ def test_compiled_model_is_the_row_by_row_table_bit_for_bit(table):
         assert array.tobytes() == np.array(expected, dtype=dtype).tobytes()
 
 
-_TABLE_ARRAYS = ("flags", "row_start", "next_state", "weight", "visits", "fallback", "rise")
+@settings(max_examples=300, deadline=None)
+@given(_count_tables(), st.data(), st.integers(0, 2**32 - 1))
+def test_reject_action_is_the_self_transition_law_until_a_pair_without_data(table, data, seed):
+    """Both fallbacks compile the table's probabilities; a reject-action sim steps as a self-transition sim at
+    its seed until the first step on a pair the data never saw, which raises NoDataError."""
+    model, config = table
+    configs = [dataclasses.replace(config, fallback=fallback) for fallback in (FALLBACK_SELF, FALLBACK_REJECT)]
+    for each in configs:
+        prob = compile_model(model, each).prob
+        assert (prob.dtype, prob.tobytes()) == (np.float64, model.table.prob.tobytes())
+    fallback_sim, reject_sim = (empirical.EmpiricalSim(model, each, seed=seed) for each in configs)
+    obs = fallback_sim.reset()
+    assert reject_sim.reset() == obs
+    for _ in range(30):
+        seen = [action for action in range(model.action_count) if model.has_pair(obs, action)]
+        # a pair with data three steps in four, so that runs go on past their first steps
+        with_data = seen and data.draw(st.integers(0, 3))
+        action = data.draw(st.sampled_from(seen) if with_data else st.integers(0, model.action_count - 1))
+        expected = fallback_sim.step(action)
+        if model.table.visits[model.table.index[obs] * model.action_count + action] == 0:
+            with pytest.raises(empirical.NoDataError):
+                reject_sim.step(action)
+            return
+        assert reject_sim.step(action) == expected
+        obs = expected.observation
+        if expected.done:
+            obs = fallback_sim.reset()
+            assert reject_sim.reset() == obs
+
+
+_TABLE_ARRAYS = ("flags", "row_start", "next_state", "weight", "visits", "rise")
 
 
 def _table_reference(model):
     """A model's ``CountTable`` fields, row by row from its count dicts."""
     states = sorted(model.observations())
     index = {obs: i for i, obs in enumerate(states)}
-    row_start, next_state, weight, visits, fallback, rise = [0], [], [], [], [], []
+    row_start, next_state, weight, visits, rise = [0], [], [], [], []
     for obs in states:
         for action in range(model.action_count):
             outcomes = model.counts.get((obs, action))
             visits.append(sum(outcomes.values()) if outcomes else 0)
-            if not outcomes:
-                fallback.append(len(next_state))
             for next_obs, count in sorted((outcomes or {obs: 1}).items()):
                 next_state.append(index[next_obs])
                 weight.append(count)
@@ -223,7 +255,6 @@ def _table_reference(model):
         next_state=np.array(next_state, dtype=np.int64),
         weight=np.array(weight, dtype=np.int64),
         visits=np.array(visits, dtype=np.int64),
-        fallback=np.array(fallback, dtype=np.int64),
         rise=np.array(rise, dtype=bool).reshape(len(rise), model.obs_dim).T.copy(),
     )
     return states, index, arrays
@@ -325,7 +356,7 @@ def test_a_scenario_compiles_its_law_once(monkeypatch):
 
 def test_a_scenario_law_is_read_only():
     law = world.parse_scenario(presets.chain_scenario()).law
-    for array in (law.row_start, law.next_state, law.weight, law.reward, law.goal):
+    for array in (law.row_start, law.next_state, law.prob, law.reward, law.goal):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
 
@@ -334,4 +365,4 @@ def test_a_replaced_scenario_compiles_its_own_law():
     scenario = world.parse_scenario(presets.chain_scenario())
     noisy = dataclasses.replace(scenario, noise=0.25)
     assert noisy.law is not scenario.law
-    assert noisy.law.weight.tolist() == world.compile_world(noisy).weight.tolist() != scenario.law.weight.tolist()
+    assert noisy.law.prob.tolist() == world.compile_world(noisy).prob.tolist() != scenario.law.prob.tolist()
