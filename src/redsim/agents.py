@@ -353,7 +353,8 @@ def load_policy(path) -> LoadedPolicy:
 
     ``envapi.read_network`` reads its network (the fingerprint is required:
     a policy says which environment it was trained in), and
-    ``train_config`` must be an object.  Q-table keys must be
+    ``train_config`` must be an object whose ``algorithm`` trained ``data.kind``
+    (``q_learning`` a ``q_table``, ``dqn`` a ``dqn``).  Q-table keys must be
     lower-case hex, as ``save_policy`` writes them, of ``obs_dim`` values
     and rows must hold ``action_count`` values; DQN layer shapes must chain
     from ``obs_dim`` to ``action_count``.  Every Q-value, weight and bias
@@ -370,7 +371,7 @@ def _loaded_policy(payload) -> LoadedPolicy:
     try:
         data = payload["data"]
         fingerprint, obs_dim, action_count = read_network(payload, PolicyError)
-        train_config = payload.get("train_config", {})
+        train_config = payload["train_config"]
         if train_config.__class__ is not dict:
             raise PolicyError(f"train_config of type {type(train_config).__name__} must be an object")
         if data["kind"] == "q_table":
@@ -403,6 +404,8 @@ def _loaded_policy(payload) -> LoadedPolicy:
             policy = DqnNet.from_layers(layers)
         else:
             raise PolicyError(f"unknown policy kind {data['kind']!r}")
+        if train_config.get("algorithm") != {"q_table": "q_learning", "dqn": "dqn"}[data["kind"]]:
+            raise PolicyError(f"a {data['kind']} policy has a train_config for {train_config.get('algorithm')!r}")
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:  # Overflow: an int no float holds
         raise PolicyError(f"malformed policy payload: {exc!r}") from None
     return LoadedPolicy(

@@ -6,20 +6,20 @@ plus a JSON manifest sidecar (``<log>.manifest.json``) that records the
 environment fingerprint, dimensions, totals and default reward/game
 parameters.  Logs are append-only and corruption-localizing; merging
 renumbers episodes.  Collection and merging write a dataset alike, the
-totals and start observations derived from its records.
+totals and start observations derived from its rows.
 
-With a path, collection and merging stream: each record is written as it
-is made and counted on the way, so no list of records is held.  Any old
-manifest is removed first; the log is written to a temp file that
-``os.replace`` puts in its place after the last record, and the manifest
-comes last.  A write that raises or is cut off leaves no new log and no
-manifest, so ``build-sim`` rejects whatever log is there.
+With a path, collection and merging stream: each step or scanned line goes
+to ``write_log`` as a plain row, counted on the way, and no record is built
+for it.  ``write_log`` removes the old manifest after the last line, then
+``os.replace`` puts the log in place; the manifest comes last.  A write that
+raises leaves the old log and manifest as they were; one killed in between
+leaves the log without one, so no manifest describes a log it did not count.
 
 One scanner reads a log: it parses each distinct line tail once and yields
 one flat row per line, ``(lineno, episode, step, key, fields)``.  One audit
 of that stream, run by ``validate_log`` and ``read_clean_log`` and so on each
 source of a merge, tallies counts per key and builds no record per line;
-``read_log`` and a merge's second scan build records from the same rows.
+``read_log`` builds records from the same rows; a merge's second scan writes them.
 ``audit_records`` runs the same audit on records, with no lines or manifest.
 """
 
@@ -57,6 +57,7 @@ _CANONICAL_LINE = re.compile(rb'\{"episode":(0|[1-9][0-9]*),"step":(0|[1-9][0-9]
 # tail, so a full cache holds about 12 MB, more in proportion for longer lines.
 # The bound keeps a log whose tails never repeat near the plain codec's time.
 _MAX_TAILS = 16384
+_BLOCK_LINES = 1024  # lines ``write_log`` joins into one ``write``: about 190 KB of desk5 lines
 
 
 @lru_cache(maxsize=4096)
@@ -90,6 +91,11 @@ class TransitionRecord:
     reward: float
     done: bool
     action_success: bool
+
+    def __iter__(self):
+        """The record's fields in ``RECORD_FIELDS`` order, so ``write_log`` takes records as it takes rows."""
+        return iter((self.episode, self.step, self.obs, self.action, self.next_obs, self.reward, self.done,
+                     self.action_success))
 
     def to_json(self) -> str:
         """One log line: the compact ``json.dumps`` text of the record's fields.
@@ -184,32 +190,37 @@ def read_manifest(log_path) -> dict:
     return manifest
 
 
-def write_log(records, log_path) -> None:
-    """Write each record's ``to_json`` line, formatting each distinct tail once as ``read_log`` parses it once.
+def write_log(rows, log_path) -> None:
+    """Write each row's ``to_json`` line, formatting each distinct tail once as ``read_log`` parses it once.
 
-    The records are taken one at a time from any iterable, a generator too,
-    and the log lands by ``artifacts.replacing``.  A record whose fields
-    after ``"step":S`` are the very objects of an earlier record's (a world,
-    a sim and ``read_log`` share them) reuses its text, up to ``_MAX_TAILS``
-    tails; equal values of other types or signs (1, 1.0, True; 0.0, -0.0)
-    are other objects.  A record ``to_json`` rejects raises its TypeError,
-    as does anything the iterable raises, and ``log_path`` is left as it was.
+    A row, the ``RECORD_FIELDS`` of a tuple or a ``TransitionRecord``, is taken
+    from any iterable; lines go out ``_BLOCK_LINES`` to a write, and the log
+    lands by ``artifacts.replacing``, its old manifest removed after the last
+    line.  A row whose fields after ``step`` are the very objects of an earlier
+    row's (a world, a sim and ``read_log`` share them) reuses its text, up to
+    ``_MAX_TAILS`` tails; equal values of other types or signs (1, 1.0, True;
+    0.0, -0.0) are other objects.  A row ``to_json`` rejects raises its
+    TypeError, as does the iterable, and the log and manifest stay as they were.
     """
     tails: dict[tuple, tuple] = {}  # ids of those fields -> (the fields, kept so no id is reused; the tail)
+    block: list[str] = []
     with artifacts.replacing(log_path, encoding="utf-8") as fh:
-        for rec in records:
-            episode, step = rec.episode, rec.step
+        for episode, step, obs, action, next_obs, reward, done, success in rows:
             if episode.__class__ is not int or step.__class__ is not int:
                 _require_ints(episode=episode, step=step)
-            head = f'{{"episode":{episode},"step":{step}'
-            fields = (rec.obs, rec.action, rec.next_obs, rec.reward, rec.done, rec.action_success)
-            key = tuple(map(id, fields))
+            key = (id(obs), id(action), id(next_obs), id(reward), id(done), id(success))
             kept = tails.get(key)
             if kept is None:
-                kept = fields, rec.to_json()[len(head):] + "\n"
+                line = TransitionRecord(episode, step, obs, action, next_obs, reward, done, success).to_json()
+                kept = (obs, action, next_obs, reward, done, success), line[line.index('"obs":') - 1:] + "\n"
                 if len(tails) < _MAX_TAILS:
                     tails[key] = kept
-            fh.write(head + kept[1])
+            block.append(f'{{"episode":{episode},"step":{step}{kept[1]}')
+            if len(block) == _BLOCK_LINES:
+                fh.write("".join(block))
+                block.clear()
+        fh.write("".join(block))
+        manifest_path(log_path).unlink(missing_ok=True)
 
 
 def read_log(log_path) -> list:
@@ -324,38 +335,37 @@ def run_collection(
         raise ValueError("episodes must be >= 1")
     policy_rng = Draws(derive_seed(seed, "collection-policy"))
     steps = rollout(env, lambda obs: policy(obs, policy_rng), episodes, seed)
-    records = (
-        TransitionRecord(ep, step, obs, action, res.observation, res.reward, res.done, res.action_success)
+    rows = (
+        (ep, step, obs, action, res.observation, res.reward, res.done, res.action_success)
         for ep, step, obs, action, res in steps
     )
-    return _dataset(records, env.metadata(), getattr(policy, "descriptor", "custom"), seed, out_path)
+    return _dataset(rows, env.metadata(), getattr(policy, "descriptor", "custom"), seed, out_path)
 
 
-def _dataset(records, source: dict, policy: str, seed, out_path, **extra) -> CollectionResult:
-    """The dataset of the iterable ``records``, its log and manifest written when ``out_path`` is given.
+def _dataset(rows, source: dict, policy: str, seed, out_path, **extra) -> CollectionResult:
+    """The dataset of ``write_log``'s ``rows``, its log and manifest written when ``out_path`` is given.
 
     ``source`` (an environment's ``metadata()`` or a source log's manifest)
-    gives the fingerprint, dimensions, reward and game.  The records give the
+    gives the fingerprint, dimensions, reward and game.  The rows give the
     rest, counted as they pass: ``total_steps`` is their number, and each
-    step-0 record starts one of the ``episodes``, so ``o0`` lists the distinct
-    observations they start from.  Without ``out_path`` they are kept in a
-    list; with it they stream to the log in the order the module's notes give.
+    step-0 row starts one of the ``episodes``, so ``o0`` lists the distinct
+    observations they start from.  Without ``out_path`` a record is kept per
+    row; with it the rows stream to the log in the order the module's notes give.
     """
     starts: list[Observation] = []
     total_steps = 0
 
     def counted():
         nonlocal total_steps
-        for total_steps, rec in enumerate(records, 1):
-            if rec.step == 0:
-                starts.append(rec.obs)
-            yield rec
+        for total_steps, row in enumerate(rows, 1):
+            if row[1] == 0:
+                starts.append(row[2])
+            yield row
 
     log_path = None if out_path is None else Path(out_path)
     if log_path is None:
-        records = list(counted())
+        records = [TransitionRecord(*row) for row in counted()]
     else:
-        manifest_path(log_path).unlink(missing_ok=True)
         write_log(counted(), log_path)
         records = None
     manifest = {
@@ -408,7 +418,7 @@ def merge_logs(log_paths, out_path) -> CollectionResult:
         for path in log_paths:  # each source's episodes in order of first appearance, after those merged so far
             remap: dict[int, int] = {}
             for _, episode, step, _, fields in _scan(path):
-                yield TransitionRecord(remap.setdefault(episode, offset + len(remap)), step, *fields)
+                yield remap.setdefault(episode, offset + len(remap)), step, *fields
             offset += len(remap)
 
     policy = "merged(" + ", ".join(m.get("policy", "?") for m in manifests) + ")"

@@ -374,6 +374,8 @@ _BAD_Q_PAYLOADS = {
     "fingerprint-int": _set("fingerprint", 5),
     "no-fingerprint": _drop("fingerprint"),
     "train-config-list": _set("train_config", []),
+    "no-train-config": _drop("train_config"),
+    "train-config-dqn": _set("train_config", "algorithm", "dqn"),
 }
 
 
@@ -415,6 +417,7 @@ _BAD_DQN_PAYLOADS = {
     "w-nan": _set_layer_entry(0, "w", (1, 2), float("nan")),
     "w-inf": _set_layer_entry(1, "w", (0, 1), float("inf")),
     "b-neg-inf": _set_layer_entry(0, "b", (3,), -float("inf")),
+    "train-config-q-learning": _set("train_config", "algorithm", "q_learning"),
 }
 
 
@@ -526,10 +529,12 @@ def test_malformed_policy_file_exits_artifact(tmp_path, desk5, desk5_sim_policy,
 
 
 @pytest.mark.parametrize(
-    "edit", [_set("fingerprint", 5), _set("train_config", [])], ids=["fingerprint-int", "train-config-list"]
+    "edit",
+    [_set("fingerprint", 5), _set("train_config", []), _set("train_config", "algorithm", "dqn")],
+    ids=["fingerprint-int", "train-config-list", "train-config-dqn"],
 )
 def test_mistyped_policy_provenance_stats_exits_artifact(tmp_path, edit):
-    """``stats`` prints a policy's fingerprint and training seed; a mistyped one exits 7, not 1."""
+    """``stats`` prints a policy's fingerprint and training seed; a mistyped one, or another algorithm's, exits 7."""
     path = _saved(tmp_path, _toy_q_table())
     payload = artifacts.read_artifact(path, agents.POLICY_FORMAT)
     edit(payload)

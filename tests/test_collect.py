@@ -2,11 +2,14 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from redsim import collect, empirical, presets, world
-from redsim.cli import EXIT_DATA, main
+from redsim import artifacts, collect, empirical, presets, world
+from redsim.cli import EXIT_DATA, EXIT_IO, main
 from redsim.collect import IncompatibleDatasetError, LogValidationError
 
 from conftest import DATASET_EPISODES, DATASET_SEED
@@ -326,17 +329,36 @@ def test_a_collection_that_fails_midway_leaves_nothing_on_a_fresh_path(desk5, tm
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_collection_that_fails_midway_leaves_the_old_log_without_its_manifest(desk5, tmp_path):
-    """The old manifest goes first, so the old log, left whole, no longer passes for the new one."""
+def test_a_collection_that_fails_midway_leaves_the_old_log_and_its_manifest(desk5, tmp_path):
+    """The old manifest goes only after the last line, so a collection that raises leaves the old dataset whole."""
     log = _collect(desk5, 5, 1, out=tmp_path / "d.jsonl").log_path
-    old = log.read_bytes()
+    old = _written(log)
     env = world.AttackWorld(desk5, seed=4)
     with pytest.raises(RuntimeError, match="policy failed"):
         collect.run_collection(env, _fails_once_lines_are_on_disk(env, tmp_path), 2000, 4, out_path=log)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["d.jsonl", "d.jsonl.manifest.json"]
+    assert _written(log) == old
+    assert collect.read_clean_log(log)[0].episodes == 5
+
+
+def test_the_old_manifest_goes_after_the_last_line_and_before_the_log_lands(desk5, tmp_path, monkeypatch):
+    """When the log is put in place its temp file is whole and the old manifest gone; cut there, build-sim exits 3."""
+    log = _collect(desk5, 5, 1, out=tmp_path / "d.jsonl").log_path
+    old, whole = log.read_bytes(), _collect(desk5, 40, 2).records
+    seen = []
+
+    def cut(temp, path):
+        seen.append((collect.read_log(temp) == whole, collect.manifest_path(path).exists()))
+        raise RuntimeError("killed")
+
+    monkeypatch.setattr(artifacts.os, "replace", cut)
+    with pytest.raises(RuntimeError, match="killed"):
+        _collect(desk5, 40, 2, out=log)
+    monkeypatch.undo()
+    assert seen == [(True, False)]
     assert [path.name for path in tmp_path.iterdir()] == ["d.jsonl"]
     assert log.read_bytes() == old
-    with pytest.raises(FileNotFoundError):
-        collect.read_clean_log(log)
+    assert main(["build-sim", "--data", str(log), "--out", str(tmp_path / "m.model")]) == EXIT_IO
 
 
 def test_cli_collect_reads_nothing_back(tmp_path, monkeypatch):
@@ -409,9 +431,8 @@ def test_merge_audits_each_source_by_read_clean_log_then_scans_it_again(desk5, t
     assert scanned == logs + logs
 
 
-def test_a_line_corrupt_on_the_second_scan_leaves_no_merged_log(desk5, tmp_path, monkeypatch):
-    logs = _two_logs(desk5, tmp_path, 3)
-    before = sorted(tmp_path.iterdir())
+def _second_source_turns_corrupt(monkeypatch, logs):
+    """Patch ``_scan`` so that the stream of ``logs[1]``, its second scan, yields one row and then raises."""
     scan, scans = collect._scan, []
 
     def turns_corrupt(path):
@@ -423,9 +444,27 @@ def test_a_line_corrupt_on_the_second_scan_leaves_no_merged_log(desk5, tmp_path,
         yield from rows
 
     monkeypatch.setattr(collect, "_scan", turns_corrupt)
+
+
+def test_a_line_corrupt_on_the_second_scan_leaves_no_merged_log(desk5, tmp_path, monkeypatch):
+    logs = _two_logs(desk5, tmp_path, 3)
+    before = sorted(tmp_path.iterdir())
+    _second_source_turns_corrupt(monkeypatch, logs)
     with pytest.raises(LogValidationError, match="1 corrupt record"):
         collect.merge_logs(logs, tmp_path / "m.jsonl")
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_failed_merge_into_one_of_its_sources_leaves_that_source_whole(desk5, tmp_path, monkeypatch):
+    """A second scan of the other source that raises leaves the target source's log and manifest as they were."""
+    logs = _two_logs(desk5, tmp_path, 3)
+    before = sorted(tmp_path.iterdir()), _written(logs[0])
+    _second_source_turns_corrupt(monkeypatch, logs)
+    with pytest.raises(LogValidationError, match="1 corrupt record"):
+        collect.merge_logs(logs, logs[0])
+    monkeypatch.undo()
+    assert (sorted(tmp_path.iterdir()), _written(logs[0])) == before
+    assert collect.read_clean_log(logs[0])[0].episodes == 3
 
 
 def test_a_merge_into_one_of_its_sources_writes_what_a_fresh_path_gets(desk5, tmp_path):
@@ -433,3 +472,81 @@ def test_a_merge_into_one_of_its_sources_writes_what_a_fresh_path_gets(desk5, tm
     logs = _two_logs(desk5, tmp_path, 20)
     fresh = _written(collect.merge_logs(logs, tmp_path / "m.jsonl").log_path)
     assert _written(collect.merge_logs(logs, logs[0]).log_path) == fresh
+
+
+# --- the row path: collection and merging hand write_log plain rows ---------
+
+_PRESETS = {"desk3": presets.deterministic_chain, "desk5": presets.chain_scenario, "mesh": presets.mesh_scenario}
+
+
+@lru_cache(maxsize=None)
+def _preset(name):
+    return world.parse_scenario(_PRESETS[name]())
+
+
+def _row(rec):
+    return rec.episode, rec.step, rec.obs, rec.action, rec.next_obs, rec.reward, rec.done, rec.action_success
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_PRESETS)), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_a_collection_streams_the_bytes_write_log_writes_of_its_records(tmp_path_factory, name, episodes, seed):
+    """Rows streamed to a path, the same run's records and those records as plain tuples write one log."""
+    directory = tmp_path_factory.mktemp("rows")
+    streamed = _collect(_preset(name), episodes, seed, out=directory / "d.jsonl")
+    kept = _collect(_preset(name), episodes, seed)
+    assert streamed.manifest == kept.manifest
+    collect.write_log(kept.records, directory / "records.jsonl")
+    collect.write_log(map(_row, kept.records), directory / "rows.jsonl")
+    expected = "".join(rec.to_json() + "\n" for rec in kept.records).encode()
+    assert streamed.log_path.read_bytes() == expected
+    assert (directory / "records.jsonl").read_bytes() == expected
+    assert (directory / "rows.jsonl").read_bytes() == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(_PRESETS)), st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_a_merge_writes_what_write_log_writes_of_its_renumbered_sources(tmp_path_factory, name, first, second, seed):
+    directory = tmp_path_factory.mktemp("merge")
+    logs = [
+        _collect(_preset(name), episodes, seed + i, out=directory / f"{i}.jsonl").log_path
+        for i, episodes in enumerate((first, second))
+    ]
+    expected, offset = [], 0
+    for log in logs:
+        renumber: dict[int, int] = {}
+        for rec in collect.read_log(log):
+            expected.append(replace(rec, episode=renumber.setdefault(rec.episode, offset + len(renumber))))
+        offset += len(renumber)
+    collect.write_log(expected, directory / "r.jsonl")
+    merged = collect.merge_logs(logs, directory / "m.jsonl")
+    assert merged.log_path.read_bytes() == (directory / "r.jsonl").read_bytes()
+    assert merged.manifest["total_steps"] == len(expected)
+
+
+_CACHED = (0, 0, (1, 0), 1, (1, 1), 1, True, False)
+# A field of ``_CACHED`` and a value equal to it that no line can hold.
+_TWINS = [
+    (2, (True, 0)), (2, (1.0, 0)), (2, (1, False)),
+    (3, True), (3, 1.0),
+    (4, (True, 1)), (4, (1, 1.0)),
+    (5, True),
+    (6, 1), (6, 1.0),
+    (7, 0), (7, 0.0),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_TWINS), st.integers(1, 5), st.integers(0, 3))
+def test_a_row_whose_tail_equals_a_cached_one_still_raises(tmp_path_factory, twin, before, after):
+    """The cache keys a tail by its objects, so a row of 1.0, True or 1 where the cached row has 1, 1 or True
+    is formatted on its own and raises TypeError; nothing lands."""
+    field, value = twin
+    rows = [(0, step, *_CACHED[2:]) for step in range(before)]
+    bad = list(rows[-1])
+    bad[1], bad[field] = before, value
+    rows += [tuple(bad)] + [(0, before + 1 + step, *_CACHED[2:]) for step in range(after)]
+    directory = tmp_path_factory.mktemp("twin")
+    with pytest.raises(TypeError):
+        collect.write_log(rows, directory / "d.jsonl")
+    assert list(directory.iterdir()) == []
