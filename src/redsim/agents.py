@@ -140,12 +140,15 @@ class TrainResult:
 
 
 def epsilon_greedy_steps(env: Env, config: TrainConfig, rng, result: TrainResult, eval_env: Env | None):
-    """The epsilon-greedy training run of ``result.policy`` in ``env``; yields ``(global_step, obs, action, res)``.
+    """The epsilon-greedy training run of ``result.policy`` in ``env``;
+    yields ``(global_step, obs, action, next_obs, reward, goal)``.
 
     Both learners train through it.  Each action is random with
     probability ``config.epsilon_at(global_step)``, drawn from ``rng``,
     and greedy under the policy otherwise.  ``global_step`` counts the steps
-    taken, this one included.  The consumer learns from a step before the
+    taken, this one included; ``goal``, the one end that cuts a learner's
+    bootstrap, marks a step into a goal state (an end with no goal is
+    truncation at ``max_steps``).  The consumer learns from a step before the
     generator resumes; then, every ``config.eval_interval`` steps with an
     ``eval_env``, the ``evaluate_policy`` mean return over
     ``config.eval_episodes`` is appended to ``result.evals``, and each
@@ -159,21 +162,28 @@ def epsilon_greedy_steps(env: Env, config: TrainConfig, rng, result: TrainResult
     global_step = 0
     ep_return = 0.0
     evaluating = config.eval_interval and eval_env is not None
+    # epsilon_at's float expression and greedy_action's pick of a Q-table, written out: both run every step
+    start, span, decay = config.epsilon_start, config.epsilon_end - config.epsilon_start, config.epsilon_decay_steps
+    random, integers, count = rng.random, rng.integers, env.action_count
+    q_values = policy.values if isinstance(policy, QTable) else None
 
     def choose(obs) -> int:
-        if rng.random() < config.epsilon_at(global_step):
-            return int(rng.integers(env.action_count))
-        return greedy_action(policy, obs)
+        if random() < start + span * min(1.0, global_step / decay):
+            return int(integers(count))
+        if q_values is None:
+            return greedy_action(policy, obs)
+        row = q_values.get(obs)
+        return 0 if row is None else row.index(max(row))
 
-    for _, step, obs, action, res in rollout(env, choose, config.episodes, config.seed):
-        ep_return += res.reward
+    for _, step, obs, action, next_obs, reward, done, _ in rollout(env, choose, config.episodes, config.seed):
+        ep_return += reward
         global_step += 1
-        yield global_step, obs, action, res
+        yield global_step, obs, action, next_obs, reward, done and env.game.is_goal(next_obs)
         if evaluating and global_step % config.eval_interval == 0:
             eval_seed = derive_seed(config.seed, "eval")
             mean_return = evaluate_policy(eval_env, policy, config.eval_episodes, eval_seed).mean_return
             result.evals.append((global_step, mean_return))
-        if res.done:
+        if done:
             result.curve.append(CurvePoint(global_step, ep_return, step + 1, config.epsilon_at(global_step)))
             ep_return = 0.0
             if config.max_env_steps is not None and global_step >= config.max_env_steps:
@@ -195,12 +205,12 @@ def train_q_learning(env: Env, config: TrainConfig, eval_env: Env | None = None)
     gamma = config.gamma if config.gamma is not None else env.game.gamma
     alpha = config.learning_rate
     result = TrainResult(policy=q)
-    for global_step, obs, action, res in epsilon_greedy_steps(env, config, rng, result, eval_env):
-        onward = None if res.goal else q.values.get(res.observation)
+    for global_step, obs, action, next_obs, reward, goal in epsilon_greedy_steps(env, config, rng, result, eval_env):
+        onward = None if goal else q.values.get(next_obs)
         # np.max's float: an update q + d is -0.0 only when q is, so no row holds the -0.0 np.max might prefer
         bootstrap = 0.0 if onward is None else max(onward)
         row = q.row(obs)
-        row[action] = value = row[action] + alpha * (res.reward + gamma * bootstrap - row[action])
+        row[action] = value = row[action] + alpha * (reward + gamma * bootstrap - row[action])
         if not math.isfinite(value):
             raise TrainingDivergedError(f"non-finite Q-value {value!r}", global_step)
     return result

@@ -158,6 +158,9 @@ def _require_ints(**fields) -> None:
 
 
 def manifest_path(log_path) -> Path:
+    """The manifest beside the file a log path names: a symlink's target, which ``artifacts.replacing`` writes."""
+    if os.path.islink(log_path):
+        log_path = os.path.realpath(log_path)
     return Path(str(log_path) + ".manifest.json")
 
 
@@ -334,11 +337,7 @@ def run_collection(
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     policy_rng = Draws(derive_seed(seed, "collection-policy"))
-    steps = rollout(env, lambda obs: policy(obs, policy_rng), episodes, seed)
-    rows = (
-        (ep, step, obs, action, res.observation, res.reward, res.done, res.action_success)
-        for ep, step, obs, action, res in steps
-    )
+    rows = rollout(env, lambda obs: policy(obs, policy_rng), episodes, seed)
     return _dataset(rows, env.metadata(), getattr(policy, "descriptor", "custom"), seed, out_path)
 
 
@@ -404,7 +403,7 @@ def merge_logs(log_paths, out_path) -> CollectionResult:
     ``read_clean_log``, then scanned again to stream it.  A source that fails
     its audit, or a line corrupt on the second scan, raises LogValidationError
     and nothing lands; a line that still parses is written as read.  The
-    manifest's ``sources`` are the paths relative to the merged log's directory
+    manifest's ``sources`` are the paths relative to its own directory
     (or the current one), so they read the same however they are spelled.
     """
     log_paths = list(log_paths)
@@ -422,7 +421,7 @@ def merge_logs(log_paths, out_path) -> CollectionResult:
             offset += len(remap)
 
     policy = "merged(" + ", ".join(m.get("policy", "?") for m in manifests) + ")"
-    start = os.curdir if out_path is None else Path(out_path).parent
+    start = os.curdir if out_path is None else manifest_path(out_path).parent
     names = [os.path.relpath(p, start) for p in log_paths]
     return _dataset(merged(), manifests[0], policy, None, out_path, sources=names)
 

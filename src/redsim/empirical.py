@@ -457,11 +457,13 @@ class EmpiricalSim(Env):
         self.action_costs = config.action_costs
         self._states = mdp.states
         self._start = mdp.start
-        self._row_start = mdp.row_start.tolist()
         self._next_state = mdp.next_state.tolist()
         self._reward = mdp.reward.tolist()
         # Entry e's outcome owns the draws from _cumulative[e] up to _cumulative[e + 1].
-        self._cumulative = [0, *accumulate(model.table.weight.tolist())]
+        self._cumulative = cumulative = [0, *accumulate(model.table.weight.tolist())]
+        # Per row: its first draw, its number of draws and its entries first:end.
+        bounds = mdp.row_start.tolist()
+        self._rows = [(cumulative[lo], cumulative[hi] - cumulative[lo], lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         unseen = np.flatnonzero(model.table.visits == 0).tolist()
         self._no_data = set(unseen if config.fallback == FALLBACK_REJECT else ())
         self._state = mdp.start
@@ -477,10 +479,8 @@ class EmpiricalSim(Env):
             raise NoDataError(
                 f"no data for observation {self._states[state]} action {action} (fallback mode reject-action)"
             )
-        lo, hi = self._row_start[row], self._row_start[row + 1]
-        cumulative = self._cumulative
-        base = cumulative[lo]
-        draw = self._rng.integers(cumulative[hi] - base)
-        entry = bisect_right(cumulative, base + draw, lo + 1, hi + 1) - 1
+        base, total, first, end = self._rows[row]
+        draw = self._rng.integers(total)  # drawn on a one-entry row too: its count may be above 1
+        entry = first if end - first == 1 else bisect_right(self._cumulative, base + draw, first + 1, end + 1) - 1
         self._state = next_state = self._next_state[entry]
         return self._states[next_state], self._reward[entry], next_state != state

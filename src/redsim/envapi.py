@@ -83,12 +83,20 @@ class Draws:
         return half
 
     def random(self) -> float:
-        return (self._next64() >> 11) * 2.0**-53
+        raw = next(self._raw, None)  # read here, not by _next64: a call per draw costs more than the draw
+        return ((self._next64() if raw is None else raw) >> 11) * 2.0**-53
 
     def integers(self, n: int) -> int:
-        n = index(n)  # a numpy int would overflow the products below
-        if 1 < n <= 2**32:  # the common case, written out: a call per draw costs more than the draw
-            m = self._next32() * n
+        if n.__class__ is not int:
+            n = index(n)  # a numpy int would overflow the products below
+        if 1 < n <= 2**32:  # the common case, written out, _next32 too
+            half = self._half
+            if half is None:
+                raw = self._next64()
+                half, self._half = raw & 0xFFFFFFFF, raw >> 32
+            else:
+                self._half = None
+            m = half * n
             if m & 0xFFFFFFFF < n:  # only then can the low word fall below the threshold 2**32 % n
                 threshold = 2**32 % n
                 while m & 0xFFFFFFFF < threshold:
@@ -243,6 +251,9 @@ class TabularMDP:
 class Env(ABC):
     """Reset/step contract of the world and the generated sim: ``step(action)`` returns a ``StepResult``.
 
+    A subclass extends the two hooks, ``_reset_state`` and ``_apply_action``;
+    ``reset`` and ``step`` wrap them, and ``rollout`` drives them directly.
+
     Seeding: ``reset(seed=s)`` pins the master seed and restarts the episode
     counter at zero; a bare ``reset()`` advances the counter and derives the
     next episode stream, the ``Draws`` of ``derive_seed(master seed, episode
@@ -281,17 +292,21 @@ class Env(ABC):
     def step(self, action: int) -> StepResult:
         if self._done:
             raise EpisodeFinishedError("episode is over; call reset() first")
+        next_obs, reward, action_success = self._apply_action(self._checked(action))
+        self._steps += 1
+        goal = self.game.is_goal(next_obs)
+        self._done = goal or self._steps >= self.game.max_steps
+        return StepResult(next_obs, float(reward), self._done, goal, action_success)
+
+    def _checked(self, action) -> int:
+        """``action`` as the int index it names, or InvalidActionError."""
         try:  # a numpy int passes; a bool is sent to the TypeError, since operator.index takes True as 1
             action = index(action if action.__class__ is not bool else None)
         except TypeError:
             raise InvalidActionError(f"action {action!r} of type {type(action).__name__} is not an int index") from None
         if not 0 <= action < self.action_count:
             raise InvalidActionError(f"action {action} outside [0, {self.action_count})")
-        next_obs, reward, action_success = self._apply_action(action)
-        self._steps += 1
-        goal = self.game.is_goal(next_obs)
-        self._done = goal or self._steps >= self.game.max_steps
-        return StepResult(next_obs, float(reward), self._done, goal, action_success)
+        return action
 
     @abstractmethod
     def _reset_state(self) -> Observation:
@@ -320,23 +335,40 @@ class Env(ABC):
 
 
 def rollout(env: Env, choose, episodes: int, seed: int):
-    """Play ``episodes`` episodes; yield ``(episode, step, obs, action, result)`` per step.
+    """Play ``episodes`` episodes; yield each step as the log's row, in ``RECORD_FIELDS`` order:
+    ``(episode, step, obs, action, next_obs, reward, done, action_success)``.
 
-    The first episode starts with ``reset(seed=seed)`` and each later one
-    with a bare ``reset()``, so a run replays from its seed alone.
-    ``choose(obs)`` picks each action right before its step.  The generator
-    resumes only when the consumer asks for the next step, so whatever the
-    consumer does with a step (learning, logging) precedes the next choice
-    and the next reset, and a consumer that stops early triggers no reset.
+    The one step loop of collection, training, evaluation and transfer.  The
+    first episode starts with ``reset(seed=seed)`` and each later one with a
+    bare ``reset()``, so a run replays from its seed alone.  ``choose(obs)``
+    picks each action right before its step, which is ``Env.step``'s taken
+    through its hooks (an override of ``step`` is not seen): the same action
+    check, then ``_apply_action``, and the same ``done`` and float ``reward``.
+    Once the generator stops (run out, closed or raising) the env's step count
+    and done flag are what ``step`` would have left.  It resumes only when the
+    consumer asks for the next step, so whatever the consumer does with a step
+    precedes the next choice and the next reset, and a consumer that stops
+    early triggers no reset.
     """
-    for episode in range(episodes):
-        obs = env.reset(seed=seed) if episode == 0 else env.reset()
-        step = 0
-        while True:
-            action = choose(obs)
-            result = env.step(action)
-            yield episode, step, obs, action, result
-            if result.done:
-                break
-            obs = result.observation
-            step += 1
+    apply, checked, count = env._apply_action, env._checked, env.action_count
+    is_goal, max_steps = env.game.is_goal, env.game.max_steps
+    taken = None  # None until a reset returns: the env holds what reset or its caller left
+    try:
+        for episode in range(episodes):
+            taken = None
+            obs = env.reset(seed=seed) if episode == 0 else env.reset()
+            taken, done = 0, False
+            for step in range(max_steps):
+                action = choose(obs)
+                if action.__class__ is not int or not 0 <= action < count:
+                    action = checked(action)
+                next_obs, reward, success = apply(action)
+                taken = step + 1
+                done = is_goal(next_obs) or taken >= max_steps
+                yield episode, step, obs, action, next_obs, float(reward), done, success
+                if done:
+                    break
+                obs = next_obs
+    finally:
+        if taken is not None:
+            env._steps, env._done = taken, done

@@ -75,17 +75,16 @@ def _greedy_eval(env: Env, choose, episodes: int, seed: int, environment_tag: st
     successes = 0
     traces: list[list[int]] = []
     total = 0.0
-    steps = rollout(env, choose, episodes, seed)
-    for ep, step, _, action, res in steps:
+    for ep, step, _, action, next_obs, reward, done, _ in rollout(env, choose, episodes, seed):
         if step == 0:
             trace: list[int] = []
             traces.append(trace)
         trace.append(action)
-        total += res.reward
-        if res.done:
+        total += reward
+        if done:
             returns[ep] = total
             lengths[ep] = step + 1
-            successes += 1 if res.goal else 0
+            successes += 1 if env.game.is_goal(next_obs) else 0
             total = 0.0
     return EvalReport(
         environment=environment_tag,

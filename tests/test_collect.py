@@ -550,3 +550,40 @@ def test_a_row_whose_tail_equals_a_cached_one_still_raises(tmp_path_factory, twi
     with pytest.raises(TypeError):
         collect.write_log(rows, directory / "d.jsonl")
     assert list(directory.iterdir()) == []
+
+
+def test_collect_through_a_symlinked_out_lands_the_manifest_beside_the_target(tmp_path):
+    """``collect --out link.jsonl``, the link naming ``a.jsonl``, replaces ``a.jsonl`` and its manifest, so
+    ``build-sim`` on either name exits 0; a fresh path gets the same bytes."""
+    scenario = tmp_path / "desk5.json"
+    scenario.write_text(json.dumps(presets.chain_scenario()), encoding="utf-8")
+    target, link, fresh = tmp_path / "a.jsonl", tmp_path / "link.jsonl", tmp_path / "fresh.jsonl"
+
+    def run_collect(episodes, seed, out):
+        return main(["collect", "--scenario", str(scenario), "--episodes", str(episodes), "--seed", str(seed),
+                     "--out", str(out)])
+
+    assert run_collect(5, 1, target) == 0
+    link.symlink_to(target.name)
+    assert run_collect(9, 2, link) == 0 and run_collect(9, 2, fresh) == 0
+    assert link.is_symlink() and not (tmp_path / "link.jsonl.manifest.json").exists()
+    assert _written(target) == _written(fresh)
+    assert collect.read_manifest(link)["episodes"] == 9
+    for data in (target, link):
+        assert main(["build-sim", "--data", str(data), "--out", str(tmp_path / "m.model")]) == 0
+
+
+def test_merge_into_a_symlinked_path_lands_the_manifest_beside_the_target(desk5, tmp_path):
+    """A merge through a link in another directory writes the target's manifest, its sources relative to it."""
+    data, links = tmp_path / "data", tmp_path / "links"
+    data.mkdir()
+    links.mkdir()
+    a, b = _two_logs(desk5, data, 5)
+    link = links / "link.jsonl"
+    link.symlink_to(a)
+    merged = collect.merge_logs([b, b], link)
+    fresh = collect.merge_logs([b, b], data / "fresh.jsonl")
+    assert link.is_symlink() and list(links.iterdir()) == [link]
+    assert _written(a) == _written(fresh.log_path)
+    assert merged.manifest == fresh.manifest and merged.manifest["sources"] == ["b.jsonl", "b.jsonl"]
+    assert collect.read_clean_log(a)[0].episodes == 10

@@ -1,12 +1,13 @@
 """Environment contract: seeding, episode mechanics, reward function."""
 
 from dataclasses import fields
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from redsim import collect, empirical, world
+from redsim import collect, empirical, presets, world
 from redsim.envapi import (
     Draws,
     EpisodeFinishedError,
@@ -213,23 +214,20 @@ def test_rollout_numbers_episodes_and_steps(desk5):
     env = world.AttackWorld(desk5, seed=0)
     steps = list(rollout(env, _random_choice(1, env.action_count), 6, 3))
     assert [ep for ep, step, *_ in steps if step == 0] == list(range(6))
-    for (ep, step, obs, _, res), nxt in zip(steps, steps[1:] + [None]):
-        if res.done:
+    for (ep, step, obs, _, next_obs, _, done, _), nxt in zip(steps, steps[1:] + [None]):
+        if done:
             assert nxt is None or (nxt[0], nxt[1]) == (ep + 1, 0)
         else:
             assert (nxt[0], nxt[1]) == (ep, step + 1)
-            assert nxt[2] == res.observation  # the next step starts where this one ended
+            assert nxt[2] == next_obs  # the next step starts where this one ended
         assert step < desk5.game.max_steps
-    assert steps[-1][4].done
+    assert steps[-1][6]  # done
 
 
 def test_rollout_first_reset_pins_the_seed(desk5):
     def trajectory(env_seed):
         env = world.AttackWorld(desk5, seed=env_seed)
-        return [
-            (ep, step, obs, action, res.observation, res.reward, res.done)
-            for ep, step, obs, action, res in rollout(env, _random_choice(2, env.action_count), 8, 5)
-        ]
+        return [row[:7] for row in rollout(env, _random_choice(2, env.action_count), 8, 5)]
 
     assert trajectory(0) == trajectory(123)
 
@@ -244,8 +242,8 @@ def test_rollout_resets_only_when_resumed(desk5):
             return super().reset(seed)
 
     env = CountingWorld(desk5, seed=0)
-    for *_, res in rollout(env, _random_choice(3, env.action_count), 5, 1):
-        if res.done:
+    for *_, done, _ in rollout(env, _random_choice(3, env.action_count), 5, 1):
+        if done:
             break
     assert resets == 1
     list(rollout(env, _random_choice(3, env.action_count), 5, 1))
@@ -308,3 +306,136 @@ def test_draws_reject_what_numpy_rejects():
             np.random.default_rng(0).integers(n)
         with pytest.raises(ValueError):
             Draws(0).integers(n)
+
+
+def _reference_rollout(env, choose, episodes, seed):
+    """``rollout``'s rows, made through ``reset`` and the public ``step``."""
+    for episode in range(episodes):
+        obs = env.reset(seed=seed) if episode == 0 else env.reset()
+        step = 0
+        while True:
+            action = choose(obs)
+            res = env.step(action)
+            yield episode, step, obs, action, res.observation, res.reward, res.done, res.action_success
+            if res.done:
+                break
+            obs, step = res.observation, step + 1
+
+
+@lru_cache(maxsize=None)
+def _sparse_desk5_model():
+    """A model of 4 random desk5 episodes: most pairs unseen, so a reject-action sim soon raises NoDataError."""
+    env = world.AttackWorld(world.parse_scenario(presets.chain_scenario()), seed=1)
+    data = collect.run_collection(env, collect.uniform_random_policy(env.action_count), 4, 1)
+    return empirical.build_model(data.records, env.obs_dim, env.action_count, env.fingerprint, data.manifest)
+
+
+class _IntRewardWorld(world.AttackWorld):
+    """A world whose hooks a subclass extends: its rewards are ints, and its second reset raises."""
+
+    resets = 0
+
+    def _reset_state(self):
+        self.resets += 1
+        if self.resets == 2:
+            raise RuntimeError("reset failed")
+        return super()._reset_state()
+
+    def _apply_action(self, action):
+        next_obs, reward, success = super()._apply_action(action)
+        return next_obs, round(reward), success
+
+
+def _env(kind, seed):
+    if kind == "custom":
+        return _IntRewardWorld(world.parse_scenario(presets.chain_scenario(noise=0.2, max_steps=6)), seed)
+    if kind.startswith("sim"):
+        model = _sparse_desk5_model()
+        fallback = empirical.FALLBACK_REJECT if kind == "sim-reject" else empirical.FALLBACK_SELF
+        config = empirical.SimConfig.from_model(model, max_steps=15, fallback=fallback)
+        return empirical.EmpiricalSim(model, config, seed)
+    doc = {
+        "world-desk5": presets.chain_scenario,
+        "world-mesh": presets.mesh_scenario,
+        "world-noisy-chain": lambda: presets.chain_scenario(noise=0.2, exploit_prob=0.6, max_steps=12),
+    }[kind]()
+    return world.AttackWorld(world.parse_scenario(doc), seed)
+
+
+# What a chooser may return instead of an action, given the action count: each one is no index into the space.
+_BAD_ACTIONS = {
+    "true": lambda n: True,
+    "false": lambda n: False,
+    "float": lambda n: 1.0,
+    "str": lambda n: "1",
+    "none": lambda n: None,
+    "minus-one": lambda n: -1,
+    "numpy-minus-one": lambda n: np.int64(-1),
+    "count": lambda n: n,
+    "numpy-count": lambda n: np.int64(n),
+}
+
+
+def _chooser(action_count, seed, numpy_ints, bad_at, bad, raise_at):
+    """Uniform random actions, numpy ints or ints; call ``bad_at`` returns the bad action, call ``raise_at`` raises."""
+    rng = np.random.default_rng(seed)
+    calls = 0
+
+    def choose(obs):
+        nonlocal calls
+        calls += 1
+        if calls == raise_at:
+            raise RuntimeError("chooser failed")
+        if calls == bad_at:
+            return _BAD_ACTIONS[bad](action_count)
+        action = rng.integers(action_count)
+        return action if numpy_ints else int(action)
+
+    return choose
+
+
+def _play(play, kind, env_seed, choice, episodes, seed, stop_after):
+    """The rows ``play`` yields until it stops, the error it raised (type and text), and the env's step count and
+    done flag once it is closed.  The consumer stops after ``stop_after`` rows, or after the first episode's last
+    row when ``stop_after`` is ``"end"``."""
+    env = _env(kind, env_seed)
+    steps = play(env, _chooser(env.action_count, *choice), episodes, seed)
+    rows, error = [], None
+    try:
+        for row in steps:
+            rows.append(row)
+            if len(rows) == stop_after or (stop_after == "end" and row[6]):
+                break
+    except Exception as exc:  # InvalidActionError, NoDataError or the chooser's RuntimeError
+        error = (type(exc), str(exc))
+    finally:
+        steps.close()
+    return rows, error, (env._steps, env._done)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["world-desk5", "world-mesh", "world-noisy-chain", "sim-self", "sim-reject", "custom"]),
+    env_seed=st.integers(0, 50),
+    choice=st.tuples(
+        st.integers(0, 2**32),
+        st.booleans(),
+        st.none() | st.integers(1, 60),
+        st.sampled_from(sorted(_BAD_ACTIONS)),
+        st.none() | st.integers(1, 60),
+    ),
+    episodes=st.integers(1, 3),
+    seed=st.integers(0, 2**63 - 1),
+    stop_after=st.none() | st.just("end") | st.integers(1, 80),
+)
+@example(kind="custom", env_seed=0, choice=(0, False, None, "true", None), episodes=2, seed=0, stop_after=None)
+def test_rollout_rows_are_the_reference_loops_through_step(kind, env_seed, choice, episodes, seed, stop_after):
+    """``rollout`` yields what a loop through ``reset`` and ``step`` sees, raises what it raises (a bad action's
+    InvalidActionError, reject-action's NoDataError, the chooser's or a reset's own error) and leaves the env's
+    step count and done flag as it does, whether exhausted, closed early or stopped by an exception."""
+    got = _play(rollout, kind, env_seed, choice, episodes, seed, stop_after)
+    assert got == _play(_reference_rollout, kind, env_seed, choice, episodes, seed, stop_after)
+    rows, error, _ = got
+    assert all(row[3].__class__ is int and row[5].__class__ is float for row in rows)
+    if error is not None and error[0] is InvalidActionError:
+        assert len(rows) + 1 == choice[2]  # the bad action's own call

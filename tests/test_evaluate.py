@@ -145,14 +145,14 @@ def test_transfer_steps_the_world_once_per_evaluated_step(desk5, desk5_solution,
     policy = _PlanPolicy(desk5_solution.policy, len(desk5.actions))
 
     calls = 0
-    step = world.AttackWorld.step
+    apply_action = world.AttackWorld._apply_action
 
-    def counting_step(self, action):
+    def counting_apply_action(self, action):
         nonlocal calls
         calls += 1
-        return step(self, action)
+        return apply_action(self, action)
 
-    monkeypatch.setattr(world.AttackWorld, "step", counting_step)
+    monkeypatch.setattr(world.AttackWorld, "_apply_action", counting_apply_action)
     report = transfer_eval(
         policy, world.AttackWorld(desk5, seed=6), EmpiricalSim(model, seed=6), episodes=40, seed=6
     )
