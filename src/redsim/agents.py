@@ -17,7 +17,8 @@ import numpy as np
 
 from . import artifacts
 from .empirical import FALLBACK_SELF, compile_model
-from .envapi import Draws, Env, Observation, TabularMDP, derive_seed, read_network, rollout
+from .envapi import COUNT, POSITIVE, PROBABILITY, STEPS, UNIT, Draws, Env, Observation, TabularMDP, derive_seed
+from .envapi import game_number, read_network, rollout
 from .world import Scenario
 
 # The benchmark's per-layer tracer (perfbench/layers.py) wraps these names here too.
@@ -62,25 +63,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in ("q_learning", "dqn"):
             raise ValueError(f"algorithm must be q_learning or dqn, not {self.algorithm!r}")
-        for name in ("episodes", "epsilon_decay_steps", "replay_capacity", "batch_size",
-                     "target_sync_interval", "eval_episodes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, rule in (  # each ranged field's envapi.game_number rule
+            ("episodes", STEPS), ("max_env_steps", STEPS), ("epsilon_decay_steps", STEPS), ("replay_capacity", STEPS),
+            ("batch_size", STEPS), ("target_sync_interval", STEPS), ("eval_episodes", STEPS), ("eval_interval", COUNT),
+            ("gamma", UNIT), ("learning_rate", POSITIVE), ("epsilon_start", PROBABILITY), ("epsilon_end", PROBABILITY),
+        ):
+            value = getattr(self, name)
+            if value is not None or name not in ("max_env_steps", "gamma"):  # None: no step cap, the game's gamma
+                game_number(value, name, rule)
+        for size in self.hidden_sizes:
+            game_number(size, "hidden_sizes entry", STEPS)
         if self.batch_size > self.replay_capacity:  # the buffer would never hold a batch, so DQN would never learn
             raise ValueError(f"batch_size {self.batch_size} exceeds replay_capacity {self.replay_capacity}")
-        if self.max_env_steps is not None and self.max_env_steps < 1:
-            raise ValueError("max_env_steps must be >= 1 or None")
-        if self.eval_interval < 0:
-            raise ValueError("eval_interval must be >= 0 (0: no evaluation)")
-        if any(size < 1 for size in self.hidden_sizes):
-            raise ValueError("hidden_sizes must be >= 1 each")
-        if self.gamma is not None and not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
-        for name in ("epsilon_start", "epsilon_end"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not 0 < self.learning_rate < math.inf:  # NaN fails every comparison
-            raise ValueError("learning_rate must be positive and finite")
 
     def epsilon_at(self, step: int) -> float:
         frac = min(1.0, step / self.epsilon_decay_steps)

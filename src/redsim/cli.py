@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -49,26 +48,24 @@ class CliError(Exception):
         self.kind = kind
 
 
-def _checked(kind, ok, expected: str):
-    """An argparse ``type=`` function: ``kind(raw)`` if ``ok`` holds for it, else a usage error."""
+def _checked(rule):
+    """An argparse ``type=`` function: the text as a number of ``rule``'s type, if ``envapi.game_number`` takes it."""
+    kind, _, expected = rule
 
     def parse(raw: str):
         try:
-            value = kind(raw)
+            return envapi.game_number(kind(raw), "", rule)
         except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
-        return value
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}") from None
 
     return parse
 
 
-_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
-_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
-_probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
-_gamma = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
-_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_positive_int = _checked(envapi.STEPS)
+_non_negative_int = _checked(envapi.COUNT)
+_probability = _checked(envapi.PROBABILITY)
+_gamma = _checked(envapi.UNIT)
+_positive_float = _checked(envapi.POSITIVE)
 
 
 def _positive_ints(raw: str) -> tuple[int, ...]:

@@ -34,7 +34,8 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import artifacts
-from .envapi import Draws, Env, Observation, derive_seed, read_network, require_same_network, rollout
+from .envapi import STEPS, Draws, Env, Observation, derive_seed, game_number, read_network, require_same_network
+from .envapi import rollout
 
 LOG_FORMAT = "redsim-log-v1"
 
@@ -334,8 +335,7 @@ def run_collection(
     stream to the log as the episodes are played (see the module's notes),
     and the result's ``records`` are read back from the log if asked for.
     """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
+    game_number(episodes, "episodes", STEPS)
     policy_rng = Draws(derive_seed(seed, "collection-policy"))
     rows = rollout(env, lambda obs: policy(obs, policy_rng), episodes, seed)
     return _dataset(rows, env.metadata(), getattr(policy, "descriptor", "custom"), seed, out_path)

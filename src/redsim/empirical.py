@@ -15,6 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -55,9 +56,9 @@ class EmpiricalModel:
 
     A model is fixed when it is made: its builders count first and construct
     it once, and rebinding a field raises ``dataclasses.FrozenInstanceError``.
-    ``counts`` maps ``(obs, action)`` to ``{next obs: count}``; writing into
-    that dict (or ``metadata``) is a caller error, as ``table`` is built from
-    it once and never again.
+    ``counts`` maps ``(obs, action)`` to ``{next obs: count}``, held as read-only
+    views of the dicts given (writing through one raises TypeError), as ``table``
+    is built from them once; writing into ``metadata`` is a caller error.
     """
 
     obs_dim: int
@@ -65,7 +66,13 @@ class EmpiricalModel:
     fingerprint: str = ""
     x0: Observation | None = None
     metadata: dict = field(default_factory=dict, compare=False)
-    counts: dict[tuple[Observation, int], dict[Observation, int]] = field(default_factory=dict)
+    counts: dict[tuple[Observation, int], dict[Observation, int]] = field(default_factory=dict)  # held as views
+
+    def __post_init__(self):
+        if self.counts.__class__ is not MappingProxyType:  # wrapped in place, nothing copied
+            for pair, outcomes in self.counts.items():
+                self.counts[pair] = MappingProxyType(outcomes)
+            object.__setattr__(self, "counts", MappingProxyType(self.counts))
 
     # -- queries -------------------------------------------------------------
 
@@ -318,8 +325,7 @@ class SimConfig:
             goal_index = game_number(game_meta.get("goal_index", -1), "game.goal_index", INDEX)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:  # Type-, AttributeError: not an object
             raise ModelError(f"malformed game in model metadata: {exc!r}") from None
-        max_steps = int(max_steps) if max_steps is not None else recorded_steps
-        game = GameConfig(max_steps=max_steps, gamma=gamma, goal_index=goal_index)
+        game = GameConfig(recorded_steps if max_steps is None else max_steps, gamma, goal_index)
         return cls(game=game, flag_worths=worths, action_costs=costs, fallback=fallback)
 
 
@@ -363,7 +369,7 @@ def count_table(model: EmpiricalModel) -> CountTable:
         np.fromiter(map(len, outcomes), dtype=np.int64),
     )
     next_state = np.fromiter(map(index.__getitem__, chain.from_iterable(outcomes)), dtype=np.int64)
-    weight = np.fromiter(chain.from_iterable(map(dict.values, outcomes)), dtype=np.int64)
+    weight = np.fromiter(chain.from_iterable(pair.values() for pair in outcomes), dtype=np.int64)
     row_state = np.repeat(np.arange(len(states)), actions)
     visits = np.bincount(row, weight, n_rows).astype(np.int64)  # exact: no pair holds more than _MAX_PAIR_VISITS
     unseen = np.ones(n_rows, dtype=bool)

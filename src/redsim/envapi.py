@@ -140,10 +140,9 @@ class GameConfig:
     goal_index: int = -1
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
+        game_number(self.max_steps, "max_steps", STEPS)
+        game_number(self.gamma, "gamma", UNIT)
+        game_number(self.goal_index, "goal_index", INDEX)
 
     def is_goal(self, obs) -> bool:
         return obs[self.goal_index] == 1
@@ -153,21 +152,23 @@ class GameConfig:
 NON_NEGATIVE = (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 POSITIVE = (float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 UNIT = (float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+PROBABILITY = (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 STEPS = (int, lambda v: v >= 1, "an int >= 1")
+COUNT = (int, lambda v: v >= 0, "an int >= 0")
 INDEX = (int, lambda v: True, "an int")
 
 
 def game_number(value, name: str, rule: tuple):
-    """``value`` as the rule's type if it is a JSON number of that type that passes the rule's test, else ValueError.
+    """``value`` as the rule's type if it is a number of that type that passes the rule's test, else ValueError.
 
-    Scenario files and a model's recorded game are read through this one
-    rule.  A bool, string or null is no number, an int where a float belongs
-    reads as the float it equals (so ``"worth": 2`` and ``"worth": 2.0`` give
-    the same game), and NaN fails every range.
+    Every range of a file, flag, config or call is checked here.  A bool,
+    string, null or numpy int is no number, an int or a float subclass
+    (numpy's ``float64``) where a float belongs reads as the float it equals
+    (so ``"worth": 2`` and ``"worth": 2.0`` give the same game), and NaN fails every range.
     """
     kind, ok, expected = rule
     try:
-        number = kind(value) if value.__class__ in (int, kind) else None
+        number = kind(value) if value.__class__ is int or (kind is float and isinstance(value, float)) else None
     except OverflowError:  # an int too large for a float
         number = None
     if number is None or not ok(number):
@@ -186,7 +187,8 @@ def read_network(doc: dict, error) -> tuple[str, int, int]:
     """The network a file's ``doc`` names, or ``error(message)`` unless its fingerprint is a string and
     its ``obs_dim`` and ``action_count`` positive ints; a missing key reads as null and fails too."""
     fingerprint, obs_dim, action_count = (doc.get(key) for key in ("fingerprint", "obs_dim", "action_count"))
-    if fingerprint.__class__ is not str or not all(n.__class__ is int and n >= 1 for n in (obs_dim, action_count)):
+    kind, ok, _ = STEPS  # game_number's verdict on an int rule, without its message
+    if fingerprint.__class__ is not str or not all(n.__class__ is kind and ok(n) for n in (obs_dim, action_count)):
         raise error(
             f"fingerprint of type {type(fingerprint).__name__} must be a string and "
             f"obs_dim {obs_dim!r} and action_count {action_count!r} positive ints"

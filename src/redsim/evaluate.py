@@ -15,7 +15,7 @@ import numpy as np
 
 from .agents import LoadedPolicy, TrainConfig, greedy_action, train_q_learning, value_iteration
 from .empirical import EmpiricalModel, EmpiricalSim, IncompatibleModelError, SimConfig
-from .envapi import Env, Observation, require_same_network, rollout
+from .envapi import COUNT, STEPS, Env, Observation, game_number, require_same_network, rollout
 from .world import Scenario, shortest_success_path
 
 # The benchmark's per-layer tracer (perfbench/layers.py) wraps these names here too.
@@ -68,8 +68,7 @@ def evaluate_policy(
 
 def _greedy_eval(env: Env, choose, episodes: int, seed: int, environment_tag: str) -> EvalReport:
     """The report of ``evaluate_policy``, choosing each action with ``choose(obs)``."""
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
+    game_number(episodes, "episodes", STEPS)
     returns = np.zeros(episodes)
     lengths = np.zeros(episodes)
     successes = 0
@@ -244,6 +243,7 @@ def fidelity_report(
     observation; a pair's TV adds its per-outcome differences in the order
     of the model's state ids, outcomes the model never saw last.
     """
+    game_number(visit_threshold, "visit_threshold", COUNT)
     require_same_network(model, scenario, IncompatibleModelError, "model was generated from")
     law, table = scenario.law, model.table
     actions, n_model = law.action_count, len(table.states)
@@ -347,7 +347,7 @@ def max_steps_study(
         )
         rows.append(
             HorizonOutcome(
-                max_steps=int(max_steps),
+                max_steps=max_steps,
                 optimal_return=solution.optimal_return,
                 trained_return=report.mean_return,
                 success_rate=report.success_rate,

@@ -352,12 +352,40 @@ def test_rerun_with_identical_config_is_byte_identical(scenario_file, tmp_path):
         ["collect", "--scenario", "s.json", "--episodes", "5", "--epsilon", "3", "--out", "d.jsonl"],
         ["fidelity", "--model", "m.model", "--scenario", "s.json", "--visit-threshold", "-3"],
         ["fidelity", "--model", "m.model", "--scenario", "s.json", "--visit-threshold", "0.5"],
+        ["collect", "--scenario", "s.json", "--episodes", "2.5", "--out", "d.jsonl"],
+        ["collect", "--scenario", "s.json", "--episodes", "5", "--epsilon", "nan", "--out", "d.jsonl"],
+        ["train", "--env", "sim:m.model", "--learning-rate", "0", "--out", "p.policy"],
+        ["train", "--env", "sim:m.model", "--gamma", "-inf", "--out", "p.policy"],
+        ["train", "--env", "sim:m.model", "--hidden", "100,2.5", "--out", "p.policy"],
+        ["train", "--env", "sim:m.model", "--batch-size", "True", "--out", "p.policy"],
+        ["eval", "--env", "sim:m.model", "--policy", "p.policy", "--max-steps", "1e3", "--out", "e.json"],
+        ["study-max-steps", "--model", "m.model", "--scenario", "s.json", "--values", "5", "--eval-episodes", "-1"],
     ],
 )
 def test_bad_numeric_argument_is_usage_error(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "flag, raw, words",
+    [
+        ("--episodes", "0", "an int >= 1"),
+        ("--gamma", "0", "a number in (0, 1]"),
+        ("--learning-rate", "inf", "a finite number > 0"),
+        ("--epsilon-start", "2", "a number in [0, 1]"),
+        ("--visit-threshold", "-3", "an int >= 0"),
+    ],
+)
+def test_a_rejected_numeric_flag_names_its_rule(capsys, flag, raw, words):
+    """The flag's message is ``envapi``'s words for the rule that refused it."""
+    command = ["fidelity", "--model", "m", "--scenario", "s"] if flag == "--visit-threshold" else [
+        "train", "--env", "sim:m.model", "--out", "p.policy"]
+    with pytest.raises(SystemExit) as err:
+        main([*command, flag, raw])
+    assert err.value.code == EXIT_USAGE
+    assert f"argument {flag}: expected {words}, got '{raw}'" in capsys.readouterr().err
 
 
 def test_float_arguments_accept_their_bounds():

@@ -72,6 +72,21 @@ def test_missing_pair_is_one_self_fallback_entry():
         assert table.weight[table.row_start[row] : table.row_start[row + 1]].tolist() == [1]
 
 
+def test_writing_through_a_models_counts_raises_and_leaves_its_table_whole():
+    """``table`` is built from the counts once, so the model hands out read-only views of them."""
+    given = {(O, 1): {B: 1}}
+    model = EmpiricalModel(2, 2, x0=O, counts=given)
+    visits = model.table.visits.tolist()
+    for target, key, value in ((model.counts, (O, 0), {B: 5}), (model.counts[O, 1], B, 5)):
+        with pytest.raises(TypeError):
+            target[key] = value
+        with pytest.raises(TypeError):
+            del target[next(iter(target))]
+    assert not model.has_pair(O, 0) and model.table.visits.tolist() == visits == [0, 1, 0, 0]
+    assert model.counts == given and model.total_transitions == 1
+    assert dataclasses.replace(model, x0=None).counts is model.counts  # a view is not wrapped again
+
+
 def test_distributions_sum_to_one_rationally(desk5_model):
     for (obs, action), outcomes in desk5_model.counts.items():
         total = sum(outcomes.values())
